@@ -3,8 +3,8 @@
 Each kernel has two interchangeable implementations: a loop form compiled
 with numba's ``@njit`` and a vectorized pure-numpy form.  The numpy path is
 selected when numba is unavailable or when the environment variable
-``SPDCSIM_NO_NUMBA`` is set to 1/true/yes.  ``benchmarks/bench_kernels.py``
-compares the two.
+``SPDCSIM_NO_NUMBA`` is set to 1/true/yes.  ``tests/test_kernels.py`` checks
+that the two agree.
 
 Conventions baked into the accumulators (shared with ``correlators``):
 grid index i maps to detuning Omega_i = (i - n/2)*delta_omega, the modulation

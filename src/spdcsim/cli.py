@@ -25,6 +25,16 @@ EXIT_PRECONDITION = 3
 EXIT_IO = 4
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     parser.add_argument("--out", required=True, help="output directory")
@@ -35,7 +45,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "--grid-domega", type=float, default=None, help="override grid.delta_omega (rad/ps)"
     )
     parser.add_argument(
-        "--workers", type=int, default=None, help="sweep worker count (default: CPU count)"
+        "--workers", type=_worker_count, default=None, help="sweep worker count (default: CPU count)"
     )
 
 

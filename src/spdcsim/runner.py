@@ -4,6 +4,12 @@ Outputs are deterministic: floats are printed with 17 significant digits,
 files are written atomically (temp file + rename), report.json embeds the
 fully resolved scenario, and sweep rows are ordered by sweep index no matter
 which worker finishes first.
+
+The CSV writers format whole columns at once: a row template repeated over
+the rows is filled by a single %-operation (``_format_rows``), and
+``"%.17g" % x`` runs the same C routine as ``format(x, ".17g")``, so the text
+is that of formatting each value on its own.  Writers yield text in chunks
+that ``_atomic_write`` streams to disk.
 """
 
 import json
@@ -11,6 +17,7 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -31,22 +38,44 @@ from .correlators import (
     g2_intra_time,
 )
 from .elements import build_comb
-from .scenario import Scenario, parse_scenario, set_parameter
+from .scenario import Scenario, check_sweep_outputs, parse_scenario, set_parameter
 from .source import evaluate_source
 
 WIDTH_RATIO_TOLERANCE = 1e-6
 LEAKAGE_TOLERANCE = 1e-12
 
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+_JOINT_CHUNK_ROWS = 8192
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _format_rows(row_template: str, *columns) -> str:
+    """``row_template % row`` for every row of ``columns``, joined, in one pass.
+
+    Columns are equal-length sequences of floats or of preformatted strings;
+    they are laid out row-major in an object table whose ``tolist`` feeds a
+    single %-operation over the repeated template.
+    """
+    table = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for k, column in enumerate(columns):
+        table[:, k] = column
+    return (row_template * len(table)) % tuple(table.ravel().tolist())
+
+
+@lru_cache(maxsize=1)
+def _column_lines(raw: bytes) -> str:
+    """17-digit text of a float64 column given as its raw bytes, one value per line.
+
+    Cached by the exact bits of the column, so the delay axis that the points
+    of a sweep share is formatted once.
+    """
+    return _format_rows("%.17g\n", np.frombuffer(raw))
+
+
+def _atomic_write(path: Path, chunks) -> None:
+    """Write an iterable of text chunks to ``path`` via a temp file + rename."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -54,34 +83,39 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _trace_csv(corr: Correlation1D) -> str:
-    lines = ["tau_ps,g2,background"]
-    bg = _fmt(corr.background)
-    for tau, value in zip(corr.tau_grid, corr.values):
-        lines.append(f"{_fmt(tau)},{_fmt(value)},{bg}")
-    return "\n".join(lines) + "\n"
+def _trace_csv(corr: Correlation1D):
+    yield "tau_ps,g2,background\n"
+    delays = _column_lines(np.asarray(corr.tau_grid, dtype=np.float64).tobytes())
+    # Each delay line becomes a row template for its G2 value; the 17-digit
+    # text of a float never holds a "%".
+    template = delays.replace("\n", ",%.17g," + "%.17g" % float(corr.background) + "\n")
+    yield template % tuple(corr.values.tolist())
 
 
-def _comb_csv(comb: JointComb) -> str:
-    lines = ["n,coefficient,ridge,envelope_axis_radps,envelope_value"]
-    for order, coeff in zip(comb.orders, comb.coefficients):
-        ridge = _fmt(order * comb.mod_freq)
-        coeff_s = _fmt(coeff)
-        for axis, env in zip(comb.envelope_axis, comb.envelope):
-            lines.append(f"{int(order)},{coeff_s},{ridge},{_fmt(axis)},{_fmt(env)}")
-    return "\n".join(lines) + "\n"
+def _comb_csv(comb: JointComb):
+    yield "n,coefficient,ridge,envelope_axis_radps,envelope_value\n"
+    # The envelope columns are the same for every comb line: format them once
+    # and prefix each row with the line's n, coefficient and ridge.
+    envelope = _format_rows("%.17g,%.17g\n", comb.envelope_axis, comb.envelope)[:-1]
+    for order, coeff in zip(comb.orders.tolist(), comb.coefficients.tolist()):
+        prefix = "%d,%.17g,%.17g," % (order, coeff, order * comb.mod_freq)
+        yield prefix + envelope.replace("\n", "\n" + prefix) + "\n"
 
 
-def _joint_csv(joint: JointGrid) -> str:
-    omegas = joint.grid.omegas
-    lines = ["omega1_radps,omega2_radps,structure,background"]
+def _joint_csv(joint: JointGrid):
+    yield "omega1_radps,omega2_radps,structure,background\n"
+    omegas = np.array(["%.17g" % x for x in joint.grid.omegas.tolist()], dtype=object)
     rows, cols = np.nonzero(joint.structure)
-    for i, j in zip(rows, cols):
-        lines.append(
-            f"{_fmt(omegas[i])},{_fmt(omegas[j])},"
-            f"{_fmt(joint.structure[i, j])},{_fmt(joint.background[i, j])}"
+    for start in range(0, rows.size, _JOINT_CHUNK_ROWS):
+        i = rows[start : start + _JOINT_CHUNK_ROWS]
+        j = cols[start : start + _JOINT_CHUNK_ROWS]
+        yield _format_rows(
+            "%s,%s,%.17g,%.17g\n",
+            omegas[i],
+            omegas[j],
+            joint.structure[i, j],
+            joint.background[i, j],
         )
-    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -168,19 +202,15 @@ def _write_point_files(outcome: PointOutcome, scenario: Scenario, out_dir: Path,
     return files
 
 
-def _sweep_csv(scenario: Scenario, values, outcomes) -> str:
+def _sweep_csv(scenario: Scenario, values, outcomes):
     if scenario.is_temporal:
-        lines = ["param,rms_width_ps,fwhm_ps,s_over_b"]
-        for value, outcome in zip(values, outcomes):
-            lines.append(
-                f"{_fmt(value)},{_fmt(outcome.analyses['rms_width_ps'])},"
-                f"{_fmt(outcome.analyses['fwhm_ps'])},{_fmt(outcome.analyses['s_over_b'])}"
-            )
+        yield "param,rms_width_ps,fwhm_ps,s_over_b\n"
+        keys = ("rms_width_ps", "fwhm_ps", "s_over_b")
     else:
-        lines = ["param,comb_leakage"]
-        for value, outcome in zip(values, outcomes):
-            lines.append(f"{_fmt(value)},{_fmt(outcome.analyses['comb_leakage'])}")
-    return "\n".join(lines) + "\n"
+        yield "param,comb_leakage\n"
+        keys = ("comb_leakage",)
+    columns = [[outcome.analyses[key] for outcome in outcomes] for key in keys]
+    yield _format_rows(",".join(["%.17g"] * (1 + len(keys))) + "\n", values, *columns)
 
 
 def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dict:
@@ -188,6 +218,7 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
 
     Returns the report dictionary; files land in ``out_dir``.
     """
+    check_sweep_outputs(scenario)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = scenario.resolved()
@@ -200,11 +231,6 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
         report["results"] = outcome.analyses
     else:
         sweep = scenario.sweep
-        if scenario.is_temporal:
-            needed = {"rms_width", "fwhm", "s_over_b"}
-            missing = needed - set(scenario.outputs.analyses)
-            if missing:
-                raise ValueError(f"temporal sweeps need analyses {sorted(missing)} enabled")
         point_scenarios = [
             parse_scenario(set_parameter(resolved, sweep.parameter, value))
             for value in sweep.values
@@ -229,5 +255,6 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
         }
 
     report["files"] = sorted(files) + ["report.json"]
-    _atomic_write(out_dir / "report.json", json.dumps(report, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    _atomic_write(out_dir / "report.json", [text, "\n"])
     return report

@@ -12,6 +12,7 @@ key; such documents are accepted back as input.
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,7 +141,13 @@ def _get(doc: dict, key: str, path: str, required: bool = True, default=None):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise _fail(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _number_list(value, path: str) -> list:
@@ -258,6 +265,26 @@ def _parse_outputs(doc, path: str, configuration: str) -> OutputSpec:
         if not isinstance(val, bool):
             raise _fail(f"{path}.{key}", "expected a boolean")
     return OutputSpec(analyses=tuple(analyses), write_trace=write_trace, write_comb=write_comb)
+
+
+def check_sweep_outputs(scenario: Scenario) -> None:
+    """Refuse a sweep whose ``sweep.csv`` columns would not be computed.
+
+    The runner calls this before any point runs or file is written.
+    """
+    if scenario.sweep is None:
+        return
+    if scenario.exact_grid:
+        raise _fail(
+            "scenario.exact_grid",
+            "exact-grid scenarios cannot be swept: exact mode computes no comb_leakage",
+        )
+    needed = ("rms_width", "fwhm", "s_over_b") if scenario.is_temporal else ("comb_leakage",)
+    missing = [name for name in needed if name not in scenario.outputs.analyses]
+    if missing:
+        raise _fail(
+            "scenario.outputs.analyses", f"a {scenario.configuration} sweep needs {missing}"
+        )
 
 
 def resolve_parameter(doc: dict, dotted: str):

@@ -156,7 +156,7 @@ def evaluate_uv(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
 
     unitarity = np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0
     worst = float(np.max(np.abs(unitarity)))
-    if worst > _UNITARITY_TOL:
+    if not worst <= _UNITARITY_TOL:
         raise SpdcSimError(f"Bogoliubov unitarity violated by {worst:.3e}")
 
     s = np.abs(v) ** 2

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from spdcsim import runner
 from spdcsim.runner import run_scenario
 from spdcsim.scenario import parse_scenario
 
@@ -166,6 +167,59 @@ class TestExitCodes:
         proc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            (
+                {**scenario_doc(), "source": {"mode": "physical", "gain": float("nan")}},
+                "scenario.source.gain",
+            ),
+            (
+                {**scenario_doc(), "source": {"mode": "analytic", "envelope_bandwidth": float("inf")}},
+                "scenario.source.envelope_bandwidth",
+            ),
+            (
+                {**comb_doc(), "modulators": [
+                    {"mod_freq": 0.01, "index": float("nan")},
+                    {"mod_freq": 0.01, "index": 1.3},
+                ]},
+                "scenario.modulators[0].index",
+            ),
+        ],
+        ids=["nan_gain", "infinite_bandwidth", "nan_modulation_index"],
+    )
+    def test_non_finite_input_is_2_without_report(self, tmp_path, doc, path):
+        scenario_file = write_doc(tmp_path, doc)  # json writes NaN / Infinity literals
+        out = tmp_path / "out"
+        proc = run_cli("run", "--scenario", str(scenario_file), "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{path}: expected a finite number" in proc.stderr
+        assert not (out / "report.json").exists()
+
+    def test_sweep_without_table_columns_is_2_before_any_file(self, tmp_path):
+        doc = scenario_doc()
+        doc["sweep"] = {"parameter": "elements.1.phase_coeffs.1", "values": [-5.0, 5.0]}
+        doc["outputs"] = {"analyses": ["rms_width"]}
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        proc = run_cli("sweep", "--scenario", str(path), "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "scenario.outputs.analyses" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
+    def test_bad_worker_count_is_usage_error(self, tmp_path, workers):
+        path = write_doc(tmp_path, scenario_doc())
+        out = tmp_path / "out"
+        proc = run_cli("run", "--scenario", str(path), "--out", str(out), "--workers", workers)
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr
+        assert "--workers" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_missing_scenario_file_is_4(self, tmp_path):
         proc = run_cli(
             "run", "--scenario", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out")
@@ -197,3 +251,17 @@ def test_runner_api_matches_cli_output(tmp_path):
     report = run_scenario(scenario, tmp_path / "api")
     assert (tmp_path / "api" / "trace.csv").exists()
     assert report["results"]["width_ratio"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_report_with_nan_is_not_written(tmp_path, monkeypatch):
+    real_execute = runner.execute
+
+    def nan_execute(scenario):
+        outcome = real_execute(scenario)
+        outcome.analyses["s_over_b"] = float("nan")
+        return outcome
+
+    monkeypatch.setattr(runner, "execute", nan_execute)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        run_scenario(parse_scenario(scenario_doc()), tmp_path / "out")
+    assert not (tmp_path / "out" / "report.json").exists()

@@ -1,7 +1,14 @@
 import pytest
 
 from spdcsim import GridIncommensurate, MismatchedDrive, ScenarioError
-from spdcsim.scenario import load_scenario, parse_scenario, resolve_parameter, set_parameter
+from spdcsim.runner import run_scenario
+from spdcsim.scenario import (
+    check_sweep_outputs,
+    load_scenario,
+    parse_scenario,
+    resolve_parameter,
+    set_parameter,
+)
 
 
 def minimal_time_doc():
@@ -171,3 +178,80 @@ def test_load_scenario_reports_json_syntax_line(tmp_path):
     bad.write_text('{\n  "schema_version": 1,\n  broken\n}\n', encoding="utf-8")
     with pytest.raises(ScenarioError, match=r"bad\.json:3:"):
         load_scenario(bad)
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf"), 10**400], ids=["nan", "inf", "-inf", "1e400"]
+)
+@pytest.mark.parametrize(
+    "where, path",
+    [
+        (("grid", "delta_omega"), "scenario.grid.delta_omega"),
+        (("source", "envelope_bandwidth"), "scenario.source.envelope_bandwidth"),
+        (("elements", 0, "phase_coeffs", 1), r"scenario.elements\[0\].phase_coeffs\[1\]"),
+    ],
+)
+def test_non_finite_numbers_rejected_with_path(bad, where, path):
+    doc = minimal_time_doc()
+    doc["elements"][0]["phase_coeffs"] = [0.0, 1.0]
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = bad
+    with pytest.raises(ScenarioError, match=f"{path}: expected a finite number"):
+        parse_scenario(doc)
+
+
+def test_non_finite_modulation_index_and_sweep_value_rejected():
+    doc = minimal_freq_doc()
+    doc["modulators"][1]["index"] = float("nan")
+    with pytest.raises(ScenarioError, match=r"scenario.modulators\[1\].index"):
+        parse_scenario(doc)
+    doc = minimal_freq_doc()
+    doc["sweep"] = {"parameter": "modulators.1.index", "values": [0.0, float("inf")]}
+    with pytest.raises(ScenarioError, match=r"scenario.sweep.values\[1\]"):
+        parse_scenario(doc)
+
+
+def _sweep_doc(doc, parameter, analyses=None):
+    doc["sweep"] = {"parameter": parameter, "values": [0.5, 1.0]}
+    if analyses is not None:
+        doc["outputs"] = {"analyses": analyses}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        (
+            _sweep_doc(minimal_time_doc(), "source.envelope_bandwidth", ["rms_width", "fwhm"]),
+            r"scenario.outputs.analyses: .*\['s_over_b'\]",
+        ),
+        (
+            _sweep_doc(minimal_freq_doc(), "modulators.1.index", []),
+            r"scenario.outputs.analyses: .*\['comb_leakage'\]",
+        ),
+        (
+            _sweep_doc(
+                {**minimal_freq_doc(), "grid": {"n_points": 256, "delta_omega": 0.0025},
+                 "exact_grid": True},
+                "modulators.1.index",
+            ),
+            "scenario.exact_grid: exact-grid scenarios cannot be swept",
+        ),
+    ],
+    ids=["temporal_without_s_over_b", "narrowband_without_leakage", "exact_grid"],
+)
+def test_sweep_without_its_table_columns_refused_before_any_point(doc, match, tmp_path):
+    scenario = parse_scenario(doc)
+    with pytest.raises(ScenarioError, match=match):
+        check_sweep_outputs(scenario)
+    with pytest.raises(ScenarioError, match=match):
+        run_scenario(scenario, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_single_runs_need_no_sweep_columns():
+    doc = minimal_time_doc()
+    doc["outputs"] = {"analyses": ["fwhm"]}
+    check_sweep_outputs(parse_scenario(doc))

@@ -6,6 +6,7 @@ from spdcsim import (
     FrequencyGrid,
     PhaseMismatch,
     SourceSpec,
+    SpdcSimError,
     evaluate_analytic,
     evaluate_source,
     evaluate_uv,
@@ -160,3 +161,10 @@ def test_center_frequency_is_metadata_only():
     b = evaluate_uv(SourceSpec.physical(1.0, [0.5], center_frequency=None), g)
     assert np.array_equal(a.U, b.U)
     assert np.array_equal(a.V, b.V)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_gain_fails_the_unitarity_gate():
+    # NaN > tol is False: the gate must be written so that NaN fails it.
+    with pytest.raises(SpdcSimError, match="unitarity"):
+        evaluate_uv(SourceSpec.physical(float("nan")), FrequencyGrid(64, 0.1))
