@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import accumulate_inter, accumulate_intra
-from .elements import DispersiveElement, ModulatorComb, build_comb, dispersive_transfer
+from .elements import (
+    _FACTORIALS,
+    DispersiveElement,
+    ModulatorComb,
+    build_comb,
+    dispersive_transfer,
+)
 from .errors import AliasRisk, GridIncommensurate, MismatchedDrive, NarrowbandInvalid
 from .grid import FrequencyGrid
 from .source import SourceFields
@@ -42,8 +48,6 @@ OMEGA_MINUS = "omega_minus"
 
 ALIAS_WINDOW_FRACTION = 0.40
 NARROWBAND_MAX_RATIO = 0.05
-
-_FACTORIALS = (1.0, 1.0, 2.0, 6.0, 24.0, 120.0)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ expansion turns exp(i theta sin(Omega_m t)) into delta lines at n*Omega_m
 weighted by J_n(theta).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,23 @@ class DispersiveElement:
 
 
 def dispersive_transfer(element: DispersiveElement, grid: FrequencyGrid) -> np.ndarray:
-    """Unit-modulus transfer samples exp(i * phase) on the grid."""
+    """Unit-modulus transfer samples exp(i * phase) on the grid.
+
+    The result is read-only and memoised on the element for the last grid it
+    was asked for, so the points of a sweep that share one element object
+    evaluate its phase once.  Threads racing on a first call may each compute
+    the same samples; any of them is kept.
+    """
+    memo = element.__dict__.get("_transfer")
+    if memo is not None and memo[0] == grid:
+        return memo[1]
     if not element.phase_coeffs:
-        return np.ones(grid.n_points, dtype=complex)
-    return np.exp(1j * element.phase(grid.omegas))
+        out = np.ones(grid.n_points, dtype=complex)
+    else:
+        out = np.exp(1j * element.phase(grid.omegas))
+    out.setflags(write=False)
+    object.__setattr__(element, "_transfer", (grid, out))
+    return out
 
 
 def _bessel_row(x: float, n_max: int) -> np.ndarray:
@@ -119,8 +133,10 @@ class ModulatorComb:
 
 def build_comb(mod_freq: float, index: float) -> ModulatorComb:
     """Build the sideband comb for drive frequency mod_freq and index theta."""
-    if not mod_freq > 0:
-        raise ValueError("mod_freq must be positive")
+    if not (mod_freq > 0 and math.isfinite(mod_freq)):
+        raise ValueError(f"mod_freq must be finite and positive, got {mod_freq}")
+    if not math.isfinite(index):
+        raise ValueError(f"index must be finite, got {index}")
     if abs(index) > MAX_MOD_INDEX:
         raise ValueError(f"|index| <= {MAX_MOD_INDEX} required, got {index}")
 

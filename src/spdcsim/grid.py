@@ -7,6 +7,7 @@ delta_tau = 2*pi / (n * delta_omega) makes a plain FFT implement the
 e^{+i*Omega*tau} transform used by the temporal correlators.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,8 +35,10 @@ class FrequencyGrid:
             raise ValueError(f"n_points must be a power of two, got {self.n_points}")
         if self.n_points < 64:
             raise ValueError(f"n_points must be >= 64, got {self.n_points}")
-        if not self.delta_omega > 0:
-            raise ValueError(f"delta_omega must be positive, got {self.delta_omega}")
+        if not (self.delta_omega > 0 and math.isfinite(self.delta_omega)):
+            raise ValueError(
+                f"delta_omega must be finite and positive, got {self.delta_omega}"
+            )
 
     @property
     def omega_max(self) -> float:

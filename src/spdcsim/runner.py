@@ -5,6 +5,12 @@ files are written atomically (temp file + rename), report.json embeds the
 fully resolved scenario, and sweep rows are ordered by sweep index no matter
 which worker finishes first.
 
+A sweep computes what its points share with its base scenario once: on the
+base's grid, the source fields and the no-element baseline of every point
+whose source equals the base's, and the transfer of every dispersive element
+that equals the base's (the point is handed the base's element object, on
+which ``dispersive_transfer`` memoises it).
+
 The CSV writers format whole columns at once: a row template repeated over
 the rows is filled by a single %-operation (``_format_rows``), and
 ``"%.17g" % x`` runs the same C routine as ``format(x, ".17g")``, so the text
@@ -15,8 +21,9 @@ that ``_atomic_write`` streams to disk.
 import json
 import os
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -126,9 +133,51 @@ class PointOutcome:
     analyses: dict
 
 
-def execute(scenario: Scenario) -> PointOutcome:
-    """Run the configured correlator and the requested analyses."""
-    source = evaluate_source(scenario.source, scenario.grid)
+class _SharedWithBase:
+    """Source fields and baseline of a sweep's base scenario, each computed once.
+
+    Handed to the points whose source and grid equal the base's; the first
+    point to ask computes a piece while the others wait for it.
+    """
+
+    def __init__(self, base: Scenario):
+        self._base = base
+        self._lock = threading.Lock()
+        self._source = None
+        self._reference = None
+
+    def source(self):
+        with self._lock:
+            if self._source is None:
+                self._source = evaluate_source(self._base.source, self._base.grid)
+            return self._source
+
+    def reference(self):
+        source = self.source()
+        with self._lock:
+            if self._reference is None:
+                self._reference = baseline(source, self._base.configuration)
+            return self._reference
+
+
+def _share_with_base(point: Scenario, base: Scenario) -> Scenario:
+    """``point`` on the base's grid object, with each dispersive element that
+    equals the base's replaced by the base's object; unchanged off that grid."""
+    if point.grid != base.grid:
+        return point
+    elements = point.elements
+    if point.is_temporal:
+        elements = tuple(b if p == b else p for p, b in zip(point.elements, base.elements))
+    return replace(point, grid=base.grid, elements=elements)
+
+
+def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointOutcome:
+    """Run the configured correlator and the requested analyses.
+
+    ``shared`` supplies the source fields and the baseline when they are those
+    of a sweep's base scenario.
+    """
+    source = shared.source() if shared else evaluate_source(scenario.source, scenario.grid)
     config = scenario.configuration
 
     if scenario.is_temporal:
@@ -149,7 +198,7 @@ def execute(scenario: Scenario) -> PointOutcome:
         if "s_over_b" in wanted:
             results["s_over_b"] = analysis.signal_to_background(corr)
         if "width_ratio" in wanted:
-            reference = baseline(source, config)
+            reference = shared.reference() if shared else baseline(source, config)
             verdict = analysis.assess_time_cancelation(
                 corr, reference, config, tolerance=WIDTH_RATIO_TOLERANCE
             )
@@ -231,13 +280,28 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
         report["results"] = outcome.analyses
     else:
         sweep = scenario.sweep
-        point_scenarios = [
-            parse_scenario(set_parameter(resolved, sweep.parameter, value))
+        points = [
+            _share_with_base(
+                parse_scenario(set_parameter(resolved, sweep.parameter, value)), scenario
+            )
             for value in sweep.values
         ]
+        shared = _SharedWithBase(scenario)
+
+        def run_point(point: Scenario) -> PointOutcome:
+            shares_source = point.grid is scenario.grid and point.source == scenario.source
+            outcome = execute(point, shared if shares_source else None)
+            if isinstance(outcome.result, Correlation1D) and not scenario.outputs.write_trace:
+                return PointOutcome(result=None, analyses=outcome.analyses)
+            return outcome
+
         max_workers = workers or os.cpu_count() or 1
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(execute, point_scenarios))
+            pending = pool.map(run_point, points)
+            # The pool now holds the only reference to each point, so a point
+            # and the transfers memoised on its own elements are freed once run.
+            del points
+            outcomes = list(pending)
         digits = max(4, len(str(len(outcomes))))
         for i, outcome in enumerate(outcomes):
             files += _write_point_files(

@@ -240,6 +240,13 @@ def _parse_sweep(doc, path: str, resolved: dict) -> SweepSpec:
     current = resolve_parameter(resolved, parameter)  # raises ScenarioError if absent
     if isinstance(current, bool) or not isinstance(current, (int, float)):
         raise _fail(f"{path}.parameter", f"{parameter!r} does not address a number")
+    if isinstance(current, int):
+        # An integer leaf (grid.n_points) takes integral values only, kept as int.
+        raw = doc["values"]
+        for i, (value, number) in enumerate(zip(raw, values)):
+            if not number.is_integer():
+                raise _fail(f"{path}.values[{i}]", f"{parameter!r} takes integers, got {value!r}")
+        values = [int(value) for value in raw]
     return SweepSpec(parameter=parameter, values=tuple(values))
 
 

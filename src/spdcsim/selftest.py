@@ -373,8 +373,6 @@ CHECKS = (
     ("run_determinism", check_run_determinism),
 )
 
-CHECK_NAMES = tuple(name for name, _ in CHECKS)
-
 
 def run_checks(name_filter: str | None = None) -> list:
     """Run all checks (optionally filtered by substring) and collect results."""

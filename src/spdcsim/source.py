@@ -17,6 +17,7 @@ Units: detunings in rad/ps, delays in ps, gain dimensionless.  The absolute
 carrier frequency is metadata only; all physics depends on detuning.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,8 +73,13 @@ class SourceSpec:
     def __post_init__(self) -> None:
         if self.mode not in (PHYSICAL, ANALYTIC):
             raise ValueError(f"unknown source mode {self.mode!r}")
+        # A NaN or infinite gain is refused by the unitarity gate of evaluate_uv.
         if self.gain < 0:
             raise ValueError("gain must be nonnegative")
+        if not math.isfinite(self.envelope_bandwidth):
+            raise ValueError(f"envelope_bandwidth must be finite, got {self.envelope_bandwidth}")
+        if self.center_frequency is not None and not math.isfinite(self.center_frequency):
+            raise ValueError(f"center_frequency must be finite, got {self.center_frequency}")
         if self.mode == ANALYTIC:
             if self.envelope_shape != "gaussian":
                 raise ValueError(f"unknown envelope shape {self.envelope_shape!r}")

@@ -209,6 +209,17 @@ class TestExitCodes:
         assert "scenario.outputs.analyses" in proc.stderr
         assert not out.exists()
 
+    def test_fractional_grid_size_sweep_is_2(self, tmp_path):
+        doc = scenario_doc()
+        doc["sweep"] = {"parameter": "grid.n_points", "values": [512, 1024.5]}
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        proc = run_cli("sweep", "--scenario", str(path), "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "scenario.sweep.values[1]" in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-1", "two"])
     def test_bad_worker_count_is_usage_error(self, tmp_path, workers):
         path = write_doc(tmp_path, scenario_doc())

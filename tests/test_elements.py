@@ -114,6 +114,19 @@ class TestModulatorComb:
         with pytest.raises(ValueError):
             build_comb(1.0, 20.5)
 
+    @pytest.mark.parametrize(
+        "mod_freq, index, name",
+        [
+            (0.01, float("nan"), "index"),
+            (0.01, float("inf"), "index"),
+            (float("inf"), 1.0, "mod_freq"),
+            (float("nan"), 1.0, "mod_freq"),
+        ],
+    )
+    def test_non_finite_arguments_named(self, mod_freq, index, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            build_comb(mod_freq, index)
+
 
 @pytest.mark.parametrize("theta1", [-2.0, -0.7, 0.3, 1.5])
 @pytest.mark.parametrize("theta2", [-2.0, -0.7, 0.3, 1.5])

@@ -32,6 +32,12 @@ def test_rejects_nonpositive_spacing():
         FrequencyGrid(64, -1.0)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_rejects_non_finite_spacing(bad):
+    with pytest.raises(ValueError, match="delta_omega must be finite and positive"):
+        FrequencyGrid(64, bad)
+
+
 def test_reflect_maps_omega_to_minus_omega():
     g = FrequencyGrid(64, 0.5)
     idx = np.arange(64)

@@ -155,6 +155,20 @@ def test_mode_validation():
         evaluate_analytic(SourceSpec.physical(1.0), g)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_spec_numbers_named(bad):
+    with pytest.raises(ValueError, match="^envelope_bandwidth must be finite"):
+        SourceSpec.analytic(bad)
+    with pytest.raises(ValueError, match="^center_frequency must be finite"):
+        SourceSpec.physical(1.0, center_frequency=bad)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_infinite_gain_fails_the_unitarity_gate():
+    with pytest.raises(SpdcSimError, match="unitarity"):
+        evaluate_uv(SourceSpec.physical(float("inf")), FrequencyGrid(64, 0.1))
+
+
 def test_center_frequency_is_metadata_only():
     g = FrequencyGrid(64, 0.1)
     a = evaluate_uv(SourceSpec.physical(1.0, [0.5], center_frequency=2415.0), g)
