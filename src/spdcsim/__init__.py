@@ -41,6 +41,7 @@ from .errors import (
     GridIncommensurate,
     MismatchedDrive,
     NarrowbandInvalid,
+    NonFiniteResult,
     PreconditionError,
     ScenarioError,
     SpdcSimError,
@@ -77,6 +78,7 @@ __all__ = [
     "MismatchedDrive",
     "ModulatorComb",
     "NarrowbandInvalid",
+    "NonFiniteResult",
     "PhaseMismatch",
     "PreconditionError",
     "ScenarioError",

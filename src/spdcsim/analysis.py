@@ -179,7 +179,16 @@ def assess_time_cancelation(
     tolerance: float = 1e-6,
 ) -> CancelationVerdict:
     """Verdict from the RMS width ratio of a trace to its no-element baseline."""
-    ratio = rms_width(corr).rms_width / rms_width(reference).rms_width
+    return _width_ratio_verdict(
+        rms_width(corr).rms_width, rms_width(reference).rms_width, configuration, tolerance
+    )
+
+
+def _width_ratio_verdict(
+    width: float, reference_width: float, configuration: str, tolerance: float
+) -> CancelationVerdict:
+    """Verdict from an RMS width and the RMS width of its baseline."""
+    ratio = width / reference_width
     return CancelationVerdict(
         configuration=configuration,
         kind="width_ratio",

@@ -7,7 +7,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 selftest failure, 2 scenario/parse error,
 3 physics precondition (alias risk, narrowband validity, grid
-commensurability, drive mismatch, degenerate trace), 4 I/O error.
+commensurability, drive mismatch, degenerate trace, a NaN or infinite
+result, which is never written to report.json), 4 I/O error, 5 internal
+error (any other exception, reported as one ``internal error: <Type>: <msg>``
+line on stderr instead of a traceback).
 """
 
 import argparse
@@ -23,6 +26,7 @@ EXIT_SELFTEST_FAILED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 def _worker_count(text: str) -> int:
@@ -125,6 +129,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,17 +15,17 @@ narrowband comb (source spectrum flat across all sidebands, valid when the
 comb span is small against the source bandwidth) whose lines sit on the
 Omega1+Omega2 axis with weights J_n(theta1 + theta2)^2 (interbeam) or on the
 Omega1-Omega2 axis with weights J_n(theta1 - theta2)^2 (intrabeam), and an
-exact dense double-comb sum on the joint grid that makes no flatness
-assumption.  Spectral delta lines are represented on-grid as 1/delta_omega
-concentrated on one sample, which keeps Riemann sums of the matrices equal to
-the continuum integrals.
+exact double-comb sum on the joint grid that makes no flatness assumption.
+The exact sum is stored as its comb-line ridges, one profile of n samples per
+line, so its memory is O(lines * n) rather than n^2.  Spectral delta lines are
+represented on-grid as 1/delta_omega concentrated on one sample, which keeps
+Riemann sums over the grid cells equal to the continuum integrals.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import accumulate_inter, accumulate_intra
 from .elements import (
     _FACTORIALS,
     DispersiveElement,
@@ -111,19 +111,26 @@ class JointComb:
 
 @dataclass(frozen=True)
 class JointGrid:
-    """Exact joint-spectral correlation on the dense (Omega1, Omega2) grid.
+    """Exact joint-spectral correlation on the (Omega1, Omega2) grid, stored
+    as its comb-line ridges.
 
-    ``structure`` holds |T(Omega1, Omega2)|^2 with each spectral delta line
-    carried as 1/delta_omega on its sample; ``background`` holds the separable
-    modulated-flux product.  Memory scales as n_points^2.
+    Line L holds the cells i + j = n + L*m_ratio (interbeam) or
+    i - j = L*m_ratio (intrabeam), so each cell lies on at most one line;
+    every cell on no line is zero.  ``profiles[k, i]`` is |T|^2 at row i on
+    line ``orders[k]``, with each spectral delta line carried as
+    1/delta_omega on its sample, and zero where the line leaves the grid.
+    The background is the separable product of the modulated flux densities
+    ``background_factor_1/2``.  Memory scales as len(orders) * n_points.
     """
 
     grid: FrequencyGrid
     ridge_axis: str
     mod_freq: float
     m_ratio: int
-    structure: np.ndarray
-    background: np.ndarray
+    orders: np.ndarray
+    profiles: np.ndarray
+    background_factor_1: np.ndarray
+    background_factor_2: np.ndarray
 
     def ridge_indices(self, line: int):
         """Grid index pairs (i, j) of the cells on comb line ``line``."""
@@ -135,6 +142,25 @@ class JointGrid:
             j = i - line * self.m_ratio
         keep = (j >= 0) & (j < n)
         return i[keep], j[keep]
+
+    def cells(self):
+        """Rows i, columns j and structure of the nonzero cells, row by row
+        and by ascending column within a row (the order of ``np.nonzero`` on
+        the dense n x n grid)."""
+        n = self.grid.n_points
+        inter = self.ridge_axis == OMEGA_PLUS
+        # Along a row the column rises with the line interbeam, falls intrabeam.
+        step = 1 if inter else -1
+        profiles, orders = self.profiles[::step], self.orders[::step]
+        i, k = np.nonzero(profiles.T)
+        shifts = orders[k] * self.m_ratio
+        j = n + shifts - i if inter else i - shifts
+        return i, j, profiles[k, i]
+
+    def profile(self, line: int) -> np.ndarray:
+        """Structure along comb line ``line`` by row i, zero if not stored."""
+        hit = np.nonzero(self.orders == line)[0]
+        return self.profiles[hit[0]] if hit.size else np.zeros(self.grid.n_points)
 
 
 def _trace_amplitude(integrand: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
@@ -365,29 +391,36 @@ def g2_freq_exact(
         )
 
     n = grid.n_points
-    orders1 = m1.orders.astype(np.int64)
-    orders2 = m2.orders.astype(np.int64)
-    if config == INTER_FREQ:
-        amp = np.zeros((n, n), dtype=complex)
-        accumulate_inter(amp, source.R, orders1, m1.weights, orders2, m2.weights, m_ratio)
-        ridge_axis = OMEGA_PLUS
-    else:
-        amp = np.zeros((n, n))
-        accumulate_intra(amp, source.S.astype(float), orders1, m1.weights, orders2, m2.weights, m_ratio)
-        ridge_axis = OMEGA_MINUS
+    inter = config == INTER_FREQ
+    field = source.R if inter else source.S.astype(float)
+    # Pair (n1, n2) adds w1*w2*field[i - shift] to row i of line n1 + n2
+    # (interbeam, shift = n1*m) or n2 - n1 (intrabeam, shift = -n1*m).  Row i
+    # of line L sits in column n + L*m - i or i - L*m, on the grid for
+    # L*m + offset <= i < n + L*m + offset.
+    offset = 1 if inter else 0
+    lo1, hi1 = int(np.min(m1.orders)), int(np.max(m1.orders))
+    lo2, hi2 = int(np.min(m2.orders)), int(np.max(m2.orders))
+    first, last = (lo1 + lo2, hi1 + hi2) if inter else (lo2 - hi1, hi2 - lo1)
+    orders = np.arange(first, last + 1)
+    amp = np.zeros((orders.size, n), dtype=field.dtype)
+    for n1, w1 in zip(m1.orders.tolist(), m1.weights):
+        shift = n1 * m_ratio if inter else -n1 * m_ratio
+        for n2, w2 in zip(m2.orders.tolist(), m2.weights):
+            line = n1 + n2 if inter else n2 - n1
+            edge = line * m_ratio + offset
+            lo, hi = max(0, edge, shift), min(n, n + edge, n + shift)
+            if hi > lo:
+                amp[line - first, lo:hi] += (w1 * w2) * field[lo - shift : hi - shift]
 
-    structure = np.abs(amp) ** 2 / grid.delta_omega**2
-    background = np.outer(
-        _modulated_flux_density(source, m1, m_ratio),
-        _modulated_flux_density(source, m2, m_ratio),
-    )
     return JointGrid(
         grid=grid,
-        ridge_axis=ridge_axis,
+        ridge_axis=OMEGA_PLUS if inter else OMEGA_MINUS,
         mod_freq=m1.mod_freq,
         m_ratio=m_ratio,
-        structure=structure,
-        background=background,
+        orders=orders,
+        profiles=np.abs(amp) ** 2 / grid.delta_omega**2,
+        background_factor_1=_modulated_flux_density(source, m1, m_ratio),
+        background_factor_2=_modulated_flux_density(source, m2, m_ratio),
     )
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import bessel_row_kernel
 from .grid import FrequencyGrid
 
 MAX_PHASE_ORDER = 5
@@ -23,6 +22,9 @@ MAX_MOD_INDEX = 20.0
 COMB_PRUNE = 1e-12
 
 _FACTORIALS = (1.0, 1.0, 2.0, 6.0, 24.0, 120.0)
+
+_RESCALE_LIMIT = 1e250
+_RESCALE = 1e-250
 
 
 @dataclass(frozen=True)
@@ -78,10 +80,40 @@ def dispersive_transfer(element: DispersiveElement, grid: FrequencyGrid) -> np.n
     return out
 
 
+def _bessel_row_loops(x, n_max, start):
+    """Backward (Miller) recurrence for J_0(x)..J_n_max(x), x > 0.
+
+    Recurs J_{k-1} = (2k/x) J_k - J_{k+1} downward from an arbitrary seed at
+    order ``start`` and normalizes with J_0 + 2*(J_2 + J_4 + ...) = 1.
+    Magnitudes are rescaled whenever they grow past 1e250.
+    """
+    row = np.zeros(n_max + 1)
+    f_up = 0.0
+    f = 1e-300
+    norm = 0.0
+    for k in range(start, -1, -1):
+        if k <= n_max:
+            row[k] = f
+        if k == 0:
+            norm += f
+        elif k % 2 == 0:
+            norm += 2.0 * f
+        if k > 0:
+            f_down = (2.0 * k / x) * f - f_up
+            f_up = f
+            f = f_down
+            if abs(f) > _RESCALE_LIMIT:
+                f *= _RESCALE
+                f_up *= _RESCALE
+                norm *= _RESCALE
+                row *= _RESCALE
+    return row / norm
+
+
 def _bessel_row(x: float, n_max: int) -> np.ndarray:
     """J_0(x)..J_n_max(x) for x > 0 via the normalized Miller recurrence."""
     start = max(n_max, int(np.ceil(x))) + 36
-    return bessel_row_kernel(float(x), int(n_max), int(start))
+    return _bessel_row_loops(float(x), int(n_max), int(start))
 
 
 def bessel_j(n: int, x: float) -> float:

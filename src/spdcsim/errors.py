@@ -34,5 +34,9 @@ class DegenerateTrace(PreconditionError):
     """Correlation trace has no structure above the background."""
 
 
+class NonFiniteResult(PreconditionError):
+    """A result headed for report.json is NaN or infinite."""
+
+
 class ScenarioError(SpdcSimError):
     """Scenario document is malformed or violates an invariant."""

@@ -16,9 +16,6 @@ from .source import PhaseMismatch, SourceFields
 MAX_TAU_SAMPLES = 4096
 MAX_PERTURBATIVE_GAIN = 0.05
 
-COHERENT_PULSES = "coherent_pulses"
-THERMAL_SPLIT = "thermal_split"
-
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
     """Composite Simpson weights for n uniform samples of spacing h.
@@ -104,22 +101,3 @@ def bessel_quadrature(n: int, x: float) -> float:
     w = _simpson_weights(intervals + 1, t[1] - t[0])
     return float(np.sum(w * f) / np.pi)
 
-
-def classical_reference_widths(tau0: float, phi1: float, phi2: float, model: str) -> float:
-    """Reference correlation widths of the classical comparison sources.
-
-    Gaussian-envelope conventions with unit scale factor: identical coherent
-    pulses broaden as width^2 = tau0^2 + (phi1^2 + phi2^2)/(4 tau0^2), so
-    opposite-sign dispersion never cancels; split thermal light broadens as
-    width^2 = tau0^2 + (phi1 - phi2)^2/(4 tau0^2), so equal dispersion leaves
-    the width untouched.  Intended for qualitative law comparisons only.
-    """
-    if not tau0 > 0:
-        raise ValueError("tau0 must be positive")
-    if model == COHERENT_PULSES:
-        excess = (phi1**2 + phi2**2) / (4.0 * tau0**2)
-    elif model == THERMAL_SPLIT:
-        excess = (phi1 - phi2) ** 2 / (4.0 * tau0**2)
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return float(np.sqrt(tau0**2 + excess))

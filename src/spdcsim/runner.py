@@ -6,10 +6,10 @@ fully resolved scenario, and sweep rows are ordered by sweep index no matter
 which worker finishes first.
 
 A sweep computes what its points share with its base scenario once: on the
-base's grid, the source fields and the no-element baseline of every point
-whose source equals the base's, and the transfer of every dispersive element
-that equals the base's (the point is handed the base's element object, on
-which ``dispersive_transfer`` memoises it).
+base's grid, the source fields and the width of the no-element baseline of
+every point whose source equals the base's, and the transfer of every
+dispersive element that equals the base's (the point is handed the base's
+element object, on which ``dispersive_transfer`` memoises it).
 
 The CSV writers format whole columns at once: a row template repeated over
 the rows is filled by a single %-operation (``_format_rows``), and
@@ -19,6 +19,7 @@ that ``_atomic_write`` streams to disk.
 """
 
 import json
+import math
 import os
 import tempfile
 import threading
@@ -45,6 +46,7 @@ from .correlators import (
     g2_intra_time,
 )
 from .elements import build_comb
+from .errors import NonFiniteResult
 from .scenario import Scenario, check_sweep_outputs, parse_scenario, set_parameter
 from .source import evaluate_source
 
@@ -112,7 +114,7 @@ def _comb_csv(comb: JointComb):
 def _joint_csv(joint: JointGrid):
     yield "omega1_radps,omega2_radps,structure,background\n"
     omegas = np.array(["%.17g" % x for x in joint.grid.omegas.tolist()], dtype=object)
-    rows, cols = np.nonzero(joint.structure)
+    rows, cols, structure = joint.cells()
     for start in range(0, rows.size, _JOINT_CHUNK_ROWS):
         i = rows[start : start + _JOINT_CHUNK_ROWS]
         j = cols[start : start + _JOINT_CHUNK_ROWS]
@@ -120,8 +122,8 @@ def _joint_csv(joint: JointGrid):
             "%s,%s,%.17g,%.17g\n",
             omegas[i],
             omegas[j],
-            joint.structure[i, j],
-            joint.background[i, j],
+            structure[start : start + _JOINT_CHUNK_ROWS],
+            joint.background_factor_1[i] * joint.background_factor_2[j],
         )
 
 
@@ -134,7 +136,8 @@ class PointOutcome:
 
 
 class _SharedWithBase:
-    """Source fields and baseline of a sweep's base scenario, each computed once.
+    """Source fields and baseline width of a sweep's base scenario, each
+    computed once.
 
     Handed to the points whose source and grid equal the base's; the first
     point to ask computes a piece while the others wait for it.
@@ -144,7 +147,7 @@ class _SharedWithBase:
         self._base = base
         self._lock = threading.Lock()
         self._source = None
-        self._reference = None
+        self._reference_width = None
 
     def source(self):
         with self._lock:
@@ -152,12 +155,14 @@ class _SharedWithBase:
                 self._source = evaluate_source(self._base.source, self._base.grid)
             return self._source
 
-    def reference(self):
+    def reference_width(self) -> float:
+        """RMS width of the no-element baseline."""
         source = self.source()
         with self._lock:
-            if self._reference is None:
-                self._reference = baseline(source, self._base.configuration)
-            return self._reference
+            if self._reference_width is None:
+                reference = baseline(source, self._base.configuration)
+                self._reference_width = analysis.rms_width(reference).rms_width
+            return self._reference_width
 
 
 def _share_with_base(point: Scenario, base: Scenario) -> Scenario:
@@ -174,8 +179,8 @@ def _share_with_base(point: Scenario, base: Scenario) -> Scenario:
 def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointOutcome:
     """Run the configured correlator and the requested analyses.
 
-    ``shared`` supplies the source fields and the baseline when they are those
-    of a sweep's base scenario.
+    ``shared`` supplies the source fields and the baseline width when they are
+    those of a sweep's base scenario.
     """
     source = shared.source() if shared else evaluate_source(scenario.source, scenario.grid)
     config = scenario.configuration
@@ -198,9 +203,12 @@ def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointO
         if "s_over_b" in wanted:
             results["s_over_b"] = analysis.signal_to_background(corr)
         if "width_ratio" in wanted:
-            reference = shared.reference() if shared else baseline(source, config)
-            verdict = analysis.assess_time_cancelation(
-                corr, reference, config, tolerance=WIDTH_RATIO_TOLERANCE
+            if shared:
+                reference_width = shared.reference_width()
+            else:
+                reference_width = analysis.rms_width(baseline(source, config)).rms_width
+            verdict = analysis._width_ratio_verdict(
+                report.rms_width, reference_width, config, WIDTH_RATIO_TOLERANCE
             )
             results["width_ratio"] = verdict.metric
             results["canceled"] = verdict.canceled
@@ -212,7 +220,7 @@ def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointO
     m2 = build_comb(freq, idx2)
     if scenario.exact_grid:
         joint = g2_freq_exact(source, m1, m2, config)
-        structure_integral = float(np.sum(joint.structure)) * scenario.grid.delta_omega**2
+        structure_integral = float(np.sum(joint.profiles)) * scenario.grid.delta_omega**2
         return PointOutcome(result=joint, analyses={"structure_integral": structure_integral})
 
     comb = (
@@ -260,6 +268,18 @@ def _sweep_csv(scenario: Scenario, values, outcomes):
         keys = ("comb_leakage",)
     columns = [[outcome.analyses[key] for outcome in outcomes] for key in keys]
     yield _format_rows(",".join(["%.17g"] * (1 + len(keys))) + "\n", values, *columns)
+
+
+def _require_finite(value, key: str) -> None:
+    """Raise ``NonFiniteResult`` naming the first NaN or infinity under ``key``."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _require_finite(item, f"{key}.{name}" if key else name)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{key}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise NonFiniteResult(f"{key} is {float(value)!r}; report.json not written")
 
 
 def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dict:
@@ -319,6 +339,7 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
         }
 
     report["files"] = sorted(files) + ["report.json"]
+    _require_finite(report, "")
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     _atomic_write(out_dir / "report.json", [text, "\n"])
     return report

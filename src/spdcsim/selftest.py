@@ -234,8 +234,7 @@ def _flat_reduction_dev(src, config, theta1, theta2, mod_freq) -> float:
             & (j >= margin)
             & (j < grid.n_points - margin)
         )
-        i, j = i[keep], j[keep]
-        w_exact = exact.structure[i, j] * grid.delta_omega**2
+        w_exact = exact.profile(int(order))[i[keep]] * grid.delta_omega**2
         worst = max(worst, float(np.max(np.abs(w_exact - comb.coefficient(int(order))))))
     return worst
 
@@ -258,7 +257,7 @@ def check_exact_narrowband() -> CheckResult:
     for order in reference.orders:
         i, j = exact.ridge_indices(int(order))
         mid = int(np.argmin(np.abs(i - j)))
-        w_exact = exact.structure[i[mid], j[mid]] * narrow.grid.delta_omega**2
+        w_exact = exact.profile(int(order))[i[mid]] * narrow.grid.delta_omega**2
         half = (i[mid] - j[mid]) // 2 + center
         w_nb = reference.line_weight(int(order)) ** 2 * abs(narrow.R[half]) ** 2
         dev_narrow = max(dev_narrow, abs(w_exact - w_nb))

@@ -67,7 +67,6 @@ class SourceSpec:
     gain: float = 0.0
     mismatch: PhaseMismatch = field(default_factory=PhaseMismatch)
     envelope_bandwidth: float = 0.0
-    envelope_shape: str = "gaussian"
     center_frequency: float | None = None  # rad/ps, metadata only
 
     def __post_init__(self) -> None:
@@ -80,11 +79,8 @@ class SourceSpec:
             raise ValueError(f"envelope_bandwidth must be finite, got {self.envelope_bandwidth}")
         if self.center_frequency is not None and not math.isfinite(self.center_frequency):
             raise ValueError(f"center_frequency must be finite, got {self.center_frequency}")
-        if self.mode == ANALYTIC:
-            if self.envelope_shape != "gaussian":
-                raise ValueError(f"unknown envelope shape {self.envelope_shape!r}")
-            if not self.envelope_bandwidth > 0:
-                raise ValueError("analytic mode requires a positive bandwidth")
+        if self.mode == ANALYTIC and not self.envelope_bandwidth > 0:
+            raise ValueError("analytic mode requires a positive bandwidth")
 
     @classmethod
     def physical(cls, gain, mismatch_coeffs=(), center_frequency=None) -> "SourceSpec":

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from spdcsim import runner
+from spdcsim import NonFiniteResult, cli, runner
 from spdcsim.runner import run_scenario
 from spdcsim.scenario import parse_scenario
 
@@ -273,6 +273,53 @@ def test_report_with_nan_is_not_written(tmp_path, monkeypatch):
         return outcome
 
     monkeypatch.setattr(runner, "execute", nan_execute)
-    with pytest.raises(ValueError, match="not JSON compliant"):
+    with pytest.raises(NonFiniteResult, match=r"^results\.s_over_b is nan;"):
         run_scenario(parse_scenario(scenario_doc()), tmp_path / "out")
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _run_main(tmp_path, doc):
+    scenario_file = write_doc(tmp_path, doc)
+    return cli.main(["run", "--scenario", str(scenario_file), "--out", str(tmp_path / "out")])
+
+
+def test_nan_result_exits_3_naming_its_key(tmp_path, monkeypatch, capsys):
+    real_execute = runner.execute
+
+    def nan_execute(scenario, shared=None):
+        outcome = real_execute(scenario, shared)
+        outcome.analyses["width_ratio"] = float("nan")
+        return outcome
+
+    monkeypatch.setattr(runner, "execute", nan_execute)
+    assert _run_main(tmp_path, scenario_doc()) == cli.EXIT_PRECONDITION == 3
+    err = capsys.readouterr().err
+    assert err == "precondition error: results.width_ratio is nan; report.json not written\n"
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_nan_in_a_sweep_point_names_the_point(tmp_path, monkeypatch, capsys):
+    real_execute = runner.execute
+
+    def inf_on_second_point(scenario, shared=None):
+        outcome = real_execute(scenario, shared)
+        if scenario.elements[1].phase_coeffs[1] == 0.0:
+            outcome.analyses["fwhm_ps"] = float("inf")
+        return outcome
+
+    monkeypatch.setattr(runner, "execute", inf_on_second_point)
+    sweep = {"parameter": "elements.1.phase_coeffs.1", "values": [-5.0, 0.0]}
+    doc = {**scenario_doc(), "sweep": sweep}
+    assert _run_main(tmp_path, doc) == 3
+    assert "results.points[1].fwhm_ps is inf" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_unexpected_exception_exits_5_without_traceback(tmp_path, monkeypatch, capsys):
+    def broken_execute(scenario, shared=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(runner, "execute", broken_execute)
+    assert _run_main(tmp_path, scenario_doc()) == cli.EXIT_INTERNAL == 5
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
     assert not (tmp_path / "out" / "report.json").exists()

@@ -3,10 +3,7 @@ import pytest
 
 from spdcsim import DispersiveElement, FrequencyGrid, PhaseMismatch, SourceSpec, evaluate_analytic
 from spdcsim.oracle import (
-    COHERENT_PULSES,
-    THERMAL_SPLIT,
     bessel_quadrature,
-    classical_reference_widths,
     perturbative_v,
     quadrature_g2,
 )
@@ -100,26 +97,3 @@ class TestQuadratureG2:
                 src, DispersiveElement.identity(), DispersiveElement.identity(), "both", [0.0]
             )
 
-
-class TestClassicalReferenceWidths:
-    def test_coherent_never_cancels(self):
-        assert classical_reference_widths(0.5, 2.0, -2.0, COHERENT_PULSES) > 0.5
-
-    def test_thermal_equal_dispersion_cancels(self):
-        assert classical_reference_widths(0.5, 2.0, 2.0, THERMAL_SPLIT) == 0.5
-
-    def test_no_dispersion_returns_tau0(self):
-        assert classical_reference_widths(0.7, 0.0, 0.0, COHERENT_PULSES) == 0.7
-        assert classical_reference_widths(0.7, 0.0, 0.0, THERMAL_SPLIT) == 0.7
-
-    def test_interbeam_law_disagrees_with_coherent_law(self):
-        # opposite-sign GDD: the SPDC interbeam trace is unbroadened while
-        # coherent pulses broaden; equal-sign GDD matches the thermal law
-        assert classical_reference_widths(0.5, 3.0, -3.0, COHERENT_PULSES) > 0.5
-        assert classical_reference_widths(0.5, 3.0, 3.0, THERMAL_SPLIT) == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            classical_reference_widths(0.0, 1.0, 1.0, COHERENT_PULSES)
-        with pytest.raises(ValueError):
-            classical_reference_widths(1.0, 1.0, 1.0, "laser")

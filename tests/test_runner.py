@@ -123,6 +123,25 @@ def test_gain_sweep_evaluates_source_and_baseline_per_point(workers, monkeypatch
     assert calls == {"evaluate_source": points, "baseline": points}
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["inter_element", "intra_element", "gain", "grid"])
+def test_each_width_is_measured_once(name, workers, monkeypatch, tmp_path):
+    # One width per point; the baseline width once per sweep where the points
+    # share the base's source, once per point otherwise.
+    widths = []
+    rms_width = runner.analysis.rms_width
+
+    def counted(corr):
+        widths.append(corr)
+        return rms_width(corr)
+
+    monkeypatch.setattr(runner.analysis, "rms_width", counted)
+    scenario = parse_scenario(SWEEPS[name])
+    runner.run_scenario(scenario, tmp_path, workers=workers)
+    points = len(scenario.sweep.values)
+    assert len(widths) == points + (1 if name.endswith("element") else points)
+
+
 def test_shared_pieces_are_computed_once_under_thread_contention(monkeypatch, tmp_path):
     # More workers than cores and a short switch interval: two points racing
     # for the shared source or baseline would each compute it.

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dense_joint import reference_joint_text, scatter
 from spdcsim import runner
 from spdcsim.correlators import Correlation1D, JointComb, JointGrid
 from spdcsim.grid import FrequencyGrid
@@ -62,14 +63,7 @@ def reference_comb(comb: JointComb) -> str:
 
 
 def reference_joint(joint: JointGrid) -> str:
-    omegas = joint.grid.omegas
-    lines = ["omega1_radps,omega2_radps,structure,background"]
-    for i, j in zip(*np.nonzero(joint.structure)):
-        lines.append(
-            f"{_ref(omegas[i])},{_ref(omegas[j])},"
-            f"{_ref(joint.structure[i, j])},{_ref(joint.background[i, j])}"
-        )
-    return "\n".join(lines) + "\n"
+    return reference_joint_text(joint.grid.omegas, *scatter(joint))
 
 
 def reference_sweep(scenario, values, outcomes) -> str:
@@ -216,19 +210,27 @@ def test_comb_special_values():
 
 
 def test_joint_special_values_across_chunks():
-    # 128^2 cells, most of them nonzero: more rows than one formatting chunk.
+    # With one grid step per line the 255 lines cover all 128^2 cells, most of
+    # them nonzero: more rows than one formatting chunk.
     n = 128
-    grid = FrequencyGrid(n, 0.1)
-    structure = _special_column(n * n, 5).reshape(n, n)
-    structure[::3, ::2] = 0.0
-    structure[5, 7] = -0.0  # not a nonzero cell
-    joint = JointGrid(
-        grid=grid,
-        ridge_axis="omega_plus",
-        mod_freq=0.2,
-        m_ratio=2,
-        structure=structure,
-        background=_special_column(n * n, 6).reshape(n, n),
-    )
-    assert np.count_nonzero(structure) > runner._JOINT_CHUNK_ROWS
-    assert written(runner._joint_csv(joint)) == reference_joint(joint)
+    orders = np.arange(-(n - 1), n)
+    for axis in ("omega_plus", "omega_minus"):
+        joint = JointGrid(
+            grid=FrequencyGrid(n, 0.1),
+            ridge_axis=axis,
+            mod_freq=0.1,
+            m_ratio=1,
+            orders=orders,
+            profiles=_special_column(orders.size * n, 5).reshape(orders.size, n),
+            background_factor_1=_special_column(n, 6),
+            background_factor_2=_special_column(n, 7),
+        )
+        for line, profile in zip(orders.tolist(), joint.profiles):
+            off = np.ones(n, dtype=bool)
+            off[joint.ridge_indices(line)[0]] = False
+            profile[off] = 0.0  # zero where the line leaves the grid
+            profile[::3] = 0.0
+        joint.profiles[n - 1, 7] = -0.0  # not a nonzero cell
+        assert np.count_nonzero(joint.profiles) > runner._JOINT_CHUNK_ROWS
+        with np.errstate(over="ignore", invalid="ignore"):  # background products
+            assert written(runner._joint_csv(joint)) == reference_joint(joint)
