@@ -64,12 +64,14 @@ def rms_width(corr: Correlation1D) -> WidthReport:
     dt = corr.delta_tau
     window = dt * len(sub)
     mass = float(np.sum(sub)) * dt
-    if peak <= 0.0 or mass < DEGENERATE_MASS_FRACTION * peak * window:
+    if not (peak > 0.0 and mass >= DEGENERATE_MASS_FRACTION * peak * window):
         raise DegenerateTrace("trace has no structure above the background")
 
     w = sub / np.sum(sub)
     centroid = float(np.sum(corr.tau_grid * w))
     rms = float(np.sqrt(np.sum((corr.tau_grid - centroid) ** 2 * w)))
+    if rms == 0.0:
+        raise DegenerateTrace("trace structure lies within one delay sample")
     return WidthReport(rms_width=rms, fwhm=_fwhm(corr.tau_grid, sub), centroid=centroid)
 
 

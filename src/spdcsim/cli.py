@@ -6,11 +6,13 @@ Subcommands:
     selftest run the built-in acceptance checks
 
 Exit codes: 0 success, 1 selftest failure, 2 scenario/parse error,
-3 physics precondition (alias risk, narrowband validity, grid
-commensurability, drive mismatch, degenerate trace, a NaN or infinite
-result, which is never written to report.json), 4 I/O error, 5 internal
-error (any other exception, reported as one ``internal error: <Type>: <msg>``
-line on stderr instead of a traceback).
+3 physics precondition (alias risk, including an alias budget that overflows,
+narrowband validity, grid commensurability, drive mismatch, degenerate trace,
+including one narrower than a delay sample, a Bogoliubov unitarity violation,
+an exact grid spacing whose square is out of floating-point range, a NaN or
+infinite result, which is never written to report.json), 4 I/O error,
+5 internal error (any other exception, reported as one
+``internal error: <Type>: <msg>`` line on stderr instead of a traceback).
 """
 
 import argparse

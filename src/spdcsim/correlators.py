@@ -22,18 +22,27 @@ represented on-grid as 1/delta_omega concentrated on one sample, which keeps
 Riemann sums over the grid cells equal to the continuum integrals.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elements import (
     _FACTORIALS,
+    MAX_MOD_INDEX,
     DispersiveElement,
     ModulatorComb,
     build_comb,
     dispersive_transfer,
 )
-from .errors import AliasRisk, GridIncommensurate, MismatchedDrive, NarrowbandInvalid
+from .errors import (
+    AliasRisk,
+    GridIncommensurate,
+    MismatchedDrive,
+    NarrowbandInvalid,
+    PreconditionError,
+)
 from .grid import FrequencyGrid
 from .source import SourceFields
 
@@ -170,11 +179,14 @@ def _trace_amplitude(integrand: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
 
 
 def _rms_bandwidth(weight: np.ndarray, omegas: np.ndarray) -> float:
+    """RMS width of ``weight`` over ``omegas``; NaN where a detuning squared
+    overflows against a zero weight, which the gates refuse."""
     total = float(np.sum(weight))
     if total <= 0:
         return 0.0
     mean = float(np.sum(omegas * weight)) / total
-    var = float(np.sum((omegas - mean) ** 2 * weight)) / total
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float(np.sum((omegas - mean) ** 2 * weight)) / total
     return float(np.sqrt(max(var, 0.0)))
 
 
@@ -198,19 +210,25 @@ def _check_alias(grid: FrequencyGrid, weight: np.ndarray, combined_coeffs) -> No
     The undispersed width is estimated as 1/(2 * RMS bandwidth of the
     integrand weight); the dispersive spread as the band-edge group delay
     sum_k |c_k| Omega_max^{k-1}/(k-1)!.  Both must fit in 40% of the window.
-    A structureless integrand (zero weight everywhere) trivially passes.
+    A structureless integrand (zero weight everywhere) trivially passes.  A
+    spread too large for a double counts as infinite, and a NaN bandwidth as
+    a pointlike spectrum; every comparison fails closed on NaN.
     """
     if float(np.sum(weight)) == 0.0:
         return
     bw = _rms_bandwidth(weight, grid.omegas)
-    if bw <= 0:
+    if not bw > 0:
         raise AliasRisk("pointlike integrand spectrum; trace cannot fit the delay window")
     tau0 = 1.0 / (2.0 * bw)
     spread = 0.0
     for k, c in enumerate(combined_coeffs, start=1):
-        spread += abs(c) * grid.omega_max ** (k - 1) / _FACTORIALS[k - 1]
+        if c != 0.0:
+            try:
+                spread += abs(c) * grid.omega_max ** (k - 1) / _FACTORIALS[k - 1]
+            except OverflowError:
+                spread = math.inf
     budget = ALIAS_WINDOW_FRACTION * grid.tau_window
-    if tau0 + spread > budget:
+    if not tau0 + spread <= budget:
         raise AliasRisk(
             f"predicted trace extent {tau0 + spread:.3g} ps exceeds {budget:.3g} ps "
             f"(40% of the {grid.tau_window:.3g} ps delay window); enlarge the grid "
@@ -263,11 +281,26 @@ def g2_intra_time(
     return _build_correlation(_trace_amplitude(integrand, grid), grid, source.flux_n)
 
 
-def _check_drive(m1: ModulatorComb, m2: ModulatorComb) -> None:
-    if m1.mod_freq != m2.mod_freq:
-        raise MismatchedDrive(
-            f"modulator drive frequencies differ: {m1.mod_freq} vs {m2.mod_freq} rad/ps"
+def check_drive(freq1: float, freq2: float) -> None:
+    """Raise ``MismatchedDrive`` unless both modulators share one drive frequency."""
+    if freq1 != freq2:
+        raise MismatchedDrive(f"modulator drive frequencies differ: {freq1} vs {freq2} rad/ps")
+
+
+def mod_steps(mod_freq: float, grid: FrequencyGrid) -> int:
+    """Drive frequency in grid steps, which the exact joint spectrum needs whole.
+
+    Raises ``GridIncommensurate`` unless mod_freq is within 1e-9 (relative) of
+    a positive integer multiple of the grid spacing.
+    """
+    steps = mod_freq / grid.delta_omega
+    m_ratio = round(steps) if math.isfinite(steps) else 0
+    if m_ratio < 1 or abs(steps - m_ratio) > 1e-9 * max(1.0, steps):
+        raise GridIncommensurate(
+            f"mod_freq {mod_freq} rad/ps is not an integer multiple of the grid "
+            f"spacing {grid.delta_omega} rad/ps"
         )
+    return m_ratio
 
 
 def _check_narrowband(
@@ -278,7 +311,7 @@ def _check_narrowband(
         return
     bw = _rms_bandwidth(weight, grid.omegas)
     ratio = span / bw if bw > 0 else np.inf
-    if ratio >= NARROWBAND_MAX_RATIO:
+    if not ratio < NARROWBAND_MAX_RATIO:
         raise NarrowbandInvalid(
             f"comb span {span:.3g} rad/ps is {ratio:.3g} of the source bandwidth "
             f"{bw:.3g} rad/ps (limit {NARROWBAND_MAX_RATIO}); use g2_freq_exact or a "
@@ -300,11 +333,11 @@ def g2_inter_freq_narrowband(
     over the envelope |R(Omega_-/2)|^2: opposite drive indexes collapse the
     comb back to the unmodulated anticorrelation ridge.
     """
-    _check_drive(m1, m2)
+    check_drive(m1.mod_freq, m2.mod_freq)
     grid = source.grid
     weight = np.abs(source.R) ** 2
     _check_narrowband(weight, grid, m1, m2)
-    combined = build_comb(m1.mod_freq, m1.index + m2.index)
+    combined = build_comb(m1.mod_freq, m1.index + m2.index, 2 * MAX_MOD_INDEX)
     density = _flux_density(source)
     return JointComb(
         grid=grid,
@@ -329,11 +362,11 @@ def g2_intra_freq_narrowband(
     over the envelope S(Omega_+/2)^2: equal drive indexes collapse the comb
     back to the unmodulated equal-frequency ridge.
     """
-    _check_drive(m1, m2)
+    check_drive(m1.mod_freq, m2.mod_freq)
     grid = source.grid
     weight = source.S**2
     _check_narrowband(weight, grid, m1, m2)
-    combined = build_comb(m1.mod_freq, m1.index - m2.index)
+    combined = build_comb(m1.mod_freq, m1.index - m2.index, 2 * MAX_MOD_INDEX)
     density = _flux_density(source)
     return JointComb(
         grid=grid,
@@ -380,14 +413,19 @@ def g2_freq_exact(
     """
     if config not in (INTER_FREQ, INTRA_FREQ):
         raise ValueError(f"config must be {INTER_FREQ!r} or {INTRA_FREQ!r}, got {config!r}")
-    _check_drive(m1, m2)
+    check_drive(m1.mod_freq, m2.mod_freq)
     grid = source.grid
-    steps = m1.mod_freq / grid.delta_omega
-    m_ratio = int(round(steps))
-    if m_ratio < 1 or abs(steps - m_ratio) > 1e-9 * max(1.0, steps):
-        raise GridIncommensurate(
-            f"mod_freq {m1.mod_freq} rad/ps is not an integer multiple of the grid "
-            f"spacing {grid.delta_omega} rad/ps"
+    m_ratio = mod_steps(m1.mod_freq, grid)
+    # Delta lines are carried as 1/delta_omega on one sample, so the profiles
+    # divide by delta_omega**2, which must be a normal, finite float.
+    try:
+        cell_area = grid.delta_omega**2
+    except OverflowError:
+        cell_area = math.inf
+    if not sys.float_info.min <= cell_area <= sys.float_info.max:
+        raise PreconditionError(
+            f"exact grid spacing {grid.delta_omega} rad/ps squared is out of "
+            "floating-point range"
         )
 
     n = grid.n_points
@@ -411,6 +449,12 @@ def g2_freq_exact(
             lo, hi = max(0, edge, shift), min(n, n + edge, n + shift)
             if hi > lo:
                 amp[line - first, lo:hi] += (w1 * w2) * field[lo - shift : hi - shift]
+    with np.errstate(over="ignore"):
+        profiles = np.abs(amp) ** 2 / cell_area
+    if not math.isfinite(np.max(profiles)):
+        raise PreconditionError(
+            f"exact joint structure overflows a double at grid spacing {grid.delta_omega} rad/ps"
+        )
 
     return JointGrid(
         grid=grid,
@@ -418,7 +462,7 @@ def g2_freq_exact(
         mod_freq=m1.mod_freq,
         m_ratio=m_ratio,
         orders=orders,
-        profiles=np.abs(amp) ** 2 / grid.delta_omega**2,
+        profiles=profiles,
         background_factor_1=_modulated_flux_density(source, m1, m_ratio),
         background_factor_2=_modulated_flux_density(source, m2, m_ratio),
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PreconditionError
 from .grid import FrequencyGrid
 
 MAX_PHASE_ORDER = 5
@@ -63,6 +64,8 @@ class DispersiveElement:
 def dispersive_transfer(element: DispersiveElement, grid: FrequencyGrid) -> np.ndarray:
     """Unit-modulus transfer samples exp(i * phase) on the grid.
 
+    Raises ``PreconditionError`` where the phase overflows a double.
+
     The result is read-only and memoised on the element for the last grid it
     was asked for, so the points of a sweep that share one element object
     evaluate its phase once.  Threads racing on a first call may each compute
@@ -74,7 +77,14 @@ def dispersive_transfer(element: DispersiveElement, grid: FrequencyGrid) -> np.n
     if not element.phase_coeffs:
         out = np.ones(grid.n_points, dtype=complex)
     else:
-        out = np.exp(1j * element.phase(grid.omegas))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.exp(1j * element.phase(grid.omegas))
+        # exp(i * phase) is finite exactly where the phase is.
+        if not np.all(np.isfinite(out)):
+            raise PreconditionError(
+                "dispersive phase is not finite on the grid; reduce the phase "
+                "coefficients or the grid span"
+            )
     out.setflags(write=False)
     object.__setattr__(element, "_transfer", (grid, out))
     return out
@@ -163,19 +173,36 @@ class ModulatorComb:
         return float(self.weights[hit[0]]) if hit.size else 0.0
 
 
-def build_comb(mod_freq: float, index: float) -> ModulatorComb:
-    """Build the sideband comb for drive frequency mod_freq and index theta."""
+def check_modulator(mod_freq: float, index: float, max_index: float = MAX_MOD_INDEX) -> None:
+    """Raise ``ValueError`` unless mod_freq is finite and positive and the
+    index finite with |index| <= max_index."""
     if not (mod_freq > 0 and math.isfinite(mod_freq)):
         raise ValueError(f"mod_freq must be finite and positive, got {mod_freq}")
     if not math.isfinite(index):
         raise ValueError(f"index must be finite, got {index}")
-    if abs(index) > MAX_MOD_INDEX:
-        raise ValueError(f"|index| <= {MAX_MOD_INDEX} required, got {index}")
+    if abs(index) > max_index:
+        raise ValueError(f"|index| <= {max_index} required, got {index}")
 
-    if index == 0.0:
+
+def build_comb(mod_freq: float, index: float, max_index: float = MAX_MOD_INDEX) -> ModulatorComb:
+    """Build the sideband comb for drive frequency mod_freq and index theta.
+
+    ``max_index`` is 20 for one modulator; the combined index of two
+    modulators at one drive frequency reaches twice that.
+    """
+    check_modulator(mod_freq, index, max_index)
+
+    if abs(index) < COMB_PRUNE:
+        # |J_1| ~ |index|/2 is pruned and J_0 rounds to 1: only the n = 0 line
+        # remains.  Below |index| ~ 1e-57 the recurrence would overflow.
         orders = np.array([0], dtype=np.int64)
         weights = np.array([1.0])
-        return ModulatorComb(mod_freq=float(mod_freq), index=0.0, orders=orders, weights=weights)
+        return ModulatorComb(
+            mod_freq=float(mod_freq),
+            index=float(index) if index != 0.0 else 0.0,
+            orders=orders,
+            weights=weights,
+        )
 
     x = abs(index)
     hard_cap = int(np.ceil(x + 12.0 * np.sqrt(x) + 20.0))

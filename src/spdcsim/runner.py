@@ -46,8 +46,8 @@ from .correlators import (
     g2_intra_time,
 )
 from .elements import build_comb
-from .errors import NonFiniteResult
-from .scenario import Scenario, check_sweep_outputs, parse_scenario, set_parameter
+from .errors import NonFiniteResult, PreconditionError, ScenarioError
+from .scenario import Scenario, at_path, check_sweep_outputs, parse_scenario, set_parameter
 from .source import evaluate_source
 
 WIDTH_RATIO_TOLERANCE = 1e-6
@@ -282,30 +282,40 @@ def _require_finite(value, key: str) -> None:
         raise NonFiniteResult(f"{key} is {float(value)!r}; report.json not written")
 
 
+def _sweep_points(scenario: Scenario, resolved: dict) -> list:
+    """The parsed points of a sweep, sharing what they can with its base."""
+    sweep = scenario.sweep
+    points = []
+    for i, value in enumerate(sweep.values):
+        try:
+            point = parse_scenario(set_parameter(resolved, sweep.parameter, value))
+        except (ScenarioError, PreconditionError) as exc:
+            raise at_path(exc, f"scenario.sweep.values[{i}]") from exc
+        points.append(_share_with_base(point, scenario))
+    return points
+
+
 def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dict:
     """Execute a scenario (sweeping if configured) and write its report.
 
-    Returns the report dictionary; files land in ``out_dir``.
+    Returns the report dictionary; files land in ``out_dir``.  Every sweep
+    point is parsed before the directory is made; a point's error names its
+    ``scenario.sweep.values[i]``.
     """
     check_sweep_outputs(scenario)
+    resolved = scenario.resolved()
+    sweep = scenario.sweep
+    points = [] if sweep is None else _sweep_points(scenario, resolved)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = scenario.resolved()
     report: dict = {"schema_version": 1, "scenario": resolved}
     files: list = []
 
-    if scenario.sweep is None:
+    if sweep is None:
         outcome = execute(scenario)
         files += _write_point_files(outcome, scenario, out_dir, "")
         report["results"] = outcome.analyses
     else:
-        sweep = scenario.sweep
-        points = [
-            _share_with_base(
-                parse_scenario(set_parameter(resolved, sweep.parameter, value)), scenario
-            )
-            for value in sweep.values
-        ]
         shared = _SharedWithBase(scenario)
 
         def run_point(point: Scenario) -> PointOutcome:

@@ -8,17 +8,23 @@ checked at parse time, with errors anchored to the JSON path of the offending
 field (syntax errors keep the parser's line/column).  Reports emitted by the
 runner embed their fully resolved scenario under a top-level ``scenario``
 key; such documents are accepted back as input.
+
+The parser checks each physics invariant by calling the library code that
+owns it (the grid, source and element constructors, ``check_modulator``,
+``check_drive`` and ``mod_steps``) and puts the JSON path in front of the
+library's message: a ``ValueError`` becomes a ``ScenarioError``, and a
+``PreconditionError`` is raised again as the same type.
 """
 
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .correlators import CONFIGURATIONS, INTER_FREQ, INTRA_FREQ
-from .elements import MAX_MOD_INDEX, MAX_PHASE_ORDER, DispersiveElement
-from .errors import GridIncommensurate, MismatchedDrive, ScenarioError
+from .correlators import CONFIGURATIONS, check_drive, mod_steps
+from .elements import DispersiveElement, check_modulator
+from .errors import PreconditionError, ScenarioError
 from .grid import FrequencyGrid
 from .source import ANALYTIC, PHYSICAL, SourceSpec
 
@@ -121,6 +127,11 @@ def _fail(path: str, message: str) -> ScenarioError:
     return ScenarioError(f"{path}: {message}")
 
 
+def at_path(exc: ScenarioError | PreconditionError, path: str):
+    """``exc`` again, as the same type, with ``path`` in front of its message."""
+    return type(exc)(f"{path}: {exc}")
+
+
 def _require_mapping(doc, path: str, allowed: set) -> dict:
     if not isinstance(doc, dict):
         raise _fail(path, f"expected an object, got {type(doc).__name__}")
@@ -202,9 +213,10 @@ def _parse_elements(doc, path: str) -> tuple:
         epath = f"{path}[{i}]"
         element = _require_mapping(element, epath, _ELEMENT_KEYS)
         coeffs = _number_list(element.get("phase_coeffs", []), f"{epath}.phase_coeffs")
-        if len(coeffs) > MAX_PHASE_ORDER:
-            raise _fail(f"{epath}.phase_coeffs", f"at most {MAX_PHASE_ORDER} orders supported")
-        out.append(DispersiveElement(tuple(coeffs)))
+        try:
+            out.append(DispersiveElement(tuple(coeffs)))
+        except ValueError as exc:
+            raise _fail(f"{epath}.phase_coeffs", str(exc)) from exc
     return tuple(out)
 
 
@@ -217,15 +229,15 @@ def _parse_modulators(doc, path: str) -> tuple:
         mod = _require_mapping(mod, mpath, _MODULATOR_KEYS)
         freq = _number(_get(mod, "mod_freq", mpath), f"{mpath}.mod_freq")
         index = _number(_get(mod, "index", mpath), f"{mpath}.index")
-        if not freq > 0:
-            raise _fail(f"{mpath}.mod_freq", "must be positive")
-        if abs(index) > MAX_MOD_INDEX:
-            raise _fail(f"{mpath}.index", f"|index| <= {MAX_MOD_INDEX} required")
+        try:
+            check_modulator(freq, index)
+        except ValueError as exc:
+            raise _fail(mpath, str(exc)) from exc
         out.append((freq, index))
-    if out[0][0] != out[1][0]:
-        raise MismatchedDrive(
-            f"{path}: modulator drive frequencies differ: {out[0][0]} vs {out[1][0]} rad/ps"
-        )
+    try:
+        check_drive(out[0][0], out[1][0])
+    except PreconditionError as exc:
+        raise at_path(exc, path) from exc
     return tuple(out)
 
 
@@ -366,12 +378,10 @@ def parse_scenario(document: dict) -> Scenario:
     if exact_grid:
         if temporal:
             raise _fail("scenario.exact_grid", "only spectral configurations support exact_grid")
-        steps = modulators[0][0] / grid.delta_omega
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps) or round(steps) < 1:
-            raise GridIncommensurate(
-                f"scenario.exact_grid: mod_freq {modulators[0][0]} rad/ps is not an integer "
-                f"multiple of delta_omega {grid.delta_omega} rad/ps"
-            )
+        try:
+            mod_steps(modulators[0][0], grid)
+        except PreconditionError as exc:
+            raise at_path(exc, "scenario.exact_grid") from exc
 
     outputs = _parse_outputs(document.get("outputs"), "scenario.outputs", configuration)
 
@@ -388,16 +398,7 @@ def parse_scenario(document: dict) -> Scenario:
     sweep_doc = document.get("sweep")
     if sweep_doc is not None:
         sweep = _parse_sweep(sweep_doc, "scenario.sweep", scenario.resolved())
-        scenario = Scenario(
-            configuration=configuration,
-            grid=grid,
-            source=source,
-            elements=elements,
-            modulators=modulators,
-            exact_grid=exact_grid,
-            sweep=sweep,
-            outputs=outputs,
-        )
+        scenario = replace(scenario, sweep=sweep)
     return scenario
 
 

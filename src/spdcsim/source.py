@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SpdcSimError
+from .errors import PreconditionError
 from .grid import FrequencyGrid
 
 _SERIES_CUTOFF = 1e-6
@@ -81,6 +81,12 @@ class SourceSpec:
             raise ValueError(f"center_frequency must be finite, got {self.center_frequency}")
         if self.mode == ANALYTIC and not self.envelope_bandwidth > 0:
             raise ValueError("analytic mode requires a positive bandwidth")
+        # 4*B^2 is the envelope's denominator in evaluate_analytic.
+        b = self.envelope_bandwidth
+        if self.mode == ANALYTIC and not 0.0 < 4.0 * b * b < math.inf:
+            raise ValueError(
+                f"envelope_bandwidth {b} is out of range: 4*B^2 must be a positive, finite double"
+            )
 
     @classmethod
     def physical(cls, gain, mismatch_coeffs=(), center_frequency=None) -> "SourceSpec":
@@ -149,17 +155,19 @@ def evaluate_uv(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
     """Sample U, V and the derived spectra of a physical source on a grid."""
     if spec.mode != PHYSICAL:
         raise ValueError("evaluate_uv requires a physical-mode source")
-    dl = spec.mismatch.phase(grid.omegas)
-    gl = gamma_of(spec.gain, dl)
-    cosh_gl, sinhc_gl = _cosh_and_sinhc(gl)
-    half_phase = np.exp(0.5j * dl)
-    u = half_phase * (cosh_gl - 0.5j * dl * sinhc_gl)
-    v = -1j * spec.gain * half_phase * sinhc_gl
-
-    unitarity = np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0
-    worst = float(np.max(np.abs(unitarity)))
+    # An extreme gain or mismatch overflows U and V; the gate below refuses
+    # the non-finite deviation that results.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dl = spec.mismatch.phase(grid.omegas)
+        gl = gamma_of(spec.gain, dl)
+        cosh_gl, sinhc_gl = _cosh_and_sinhc(gl)
+        half_phase = np.exp(0.5j * dl)
+        u = half_phase * (cosh_gl - 0.5j * dl * sinhc_gl)
+        v = -1j * spec.gain * half_phase * sinhc_gl
+        unitarity = np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0
+        worst = float(np.max(np.abs(unitarity)))
     if not worst <= _UNITARITY_TOL:
-        raise SpdcSimError(f"Bogoliubov unitarity violated by {worst:.3e}")
+        raise PreconditionError(f"Bogoliubov unitarity violated by {worst:.3e}")
 
     s = np.abs(v) ** 2
     r = u * grid.reflect(v)
@@ -176,7 +184,8 @@ def evaluate_analytic(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
     if spec.mode != ANALYTIC:
         raise ValueError("evaluate_analytic requires an analytic-mode source")
     b = spec.envelope_bandwidth
-    r = np.exp(-grid.omegas**2 / (4.0 * b * b))
+    with np.errstate(over="ignore"):  # an overflowing detuning squared gives exp(-inf) = 0
+        r = np.exp(-grid.omegas**2 / (4.0 * b * b))
     s = r * r
     flux = float(np.sum(s)) * grid.delta_omega / (2.0 * np.pi)
     return SourceFields(grid=grid, R=r.astype(complex), S=s, flux_n=flux, mode=ANALYTIC)

@@ -55,6 +55,21 @@ class TestRmsWidth:
         with pytest.raises(DegenerateTrace):
             rms_width(flat)
 
+    def test_nan_trace_rejected(self):
+        taus = (np.arange(128) - 64) * 0.1
+        values = np.full(128, np.nan)
+        trace = Correlation1D(tau_grid=taus, values=values, background=4.0, peak_tau=0.0)
+        with pytest.raises(DegenerateTrace):
+            rms_width(trace)
+
+    def test_structure_within_one_sample_rejected(self):
+        taus = (np.arange(128) - 64) * 0.1
+        values = np.full(128, 4.0)
+        values[64] = 5.0
+        spike = Correlation1D(tau_grid=taus, values=values, background=4.0, peak_tau=0.0)
+        with pytest.raises(DegenerateTrace, match="within one delay sample"):
+            rms_width(spike)
+
     def test_estimator_stable_under_resampling(self):
         spec = SourceSpec.analytic(1.0)
         coarse = evaluate_analytic(spec, FrequencyGrid(1024, 0.02))

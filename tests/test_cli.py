@@ -323,3 +323,142 @@ def test_unexpected_exception_exits_5_without_traceback(tmp_path, monkeypatch, c
     assert _run_main(tmp_path, scenario_doc()) == cli.EXIT_INTERNAL == 5
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def temporal_doc(**changes):
+    doc = {
+        "schema_version": 1,
+        "configuration": "inter_time",
+        "grid": {"n_points": 256, "delta_omega": 0.05},
+        "source": {"mode": "analytic", "envelope_bandwidth": 1.0},
+        "elements": [{"phase_coeffs": [0.0, 1.0]}, {"phase_coeffs": [0.0, -1.0]}],
+    }
+    return {**doc, **changes}
+
+
+def spectral_doc(**changes):
+    doc = {
+        "schema_version": 1,
+        "configuration": "inter_freq",
+        "grid": {"n_points": 256, "delta_omega": 0.4},
+        "source": {"mode": "analytic", "envelope_bandwidth": 60.0},
+        "modulators": [
+            {"mod_freq": 0.01, "index": 1.3},
+            {"mod_freq": 0.01, "index": 1.3},
+        ],
+    }
+    return {**doc, **changes}
+
+
+def modulators(mod_freq, index1, index2):
+    return [{"mod_freq": mod_freq, "index": index1}, {"mod_freq": mod_freq, "index": index2}]
+
+
+# Inputs that once ended in exit 5 (an untyped exception); each now either
+# runs or stops with a typed precondition error.
+EXTREME_INPUTS = {
+    "gain_300": temporal_doc(source={"mode": "physical", "gain": 300}),
+    "mismatch_1e300": temporal_doc(
+        source={"mode": "physical", "gain": 0.5, "mismatch_coeffs": [1e300]}
+    ),
+    "bandwidth_1e30": temporal_doc(
+        source={"mode": "analytic", "envelope_bandwidth": 1e30}
+    ),
+    "delta_omega_1e300": temporal_doc(grid={"n_points": 256, "delta_omega": 1e300}),
+    "tiny_index_narrowband": spectral_doc(modulators=modulators(0.01, 1e-100, 1.3)),
+    "tiny_index_exact": spectral_doc(
+        grid={"n_points": 256, "delta_omega": 0.0025},
+        source={"mode": "analytic", "envelope_bandwidth": 0.05},
+        modulators=modulators(0.02, 1e-100, 1.0),
+        exact_grid=True,
+    ),
+    "exact_spacing_underflow": spectral_doc(
+        configuration="intra_freq",
+        grid={"n_points": 256, "delta_omega": 1e-240},
+        modulators=modulators(1e-240, 1.3, 1.3),
+        exact_grid=True,
+    ),
+    "exact_spacing_overflow": spectral_doc(
+        grid={"n_points": 256, "delta_omega": 1e180},
+        modulators=modulators(4e180, 1.3, 1.3),
+        exact_grid=True,
+    ),
+}
+
+# Inputs found by the property test in tests/test_cli_property.py.
+FOUND_INPUTS = {
+    "combined_index_30": spectral_doc(modulators=modulators(0.01, 15.0, 15.0)),
+    "bandwidth_1e-200": temporal_doc(
+        source={"mode": "analytic", "envelope_bandwidth": 1e-200}
+    ),
+    "canceling_overflowing_phases": temporal_doc(
+        configuration="intra_time",
+        elements=[{"phase_coeffs": [0.0, 0.0, 1.7976931348623157e308]}] * 2,
+    ),
+    "exact_structure_overflow": spectral_doc(
+        grid={"n_points": 256, "delta_omega": 1.5e-154},
+        source={"mode": "physical", "gain": 3.0},
+        modulators=modulators(1.5e-154, 1.0, 1.0),
+        exact_grid=True,
+    ),
+}
+
+
+def _run_in_process(tmp_path, doc):
+    scenario_file = write_doc(tmp_path, doc)
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", str(scenario_file), "--out", str(out), "--workers", "1"]
+    return cli.main(argv), out
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("gain_300", "precondition error: Bogoliubov unitarity violated by 1.366e+244"),
+        ("mismatch_1e300", "precondition error: Bogoliubov unitarity violated by nan"),
+        ("bandwidth_1e30", "precondition error: trace structure lies within one delay sample"),
+        ("delta_omega_1e300", "precondition error: pointlike integrand spectrum"),
+        ("tiny_index_narrowband", None),
+        ("tiny_index_exact", None),
+        ("exact_spacing_underflow", "precondition error: exact grid spacing 1e-240 rad/ps"),
+        ("exact_spacing_overflow", "precondition error: exact grid spacing 1e+180 rad/ps"),
+        ("combined_index_30", None),
+        ("bandwidth_1e-200", "scenario error: scenario.source: envelope_bandwidth 1e-200"),
+        ("canceling_overflowing_phases", "precondition error: dispersive phase is not finite"),
+        ("exact_structure_overflow", "precondition error: exact joint structure overflows"),
+    ],
+)
+def test_extreme_input_runs_or_fails_typed(tmp_path, capsys, name, expected):
+    code, out = _run_in_process(tmp_path, {**EXTREME_INPUTS, **FOUND_INPUTS}[name])
+    err = capsys.readouterr().err
+    if expected is None:
+        assert code == cli.EXIT_OK, err
+        assert err == ""
+        assert (out / "report.json").exists()
+        return
+    assert code == (cli.EXIT_PARSE if expected.startswith("scenario") else cli.EXIT_PRECONDITION)
+    assert err.startswith(expected)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (out / "report.json").exists()
+
+
+def test_bad_sweep_value_is_named_before_any_directory(tmp_path, capsys):
+    sweep = {"parameter": "modulators.1.index", "values": [1.3, 25]}
+    code, out = _run_in_process(tmp_path, spectral_doc(sweep=sweep))
+    assert code == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "scenario error: scenario.sweep.values[1]: scenario.modulators[1]: "
+        "|index| <= 20.0 required, got 25.0\n"
+    )
+    assert not out.exists()
+
+
+def test_precondition_at_a_sweep_value_keeps_its_type(tmp_path, capsys):
+    sweep = {"parameter": "modulators.1.mod_freq", "values": [0.01, 0.02]}
+    code, out = _run_in_process(tmp_path, spectral_doc(sweep=sweep))
+    assert code == cli.EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        "precondition error: scenario.sweep.values[1]: scenario.modulators: "
+        "modulator drive frequencies differ: 0.01 vs 0.02 rad/ps\n"
+    )
+    assert not out.exists()

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from dense_joint import scatter
+from spdcsim.correlators import check_drive, mod_steps
+from spdcsim.oracle import bessel_quadrature
 from spdcsim import (
     AliasRisk,
     DispersiveElement,
@@ -9,6 +11,7 @@ from spdcsim import (
     GridIncommensurate,
     MismatchedDrive,
     NarrowbandInvalid,
+    PreconditionError,
     SourceSpec,
     baseline,
     build_comb,
@@ -92,6 +95,19 @@ class TestInterTime:
         with pytest.raises(AliasRisk):
             g2_inter_time(src, gdd(25.0), gdd(25.0))
 
+    def test_overflowing_spread_counts_as_infinite(self):
+        # Omega_max**4 overflows a double at Omega_max ~ 1.3e78 rad/ps.
+        src = analytic_source(1e77, n=256, domega=1e76)
+        fifth_order = DispersiveElement((0.0, 0.0, 0.0, 0.0, 1.0))
+        with pytest.raises(AliasRisk, match="predicted trace extent inf ps"):
+            g2_inter_time(src, fifth_order, IDENT)
+
+    def test_pointlike_spectrum_from_an_overflowing_grid_refused(self):
+        # Every detuning but zero squares to infinity against a zero weight.
+        src = analytic_source(1.0, n=256, domega=1e300)
+        with pytest.raises(AliasRisk, match="pointlike"):
+            g2_inter_time(src, IDENT, IDENT)
+
 
 class TestIntraTime:
     def test_thermal_peak_to_background(self):
@@ -138,6 +154,18 @@ class TestNarrowbandCombs:
         assert comb.coefficient(0) == 1.0
         assert comb.ridge_axis == "omega_plus"
 
+    @pytest.mark.parametrize("config", ["inter", "intra"])
+    def test_combined_index_beyond_one_modulator_bound(self, config):
+        # Two modulators at |index| <= 20 combine to an index of up to 40.
+        m1 = build_comb(0.01, 20.0)
+        if config == "inter":
+            comb = g2_inter_freq_narrowband(self.src, m1, build_comb(0.01, 15.0))
+        else:
+            comb = g2_intra_freq_narrowband(self.src, m1, build_comb(0.01, -15.0))
+        assert comb.combined_index == 35.0
+        assert comb.coefficient(3) == pytest.approx(bessel_quadrature(3, 35.0) ** 2, abs=1e-14)
+        assert np.sum(comb.coefficients) == pytest.approx(1.0, abs=1e-13)
+
     def test_inter_equal_indexes_compose(self):
         comb = g2_inter_freq_narrowband(self.src, build_comb(0.01, 0.6), build_comb(0.01, 0.6))
         assert comb.combined_index == pytest.approx(1.2)
@@ -176,7 +204,47 @@ class TestNarrowbandCombs:
             g2_inter_freq_narrowband(narrow, build_comb(0.5, 0.6), build_comb(0.5, 0.6))
 
 
+def test_check_drive():
+    check_drive(0.01, 0.01)
+    with pytest.raises(MismatchedDrive, match="^modulator drive frequencies differ: 0.01 vs 0.02"):
+        check_drive(0.01, 0.02)
+
+
+@pytest.mark.parametrize(
+    "mod_freq, delta_omega, steps",
+    [
+        (0.03, 0.01, 3),
+        (0.02, 0.02, 1),
+        (0.013, 0.01, None),
+        (0.004, 0.01, None),
+        (1e300, 1e-300, None),
+    ],
+    ids=["three", "one", "fractional", "below_one", "infinite"],
+)
+def test_mod_steps(mod_freq, delta_omega, steps):
+    grid = FrequencyGrid(64, delta_omega)
+    if steps is None:
+        with pytest.raises(GridIncommensurate, match="not an integer multiple"):
+            mod_steps(mod_freq, grid)
+    else:
+        assert mod_steps(mod_freq, grid) == steps
+
+
 class TestExactJointGrid:
+    @pytest.mark.parametrize("domega", [1e-240, 1e-160, 1e180])
+    def test_spacing_squared_out_of_range_refused(self, domega):
+        src = analytic_source(1.0, 64, domega)
+        comb = build_comb(domega, 0.5)
+        with pytest.raises(PreconditionError, match="squared is out of floating-point range"):
+            g2_freq_exact(src, comb, comb, "intra_freq")
+
+    def test_structure_overflowing_a_double_refused(self):
+        # |R|^2 ~ 1e4 at gain 3 over delta_omega**2 ~ 2.25e-308 overflows.
+        src = evaluate_uv(SourceSpec.physical(3.0), FrequencyGrid(64, 1.5e-154))
+        comb = build_comb(1.5e-154, 1.0)
+        with pytest.raises(PreconditionError, match="^exact joint structure overflows a double"):
+            g2_freq_exact(src, comb, comb, "inter_freq")
+
     def test_incommensurate_mod_freq_rejected(self):
         src = analytic_source(1.0, 128, 0.05)
         with pytest.raises(GridIncommensurate):

@@ -1,8 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdcsim import DispersiveElement, FrequencyGrid, bessel_j, build_comb, dispersive_transfer
+from spdcsim import (
+    DispersiveElement,
+    FrequencyGrid,
+    PreconditionError,
+    bessel_j,
+    build_comb,
+    dispersive_transfer,
+)
 from spdcsim.oracle import bessel_quadrature
 
 
@@ -36,6 +45,11 @@ class TestDispersiveElement:
         g = FrequencyGrid(64, 0.3)
         h = dispersive_transfer(DispersiveElement(tuple(coeffs)), g)
         assert np.max(np.abs(np.abs(h) - 1.0)) < 1e-14
+
+    @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 1.7976931348623157e308), (1.7e308, -1.7e308)])
+    def test_phase_that_overflows_on_the_grid_refused(self, coeffs):
+        with pytest.raises(PreconditionError, match="^dispersive phase is not finite"):
+            dispersive_transfer(DispersiveElement(coeffs), FrequencyGrid(64, 0.1))
 
     def test_rejects_too_many_orders(self):
         with pytest.raises(ValueError):
@@ -113,6 +127,27 @@ class TestModulatorComb:
             build_comb(0.0, 1.0)
         with pytest.raises(ValueError):
             build_comb(1.0, 20.5)
+        with pytest.raises(ValueError, match=r"^\|index\| <= 40.0 required, got -40.5$"):
+            build_comb(1.0, -40.5, max_index=40.0)
+
+    @pytest.mark.parametrize("index", [-40.0, 27.3, 40.0])
+    def test_combined_index_range_against_oracle(self, index):
+        comb = build_comb(1.0, index, max_index=40.0)
+        assert np.sum(comb.weights**2) == pytest.approx(1.0, abs=1e-14)
+        for n in range(-60, 61, 7):
+            assert comb.line_weight(n) == pytest.approx(bessel_quadrature(n, index), abs=1e-14)
+
+    @pytest.mark.parametrize("index", [5e-324, 1e-300, -1e-100, 1e-58, 1e-40, 9.9e-13])
+    def test_tiny_index_is_the_central_line(self, index):
+        # Below ~1e-57 one step of the Bessel recurrence overflows; the comb
+        # is the n = 0 line, as it is for every nonzero index below 1e-12.
+        comb = build_comb(0.01, index)
+        assert comb.orders.tolist() == [0]
+        assert comb.weights.tolist() == [1.0]
+        assert comb.index == index
+
+    def test_negative_zero_index_is_stored_as_zero(self):
+        assert math.copysign(1.0, build_comb(0.01, -0.0).index) == 1.0
 
     @pytest.mark.parametrize(
         "mod_freq, index, name",

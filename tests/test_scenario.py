@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from spdcsim import GridIncommensurate, MismatchedDrive, ScenarioError
+from spdcsim import cli
 from spdcsim.runner import run_scenario
 from spdcsim.scenario import (
     check_sweep_outputs,
@@ -255,3 +258,74 @@ def test_single_runs_need_no_sweep_columns():
     doc = minimal_time_doc()
     doc["outputs"] = {"analyses": ["fwhm"]}
     check_sweep_outputs(parse_scenario(doc))
+
+
+def _with(doc, *edits):
+    for keys, value in edits:
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, error, prefix, exit_code",
+    [
+        (
+            _with(minimal_time_doc(), (("elements", 1, "phase_coeffs"), [0.0] * 6)),
+            ScenarioError,
+            "scenario.elements[1].phase_coeffs: ",
+            2,
+        ),
+        (
+            _with(
+                minimal_freq_doc(),
+                (("modulators", 0, "mod_freq"), -0.01),
+                (("modulators", 1, "mod_freq"), -0.01),
+            ),
+            ScenarioError,
+            "scenario.modulators[0]",
+            2,
+        ),
+        (
+            _with(minimal_freq_doc(), (("modulators", 1, "index"), 20.5)),
+            ScenarioError,
+            "scenario.modulators[1]",
+            2,
+        ),
+        (
+            _with(minimal_freq_doc(), (("modulators", 1, "mod_freq"), 0.02)),
+            MismatchedDrive,
+            "scenario.modulators: ",
+            3,
+        ),
+        (
+            _with(
+                minimal_freq_doc(),
+                (("exact_grid",), True),
+                (("modulators", 0, "mod_freq"), 0.013),
+                (("modulators", 1, "mod_freq"), 0.013),
+            ),
+            GridIncommensurate,
+            "scenario.exact_grid: ",
+            3,
+        ),
+    ],
+    ids=["phase_orders", "mod_freq_positive", "index_bound", "drive_match", "commensurability"],
+)
+def test_each_scenario_rule_names_its_path_and_exit_code(
+    doc, error, prefix, exit_code, tmp_path, capsys
+):
+    with pytest.raises(error) as caught:
+        parse_scenario(doc)
+    assert type(caught.value) is error
+    assert str(caught.value).startswith(prefix)
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == exit_code
+    kind = "scenario error" if exit_code == 2 else "precondition error"
+    assert capsys.readouterr().err.startswith(f"{kind}: {prefix}")
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from spdcsim import (
     FrequencyGrid,
     PhaseMismatch,
+    PreconditionError,
     SourceSpec,
     SpdcSimError,
     evaluate_analytic,
@@ -133,6 +136,21 @@ def test_analytic_flux_matches_gaussian_integral():
     assert src.flux_n == pytest.approx(1.0 / np.sqrt(2.0 * np.pi), abs=1e-6)
 
 
+@pytest.mark.parametrize("bandwidth", [1e-200, 1e160])
+def test_bandwidth_whose_envelope_denominator_leaves_range_refused(bandwidth):
+    # 4*B^2 is zero below B ~ 1e-162 and infinite above B ~ 6.7e153.
+    message = f"envelope_bandwidth {bandwidth} is out of range"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SourceSpec.analytic(bandwidth)
+
+
+def test_extreme_but_valid_envelopes_evaluate_silently():
+    pointlike = evaluate_analytic(SourceSpec.analytic(1e-161), FrequencyGrid(64, 0.1))
+    assert pointlike.S.tolist() == [0.0] * 32 + [1.0] + [0.0] * 31
+    overflowing_grid = evaluate_analytic(SourceSpec.analytic(1.0), FrequencyGrid(64, 1e300))
+    assert overflowing_grid.S.tolist() == pointlike.S.tolist()
+
+
 def test_evaluate_source_dispatch():
     g = FrequencyGrid(64, 0.1)
     assert evaluate_source(SourceSpec.physical(0.5), g).mode == "physical"
@@ -161,6 +179,18 @@ def test_non_finite_spec_numbers_named(bad):
         SourceSpec.analytic(bad)
     with pytest.raises(ValueError, match="^center_frequency must be finite"):
         SourceSpec.physical(1.0, center_frequency=bad)
+
+
+@pytest.mark.parametrize(
+    "gain, mismatch, deviation",
+    [(300.0, (), "1.366e+244"), (0.5, (1e300,), "nan")],
+    ids=["gain_300", "mismatch_1e300"],
+)
+def test_overflowing_source_is_a_silent_precondition_error(gain, mismatch, deviation):
+    spec = SourceSpec.physical(gain, mismatch)
+    with pytest.raises(PreconditionError) as caught:
+        evaluate_uv(spec, FrequencyGrid(256, 0.05))
+    assert str(caught.value) == f"Bogoliubov unitarity violated by {deviation}"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
