@@ -33,6 +33,7 @@ from .elements import (
     MAX_MOD_INDEX,
     DispersiveElement,
     ModulatorComb,
+    at_order,
     build_comb,
     dispersive_transfer,
 )
@@ -103,8 +104,7 @@ class JointComb:
 
     def coefficient(self, n: int) -> float:
         """Squared line weight at comb order n, zero if pruned."""
-        hit = np.nonzero(self.orders == n)[0]
-        return float(self.coefficients[hit[0]]) if hit.size else 0.0
+        return float(at_order(self.orders, self.coefficients, n))
 
     def ridge_energy(self) -> float:
         """Structured term integrated over the joint plane.
@@ -141,14 +141,19 @@ class JointGrid:
     background_factor_1: np.ndarray
     background_factor_2: np.ndarray
 
+    def _column(self, row, line):
+        """Column of row i on comb line L: n + L*m_ratio - i interbeam,
+        i - L*m_ratio intrabeam (elementwise over arrays of rows and lines)."""
+        shift = line * self.m_ratio
+        if self.ridge_axis == OMEGA_PLUS:
+            return self.grid.n_points + shift - row
+        return row - shift
+
     def ridge_indices(self, line: int):
         """Grid index pairs (i, j) of the cells on comb line ``line``."""
         n = self.grid.n_points
         i = np.arange(n)
-        if self.ridge_axis == OMEGA_PLUS:
-            j = n + line * self.m_ratio - i
-        else:
-            j = i - line * self.m_ratio
+        j = self._column(i, line)
         keep = (j >= 0) & (j < n)
         return i[keep], j[keep]
 
@@ -156,20 +161,20 @@ class JointGrid:
         """Rows i, columns j and structure of the nonzero cells, row by row
         and by ascending column within a row (the order of ``np.nonzero`` on
         the dense n x n grid)."""
-        n = self.grid.n_points
-        inter = self.ridge_axis == OMEGA_PLUS
         # Along a row the column rises with the line interbeam, falls intrabeam.
-        step = 1 if inter else -1
+        step = 1 if self.ridge_axis == OMEGA_PLUS else -1
         profiles, orders = self.profiles[::step], self.orders[::step]
         i, k = np.nonzero(profiles.T)
-        shifts = orders[k] * self.m_ratio
-        j = n + shifts - i if inter else i - shifts
-        return i, j, profiles[k, i]
+        return i, self._column(i, orders[k]), profiles[k, i]
 
     def profile(self, line: int) -> np.ndarray:
         """Structure along comb line ``line`` by row i, zero if not stored."""
-        hit = np.nonzero(self.orders == line)[0]
-        return self.profiles[hit[0]] if hit.size else np.zeros(self.grid.n_points)
+        return at_order(self.orders, self.profiles, line)
+
+    def ridge_energy(self) -> float:
+        """Structured term integrated over the joint plane: every profile
+        summed, times the cell area delta_omega^2."""
+        return float(np.sum(self.profiles)) * self.grid.delta_omega**2
 
 
 def _trace_amplitude(integrand: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
@@ -244,6 +249,25 @@ def _build_correlation(amp: np.ndarray, grid: FrequencyGrid, flux: float) -> Cor
     )
 
 
+def _structure_weight(source: SourceFields, inter: bool) -> np.ndarray:
+    """Spectral weight of the structured term: |R|^2 for the interbeam pairing
+    of +W with -W, S^2 for the intrabeam pairing of +W with +W."""
+    return np.abs(source.R) ** 2 if inter else source.S**2
+
+
+def _g2_time(
+    source: SourceFields, h1: DispersiveElement, h2: DispersiveElement, inter: bool
+) -> Correlation1D:
+    """Temporal trace of either pairing: integrand R H1(W) H2(-W) interbeam,
+    S H1*(W) H2(W) intrabeam."""
+    grid = source.grid
+    _check_alias(grid, _structure_weight(source, inter), _combined_phase_coeffs(h1, h2, inter))
+    t1 = dispersive_transfer(h1, grid)
+    t2 = dispersive_transfer(h2, grid)
+    integrand = source.R * t1 * grid.reflect(t2) if inter else source.S * np.conj(t1) * t2
+    return _build_correlation(_trace_amplitude(integrand, grid), grid, source.flux_n)
+
+
 def g2_inter_time(
     source: SourceFields, h1: DispersiveElement, h2: DispersiveElement
 ) -> Correlation1D:
@@ -253,13 +277,7 @@ def g2_inter_time(
     exp(i[(Phi2_1 + Phi2_2) W^2/2 + (Phi3_1 - Phi3_2) W^3/6 + ...]) matters:
     opposite-sign group-delay dispersion cancels, odd orders add instead.
     """
-    grid = source.grid
-    weight = np.abs(source.R) ** 2
-    _check_alias(grid, weight, _combined_phase_coeffs(h1, h2, inter=True))
-    t1 = dispersive_transfer(h1, grid)
-    t2 = dispersive_transfer(h2, grid)
-    integrand = source.R * t1 * grid.reflect(t2)
-    return _build_correlation(_trace_amplitude(integrand, grid), grid, source.flux_n)
+    return _g2_time(source, h1, h2, inter=True)
 
 
 def g2_intra_time(
@@ -272,13 +290,7 @@ def g2_intra_time(
     broaden the trace.  The zero-delay peak never exceeds twice the
     background (thermal-like statistics).
     """
-    grid = source.grid
-    weight = source.S**2
-    _check_alias(grid, weight, _combined_phase_coeffs(h1, h2, inter=False))
-    t1 = dispersive_transfer(h1, grid)
-    t2 = dispersive_transfer(h2, grid)
-    integrand = source.S * np.conj(t1) * t2
-    return _build_correlation(_trace_amplitude(integrand, grid), grid, source.flux_n)
+    return _g2_time(source, h1, h2, inter=False)
 
 
 def check_drive(freq1: float, freq2: float) -> None:
@@ -324,6 +336,33 @@ def _flux_density(source: SourceFields) -> np.ndarray:
     return source.S / (2.0 * np.pi)
 
 
+def _g2_freq_narrowband(
+    source: SourceFields, m1: ModulatorComb, m2: ModulatorComb, inter: bool
+) -> JointComb:
+    """Narrowband comb of either pairing: lines on Omega1+Omega2 at index
+    theta1+theta2 over |R|^2 interbeam, on Omega1-Omega2 at theta1-theta2 over
+    S^2 intrabeam."""
+    check_drive(m1.mod_freq, m2.mod_freq)
+    grid = source.grid
+    weight = _structure_weight(source, inter)
+    _check_narrowband(weight, grid, m1, m2)
+    combined_index = m1.index + m2.index if inter else m1.index - m2.index
+    combined = build_comb(m1.mod_freq, combined_index, 2 * MAX_MOD_INDEX)
+    density = _flux_density(source)
+    return JointComb(
+        grid=grid,
+        ridge_axis=OMEGA_PLUS if inter else OMEGA_MINUS,
+        mod_freq=m1.mod_freq,
+        combined_index=combined_index,
+        orders=combined.orders.copy(),
+        coefficients=combined.weights**2,
+        envelope_axis=2.0 * grid.omegas,
+        envelope=weight,
+        background_factor_1=density,
+        background_factor_2=density,
+    )
+
+
 def g2_inter_freq_narrowband(
     source: SourceFields, m1: ModulatorComb, m2: ModulatorComb
 ) -> JointComb:
@@ -333,24 +372,7 @@ def g2_inter_freq_narrowband(
     over the envelope |R(Omega_-/2)|^2: opposite drive indexes collapse the
     comb back to the unmodulated anticorrelation ridge.
     """
-    check_drive(m1.mod_freq, m2.mod_freq)
-    grid = source.grid
-    weight = np.abs(source.R) ** 2
-    _check_narrowband(weight, grid, m1, m2)
-    combined = build_comb(m1.mod_freq, m1.index + m2.index, 2 * MAX_MOD_INDEX)
-    density = _flux_density(source)
-    return JointComb(
-        grid=grid,
-        ridge_axis=OMEGA_PLUS,
-        mod_freq=m1.mod_freq,
-        combined_index=m1.index + m2.index,
-        orders=combined.orders.copy(),
-        coefficients=combined.weights**2,
-        envelope_axis=2.0 * grid.omegas,
-        envelope=weight,
-        background_factor_1=density,
-        background_factor_2=density,
-    )
+    return _g2_freq_narrowband(source, m1, m2, inter=True)
 
 
 def g2_intra_freq_narrowband(
@@ -362,24 +384,7 @@ def g2_intra_freq_narrowband(
     over the envelope S(Omega_+/2)^2: equal drive indexes collapse the comb
     back to the unmodulated equal-frequency ridge.
     """
-    check_drive(m1.mod_freq, m2.mod_freq)
-    grid = source.grid
-    weight = source.S**2
-    _check_narrowband(weight, grid, m1, m2)
-    combined = build_comb(m1.mod_freq, m1.index - m2.index, 2 * MAX_MOD_INDEX)
-    density = _flux_density(source)
-    return JointComb(
-        grid=grid,
-        ridge_axis=OMEGA_MINUS,
-        mod_freq=m1.mod_freq,
-        combined_index=m1.index - m2.index,
-        orders=combined.orders.copy(),
-        coefficients=combined.weights**2,
-        envelope_axis=2.0 * grid.omegas,
-        envelope=weight,
-        background_factor_1=density,
-        background_factor_2=density,
-    )
+    return _g2_freq_narrowband(source, m1, m2, inter=False)
 
 
 def _modulated_flux_density(source: SourceFields, comb: ModulatorComb, m_ratio: int) -> np.ndarray:
@@ -468,20 +473,16 @@ def g2_freq_exact(
     )
 
 
-def baseline(source: SourceFields, config: str, mod_freq: float = 1.0):
+def baseline(source: SourceFields, config: str):
     """No-element reference: the matching correlator with identity elements.
 
     For the spectral configurations the identity modulator is an index-zero
-    comb (single n = 0 line); ``mod_freq`` only labels the comb spacing.
+    comb (single n = 0 line) at unit drive frequency.
     """
-    if config == INTER_TIME:
-        return g2_inter_time(source, DispersiveElement.identity(), DispersiveElement.identity())
-    if config == INTRA_TIME:
-        return g2_intra_time(source, DispersiveElement.identity(), DispersiveElement.identity())
-    if config == INTER_FREQ:
-        comb = build_comb(mod_freq, 0.0)
-        return g2_inter_freq_narrowband(source, comb, comb)
-    if config == INTRA_FREQ:
-        comb = build_comb(mod_freq, 0.0)
-        return g2_intra_freq_narrowband(source, comb, comb)
+    if config in (INTER_TIME, INTRA_TIME):
+        identity = DispersiveElement.identity()
+        return _g2_time(source, identity, identity, config == INTER_TIME)
+    if config in (INTER_FREQ, INTRA_FREQ):
+        comb = build_comb(1.0, 0.0)
+        return _g2_freq_narrowband(source, comb, comb, config == INTER_FREQ)
     raise ValueError(f"unknown configuration {config!r}")

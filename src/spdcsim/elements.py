@@ -90,18 +90,20 @@ def dispersive_transfer(element: DispersiveElement, grid: FrequencyGrid) -> np.n
     return out
 
 
-def _bessel_row_loops(x, n_max, start):
-    """Backward (Miller) recurrence for J_0(x)..J_n_max(x), x > 0.
+def _bessel_row(x: float, n_max: int) -> np.ndarray:
+    """J_0(x)..J_n_max(x) for x > 0 via the normalized Miller recurrence.
 
-    Recurs J_{k-1} = (2k/x) J_k - J_{k+1} downward from an arbitrary seed at
-    order ``start`` and normalizes with J_0 + 2*(J_2 + J_4 + ...) = 1.
-    Magnitudes are rescaled whenever they grow past 1e250.
+    Recurs J_{k-1} = (2k/x) J_k - J_{k+1} downward from an arbitrary seed 36
+    orders above max(n_max, x) and normalizes with J_0 + 2*(J_2 + J_4 + ...)
+    = 1.  Magnitudes are rescaled whenever they grow past 1e250.
     """
+    x = float(x)
+    n_max = int(n_max)
     row = np.zeros(n_max + 1)
     f_up = 0.0
     f = 1e-300
     norm = 0.0
-    for k in range(start, -1, -1):
+    for k in range(max(n_max, int(np.ceil(x))) + 36, -1, -1):
         if k <= n_max:
             row[k] = f
         if k == 0:
@@ -118,12 +120,6 @@ def _bessel_row_loops(x, n_max, start):
                 norm *= _RESCALE
                 row *= _RESCALE
     return row / norm
-
-
-def _bessel_row(x: float, n_max: int) -> np.ndarray:
-    """J_0(x)..J_n_max(x) for x > 0 via the normalized Miller recurrence."""
-    start = max(n_max, int(np.ceil(x))) + 36
-    return _bessel_row_loops(float(x), int(n_max), int(start))
 
 
 def bessel_j(n: int, x: float) -> float:
@@ -169,8 +165,14 @@ class ModulatorComb:
 
     def line_weight(self, n: int) -> float:
         """J_n(index), zero if the line was pruned."""
-        hit = np.nonzero(self.orders == n)[0]
-        return float(self.weights[hit[0]]) if hit.size else 0.0
+        return float(at_order(self.orders, self.weights, n))
+
+
+def at_order(orders: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Row of ``values`` at comb order n, or zeros of one row's shape if no
+    row holds that order."""
+    hit = np.nonzero(orders == n)[0]
+    return values[hit[0]] if hit.size else np.zeros(values.shape[1:], dtype=values.dtype)
 
 
 def check_modulator(mod_freq: float, index: float, max_index: float = MAX_MOD_INDEX) -> None:
@@ -197,33 +199,17 @@ def build_comb(mod_freq: float, index: float, max_index: float = MAX_MOD_INDEX) 
         # remains.  Below |index| ~ 1e-57 the recurrence would overflow.
         orders = np.array([0], dtype=np.int64)
         weights = np.array([1.0])
-        return ModulatorComb(
-            mod_freq=float(mod_freq),
-            index=float(index) if index != 0.0 else 0.0,
-            orders=orders,
-            weights=weights,
-        )
-
-    x = abs(index)
-    hard_cap = int(np.ceil(x + 12.0 * np.sqrt(x) + 20.0))
-    row = _bessel_row(x, hard_cap)
-
-    orders_list = []
-    weights_list = []
-    for n in range(-hard_cap, hard_cap + 1):
-        w = row[abs(n)]
-        if n < 0 or index < 0:
-            # J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x)
-            flips = (1 if n < 0 else 0) + (1 if index < 0 else 0)
-            if (abs(n) % 2 == 1) and (flips % 2 == 1):
-                w = -w
-        if abs(w) >= COMB_PRUNE:
-            orders_list.append(n)
-            weights_list.append(w)
-
+        index = index if index != 0.0 else 0.0
+    else:
+        x = abs(index)
+        hard_cap = int(np.ceil(x + 12.0 * np.sqrt(x) + 20.0))
+        orders = np.arange(-hard_cap, hard_cap + 1, dtype=np.int64)
+        weights = _bessel_row(x, hard_cap)[np.abs(orders)]
+        # J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x)
+        flip = (orders % 2 == 1) & ((orders < 0) != (index < 0))
+        np.negative(weights, out=weights, where=flip)
+        keep = np.abs(weights) >= COMB_PRUNE
+        orders, weights = orders[keep], weights[keep]
     return ModulatorComb(
-        mod_freq=float(mod_freq),
-        index=float(index),
-        orders=np.array(orders_list, dtype=np.int64),
-        weights=np.array(weights_list),
+        mod_freq=float(mod_freq), index=float(index), orders=orders, weights=weights
     )

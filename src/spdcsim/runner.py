@@ -47,7 +47,14 @@ from .correlators import (
 )
 from .elements import build_comb
 from .errors import NonFiniteResult, PreconditionError, ScenarioError
-from .scenario import Scenario, at_path, check_sweep_outputs, parse_scenario, set_parameter
+from .scenario import (
+    Scenario,
+    at_path,
+    check_sweep_outputs,
+    parse_scenario,
+    set_parameter,
+    sweep_columns,
+)
 from .source import evaluate_source
 
 WIDTH_RATIO_TOLERANCE = 1e-6
@@ -129,7 +136,8 @@ def _joint_csv(joint: JointGrid):
 
 @dataclass
 class PointOutcome:
-    """One executed configuration: the raw result plus its analyses."""
+    """One executed configuration: the raw result to write, None when the
+    point writes no file, plus its analyses."""
 
     result: object
     analyses: dict
@@ -213,15 +221,14 @@ def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointO
             results["width_ratio"] = verdict.metric
             results["canceled"] = verdict.canceled
             results["cancel_tolerance"] = verdict.tolerance
-        return PointOutcome(result=corr, analyses=results)
+        return PointOutcome(result=corr if scenario.outputs.write_trace else None, analyses=results)
 
     (freq, idx1), (_, idx2) = scenario.modulators
     m1 = build_comb(freq, idx1)
     m2 = build_comb(freq, idx2)
     if scenario.exact_grid:
         joint = g2_freq_exact(source, m1, m2, config)
-        structure_integral = float(np.sum(joint.profiles)) * scenario.grid.delta_omega**2
-        return PointOutcome(result=joint, analyses={"structure_integral": structure_integral})
+        return PointOutcome(result=joint, analyses={"structure_integral": joint.ridge_energy()})
 
     comb = (
         g2_inter_freq_narrowband(source, m1, m2)
@@ -237,35 +244,26 @@ def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointO
         results["comb_leakage"] = verdict.metric
         results["canceled"] = verdict.canceled
         results["cancel_tolerance"] = verdict.tolerance
-    return PointOutcome(result=comb, analyses=results)
+    return PointOutcome(result=comb if scenario.outputs.write_comb else None, analyses=results)
 
 
-def _write_point_files(outcome: PointOutcome, scenario: Scenario, out_dir: Path, prefix: str):
-    files = []
-    if isinstance(outcome.result, Correlation1D):
-        if scenario.outputs.write_trace:
-            name = f"{prefix}trace.csv"
-            _atomic_write(out_dir / name, _trace_csv(outcome.result))
-            files.append(name)
-    elif isinstance(outcome.result, JointComb):
-        if scenario.outputs.write_comb:
-            name = f"{prefix}comb.csv"
-            _atomic_write(out_dir / name, _comb_csv(outcome.result))
-            files.append(name)
-    elif isinstance(outcome.result, JointGrid):
-        name = f"{prefix}joint.csv"
-        _atomic_write(out_dir / name, _joint_csv(outcome.result))
-        files.append(name)
-    return files
+def _write_point_files(outcome: PointOutcome, out_dir: Path, prefix: str):
+    result = outcome.result
+    if result is None:
+        return []
+    if isinstance(result, Correlation1D):
+        name, chunks = f"{prefix}trace.csv", _trace_csv(result)
+    elif isinstance(result, JointComb):
+        name, chunks = f"{prefix}comb.csv", _comb_csv(result)
+    else:
+        name, chunks = f"{prefix}joint.csv", _joint_csv(result)
+    _atomic_write(out_dir / name, chunks)
+    return [name]
 
 
 def _sweep_csv(scenario: Scenario, values, outcomes):
-    if scenario.is_temporal:
-        yield "param,rms_width_ps,fwhm_ps,s_over_b\n"
-        keys = ("rms_width_ps", "fwhm_ps", "s_over_b")
-    else:
-        yield "param,comb_leakage\n"
-        keys = ("comb_leakage",)
+    keys = list(sweep_columns(scenario).values())
+    yield ",".join(["param"] + keys) + "\n"
     columns = [[outcome.analyses[key] for outcome in outcomes] for key in keys]
     yield _format_rows(",".join(["%.17g"] * (1 + len(keys))) + "\n", values, *columns)
 
@@ -313,17 +311,14 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
 
     if sweep is None:
         outcome = execute(scenario)
-        files += _write_point_files(outcome, scenario, out_dir, "")
+        files += _write_point_files(outcome, out_dir, "")
         report["results"] = outcome.analyses
     else:
         shared = _SharedWithBase(scenario)
 
         def run_point(point: Scenario) -> PointOutcome:
             shares_source = point.grid is scenario.grid and point.source == scenario.source
-            outcome = execute(point, shared if shares_source else None)
-            if isinstance(outcome.result, Correlation1D) and not scenario.outputs.write_trace:
-                return PointOutcome(result=None, analyses=outcome.analyses)
-            return outcome
+            return execute(point, shared if shares_source else None)
 
         max_workers = workers or os.cpu_count() or 1
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -334,9 +329,7 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
             outcomes = list(pending)
         digits = max(4, len(str(len(outcomes))))
         for i, outcome in enumerate(outcomes):
-            files += _write_point_files(
-                outcome, scenario, out_dir, f"point_{i:0{digits}d}_"
-            )
+            files += _write_point_files(outcome, out_dir, f"point_{i:0{digits}d}_")
         name = "sweep.csv"
         _atomic_write(out_dir / name, _sweep_csv(scenario, sweep.values, outcomes))
         files.append(name)

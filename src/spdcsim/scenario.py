@@ -52,6 +52,11 @@ _SWEEP_KEYS = {"parameter", "values"}
 _OUTPUT_KEYS = {"analyses", "write_trace", "write_comb"}
 
 
+def _is_temporal(configuration: str) -> bool:
+    """Whether ``configuration`` is a temporal (dispersive-element) one."""
+    return configuration.endswith("_time")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     parameter: str
@@ -78,7 +83,7 @@ class Scenario:
 
     @property
     def is_temporal(self) -> bool:
-        return self.configuration.endswith("_time")
+        return _is_temporal(self.configuration)
 
     def resolved(self) -> dict:
         """Fully expanded scenario document; re-parsing it is the identity."""
@@ -263,7 +268,7 @@ def _parse_sweep(doc, path: str, resolved: dict) -> SweepSpec:
 
 
 def _parse_outputs(doc, path: str, configuration: str) -> OutputSpec:
-    allowed = TIME_ANALYSES if configuration.endswith("_time") else FREQ_ANALYSES
+    allowed = TIME_ANALYSES if _is_temporal(configuration) else FREQ_ANALYSES
     if doc is None:
         return OutputSpec(analyses=tuple(allowed))
     doc = _require_mapping(doc, path, _OUTPUT_KEYS)
@@ -286,6 +291,13 @@ def _parse_outputs(doc, path: str, configuration: str) -> OutputSpec:
     return OutputSpec(analyses=tuple(analyses), write_trace=write_trace, write_comb=write_comb)
 
 
+def sweep_columns(scenario: Scenario) -> dict:
+    """The ``sweep.csv`` columns after ``param``: {analysis: report key}."""
+    if scenario.is_temporal:
+        return {"rms_width": "rms_width_ps", "fwhm": "fwhm_ps", "s_over_b": "s_over_b"}
+    return {"comb_leakage": "comb_leakage"}
+
+
 def check_sweep_outputs(scenario: Scenario) -> None:
     """Refuse a sweep whose ``sweep.csv`` columns would not be computed.
 
@@ -298,8 +310,7 @@ def check_sweep_outputs(scenario: Scenario) -> None:
             "scenario.exact_grid",
             "exact-grid scenarios cannot be swept: exact mode computes no comb_leakage",
         )
-    needed = ("rms_width", "fwhm", "s_over_b") if scenario.is_temporal else ("comb_leakage",)
-    missing = [name for name in needed if name not in scenario.outputs.analyses]
+    missing = [name for name in sweep_columns(scenario) if name not in scenario.outputs.analyses]
     if missing:
         raise _fail(
             "scenario.outputs.analyses", f"a {scenario.configuration} sweep needs {missing}"
@@ -327,11 +338,8 @@ def resolve_parameter(doc: dict, dotted: str):
 def set_parameter(doc: dict, dotted: str, value) -> dict:
     """Return a deep copy of ``doc`` with the dotted path set to ``value``."""
     out = copy.deepcopy(doc)
-    parts = dotted.split(".")
-    node = out
-    for part in parts[:-1]:
-        node = node[int(part)] if isinstance(node, list) else node[part]
-    last = parts[-1]
+    parent, _, last = dotted.rpartition(".")
+    node = resolve_parameter(out, parent) if parent else out
     if isinstance(node, list):
         node[int(last)] = value
     else:
@@ -354,7 +362,7 @@ def parse_scenario(document: dict) -> Scenario:
         raise _fail(
             "scenario.configuration", f"expected one of {list(CONFIGURATIONS)}, got {configuration!r}"
         )
-    temporal = configuration.endswith("_time")
+    temporal = _is_temporal(configuration)
 
     grid = _parse_grid(_get(document, "grid", "scenario"), "scenario.grid")
     source = _parse_source(_get(document, "source", "scenario"), "scenario.source")

@@ -13,7 +13,7 @@ import pytest
 from dense_joint import dense_reference, reference_joint_text, scatter
 from spdcsim import runner
 from spdcsim.correlators import g2_freq_exact
-from spdcsim.elements import _bessel_row, _bessel_row_loops, build_comb
+from spdcsim.elements import _bessel_row, build_comb
 from spdcsim.grid import FrequencyGrid
 from spdcsim.source import SourceSpec, evaluate_source
 
@@ -103,5 +103,4 @@ def test_bessel_row_matches_plain_recurrence():
     for x, n_max in [(0.3, 12), (1.2, 20), (7.7, 40), (20.0, 96), (50.0, 128)]:
         start = max(n_max, int(np.ceil(x))) + 36
         plain = _bessel_row_reference(x, n_max, start)
-        assert np.array_equal(_bessel_row_loops(x, n_max, start), plain)
         assert np.array_equal(_bessel_row(x, n_max), plain)

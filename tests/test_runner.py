@@ -221,3 +221,32 @@ def test_sweep_failing_on_its_last_point_writes_no_point_file(workers, tmp_path)
     with pytest.raises(AliasRisk):
         runner.run_scenario(parse_scenario(doc), tmp_path / "out", workers=workers)
     assert list((tmp_path / "out").iterdir()) == []
+
+
+NARROWBAND = {
+    "schema_version": 1,
+    "configuration": "inter_freq",
+    "grid": {"n_points": 256, "delta_omega": 0.4},
+    "source": {"mode": "analytic", "envelope_bandwidth": 60.0},
+    "modulators": [{"mod_freq": 0.01, "index": 1.2}, {"mod_freq": 0.01, "index": -0.4}],
+}
+
+
+INDEX_SWEEP = {"parameter": "modulators.1.index", "values": [-1.2, 0.3]}
+
+
+@pytest.mark.parametrize("sweep", [None, INDEX_SWEEP])
+def test_narrowband_without_comb_files_keeps_its_results(sweep, tmp_path):
+    doc = {**NARROWBAND, "sweep": sweep}
+    written = runner.run_scenario(parse_scenario(doc), tmp_path / "with")
+    doc["outputs"] = {"write_comb": False}
+    report = runner.run_scenario(parse_scenario(doc), tmp_path / "without")
+    comb_files = [name for name in written["files"] if name.endswith("comb.csv")]
+    assert len(comb_files) == (1 if sweep is None else 2)
+    assert report["files"] == [name for name in written["files"] if name not in comb_files]
+    assert sorted(p.name for p in (tmp_path / "without").iterdir()) == sorted(report["files"])
+    assert report["results"] == written["results"]
+    if sweep is not None:
+        assert (tmp_path / "without" / "sweep.csv").read_bytes() == (
+            tmp_path / "with" / "sweep.csv"
+        ).read_bytes()
