@@ -59,6 +59,13 @@ OMEGA_MINUS = "omega_minus"
 ALIAS_WINDOW_FRACTION = 0.40
 NARROWBAND_MAX_RATIO = 0.05
 
+# Peak traced memory of one run_scenario point over temporal grids of 4096 to
+# 65536 samples was 236-302 bytes per sample; exact joint spectra at n = 4096
+# with 77 and 177 comb lines added 20-27 bytes per line per sample, below the
+# 32 of a complex amplitude and its squared modulus held at once.
+_PEAK_BYTES_PER_SAMPLE = 384
+_PEAK_BYTES_PER_LINE_SAMPLE = 32
+
 
 @dataclass(frozen=True)
 class Correlation1D:
@@ -405,6 +412,31 @@ def _modulated_flux_density(source: SourceFields, comb: ModulatorComb, m_ratio: 
     return out / (2.0 * np.pi)
 
 
+def _exact_orders(m1: ModulatorComb, m2: ModulatorComb, inter: bool) -> np.ndarray:
+    """Comb lines of the exact joint spectrum: every n1 + n2 (interbeam) or
+    n2 - n1 (intrabeam) from the lowest to the highest."""
+    lo1, hi1 = int(np.min(m1.orders)), int(np.max(m1.orders))
+    lo2, hi2 = int(np.min(m2.orders)), int(np.max(m2.orders))
+    first, last = (lo1 + lo2, hi1 + hi2) if inter else (lo2 - hi1, hi2 - lo1)
+    return np.arange(first, last + 1)
+
+
+def estimate_peak_bytes(n_points: int, exact_combs: tuple | None = None) -> int:
+    """Estimated peak memory in bytes of computing and writing one point.
+
+    About _PEAK_BYTES_PER_SAMPLE per grid sample (source fields, transfers,
+    FFT buffers, trace text), plus, for an exact joint spectrum of the two
+    modulator combs ``exact_combs``, _PEAK_BYTES_PER_LINE_SAMPLE per comb
+    line per sample (the complex ridge amplitudes and their profiles).  Pure
+    arithmetic: nothing of that size is allocated.
+    """
+    per_sample = _PEAK_BYTES_PER_SAMPLE
+    if exact_combs is not None:
+        lines = _exact_orders(*exact_combs, inter=True).size  # same count either pairing
+        per_sample += _PEAK_BYTES_PER_LINE_SAMPLE * lines
+    return n_points * per_sample
+
+
 def g2_freq_exact(
     source: SourceFields, m1: ModulatorComb, m2: ModulatorComb, config: str
 ) -> JointGrid:
@@ -441,10 +473,8 @@ def g2_freq_exact(
     # of line L sits in column n + L*m - i or i - L*m, on the grid for
     # L*m + offset <= i < n + L*m + offset.
     offset = 1 if inter else 0
-    lo1, hi1 = int(np.min(m1.orders)), int(np.max(m1.orders))
-    lo2, hi2 = int(np.min(m2.orders)), int(np.max(m2.orders))
-    first, last = (lo1 + lo2, hi1 + hi2) if inter else (lo2 - hi1, hi2 - lo1)
-    orders = np.arange(first, last + 1)
+    orders = _exact_orders(m1, m2, inter)
+    first = int(orders[0])
     amp = np.zeros((orders.size, n), dtype=field.dtype)
     for n1, w1 in zip(m1.orders.tolist(), m1.weights):
         shift = n1 * m_ratio if inter else -n1 * m_ratio

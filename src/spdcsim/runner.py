@@ -14,8 +14,11 @@ element object, on which ``dispersive_transfer`` memoises it).
 The CSV writers format whole columns at once: a row template repeated over
 the rows is filled by a single %-operation (``_format_rows``), and
 ``"%.17g" % x`` runs the same C routine as ``format(x, ".17g")``, so the text
-is that of formatting each value on its own.  Writers yield text in chunks
-that ``_atomic_write`` streams to disk.
+is that of formatting each value on its own.  ``trace.csv`` formats each
+distinct bit pattern of its G2 column once and places the text through the
+inverse index of ``np.unique``; most of a trace equals its background bit
+for bit.  Writers yield text in chunks that ``_atomic_write`` streams to
+disk.
 """
 
 import json
@@ -102,10 +105,16 @@ def _atomic_write(path: Path, chunks) -> None:
 def _trace_csv(corr: Correlation1D):
     yield "tau_ps,g2,background\n"
     delays = _column_lines(np.asarray(corr.tau_grid, dtype=np.float64).tobytes())
-    # Each delay line becomes a row template for its G2 value; the 17-digit
+    # Each delay line becomes a row template for its G2 text; the 17-digit
     # text of a float never holds a "%".
-    template = delays.replace("\n", ",%.17g," + "%.17g" % float(corr.background) + "\n")
-    yield template % tuple(corr.values.tolist())
+    template = delays.replace("\n", ",%s," + "%.17g" % float(corr.background) + "\n")
+    # Most G2 values repeat (the background far from the peak), so each
+    # distinct value is formatted once.  The key is the bit pattern, not the
+    # value: 0.0 and -0.0 print differently, and NaNs never compare equal.
+    values = np.ascontiguousarray(corr.values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = _format_rows("%.17g\n", bits.view(np.float64)).split("\n")
+    yield template % tuple(np.array(text, dtype=object)[inverse].tolist())
 
 
 def _comb_csv(comb: JointComb):

@@ -13,7 +13,9 @@ The parser checks each physics invariant by calling the library code that
 owns it (the grid, source and element constructors, ``check_modulator``,
 ``check_drive`` and ``mod_steps``) and puts the JSON path in front of the
 library's message: a ``ValueError`` becomes a ``ScenarioError``, and a
-``PreconditionError`` is raised again as the same type.
+``PreconditionError`` is raised again as the same type.  A scenario whose
+``estimate_peak_bytes`` exceeds ``MEMORY_BUDGET_BYTES`` is refused at
+``scenario.grid.n_points`` before anything of the grid's size is allocated.
 """
 
 import copy
@@ -22,13 +24,17 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .correlators import CONFIGURATIONS, check_drive, mod_steps
-from .elements import DispersiveElement, check_modulator
+from .correlators import CONFIGURATIONS, check_drive, estimate_peak_bytes, mod_steps
+from .elements import DispersiveElement, build_comb, check_modulator
 from .errors import PreconditionError, ScenarioError
 from .grid import FrequencyGrid
 from .source import ANALYTIC, PHYSICAL, SourceSpec
 
 SCHEMA_VERSION = 1
+
+# Largest estimated peak memory of one point (``estimate_peak_bytes``) that
+# parses; the shipped and benchmark scenarios estimate at most about 24 MiB.
+MEMORY_BUDGET_BYTES = 4 * 2**30
 
 TIME_ANALYSES = ("rms_width", "fwhm", "s_over_b", "width_ratio")
 FREQ_ANALYSES = ("comb_leakage",)
@@ -267,6 +273,21 @@ def _parse_sweep(doc, path: str, resolved: dict) -> SweepSpec:
     return SweepSpec(parameter=parameter, values=tuple(values))
 
 
+def _check_memory(grid: FrequencyGrid, exact_modulators: tuple | None) -> None:
+    """Refuse a grid whose estimated peak memory exceeds the budget, before
+    anything of its size is allocated."""
+    combs = None
+    if exact_modulators is not None:
+        combs = tuple(build_comb(freq, index) for freq, index in exact_modulators)
+    estimate = estimate_peak_bytes(grid.n_points, combs)
+    if estimate > MEMORY_BUDGET_BYTES:
+        raise _fail(
+            "scenario.grid.n_points",
+            f"{grid.n_points} samples need an estimated {estimate / 2**30:.3g} GiB, "
+            f"above the {MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget",
+        )
+
+
 def _parse_outputs(doc, path: str, configuration: str) -> OutputSpec:
     allowed = TIME_ANALYSES if _is_temporal(configuration) else FREQ_ANALYSES
     if doc is None:
@@ -390,6 +411,7 @@ def parse_scenario(document: dict) -> Scenario:
             mod_steps(modulators[0][0], grid)
         except PreconditionError as exc:
             raise at_path(exc, "scenario.exact_grid") from exc
+    _check_memory(grid, modulators if exact_grid else None)
 
     outputs = _parse_outputs(document.get("outputs"), "scenario.outputs", configuration)
 

@@ -1,11 +1,15 @@
 import json
+import tracemalloc
 
 import pytest
 
 from spdcsim import GridIncommensurate, MismatchedDrive, ScenarioError
 from spdcsim import cli
-from spdcsim.runner import run_scenario
+from spdcsim.correlators import estimate_peak_bytes
+from spdcsim.elements import build_comb
+from spdcsim.runner import execute, run_scenario
 from spdcsim.scenario import (
+    MEMORY_BUDGET_BYTES,
     check_sweep_outputs,
     load_scenario,
     parse_scenario,
@@ -328,4 +332,112 @@ def test_each_scenario_rule_names_its_path_and_exit_code(
     assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == exit_code
     kind = "scenario error" if exit_code == 2 else "precondition error"
     assert capsys.readouterr().err.startswith(f"{kind}: {prefix}")
+    assert not out.exists()
+
+
+def _exact_doc(n_points, index1, index2):
+    return _with(
+        minimal_freq_doc(),
+        (("grid",), {"n_points": n_points, "delta_omega": 0.0025}),
+        (("source",), {"mode": "analytic", "envelope_bandwidth": 0.05}),
+        (("modulators",), [{"mod_freq": 0.0025, "index": i} for i in (index1, index2)]),
+        (("exact_grid",), True),
+    )
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_estimate_scales_with_samples_and_exact_comb_lines():
+    combs = (build_comb(0.01, 20.0), build_comb(0.01, -20.0))
+    assert [c.orders.size for c in combs] == [89, 89]  # 177 joint lines
+    per_sample = estimate_peak_bytes(1)
+    assert estimate_peak_bytes(4096) == 4096 * per_sample
+    assert estimate_peak_bytes(2**40) == 2**40 * per_sample
+    per_line = (estimate_peak_bytes(1, combs) - per_sample) / 177
+    assert per_line >= 16  # at least the complex amplitude of each ridge sample
+    single = (build_comb(0.01, 0.0), build_comb(0.01, 0.0))
+    assert estimate_peak_bytes(1, single) == per_sample + per_line
+    # The largest shipped and benchmark shapes sit far below the budget.
+    assert 100 * estimate_peak_bytes(65536) < MEMORY_BUDGET_BYTES
+    assert 100 * estimate_peak_bytes(4096, combs) < MEMORY_BUDGET_BYTES
+
+
+@pytest.mark.parametrize(
+    "doc, run",
+    [
+        (
+            _with(
+                minimal_time_doc(),
+                (("grid",), {"n_points": 16384, "delta_omega": 0.01}),
+                (("source",), {"mode": "physical", "gain": 0.5, "mismatch_coeffs": [0.5]}),
+                (("configuration",), "intra_time"),
+                (("elements", 0, "phase_coeffs"), [0.0, 2.0]),
+            ),
+            "run_scenario",
+        ),
+        (_exact_doc(4096, 20.0, 20.0), "execute"),
+    ],
+    ids=["temporal_16384", "exact_4096_177_lines"],
+)
+def test_peak_estimate_covers_a_traced_run(doc, run, tmp_path):
+    scenario = parse_scenario(doc)
+    combs = None
+    if scenario.exact_grid:
+        combs = tuple(build_comb(freq, index) for freq, index in scenario.modulators)
+    estimate = estimate_peak_bytes(scenario.grid.n_points, combs)
+    if run == "execute":
+        peak = _traced_peak(lambda: execute(scenario))
+    else:
+        peak = _traced_peak(lambda: run_scenario(scenario, tmp_path / "out"))
+    assert peak <= estimate <= 2 * peak
+
+
+@pytest.mark.parametrize("n_points", [2**30, 2**40])
+def test_oversized_grid_refused_before_allocation(n_points):
+    doc = _with(minimal_time_doc(), (("grid", "n_points"), n_points))
+    refusals = []
+
+    def parse():
+        with pytest.raises(ScenarioError) as caught:
+            parse_scenario(doc)
+        refusals.append(str(caught.value))
+
+    assert _traced_peak(parse) < 2**20
+    assert refusals[0].startswith(f"scenario.grid.n_points: {n_points} samples need ")
+
+
+def test_exact_comb_lines_count_against_the_budget():
+    n_points = 2**20  # parses as a narrowband scenario; 177 exact lines exceed the budget
+    assert estimate_peak_bytes(n_points) < MEMORY_BUDGET_BYTES
+    parse_scenario(_with(_exact_doc(n_points, 20.0, 20.0), (("exact_grid",), False)))
+    with pytest.raises(ScenarioError, match=r"^scenario\.grid\.n_points: "):
+        parse_scenario(_exact_doc(n_points, 20.0, 20.0))
+    parse_scenario(_exact_doc(n_points, 1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "argv_extra, sweep",
+    [
+        (["--grid-points", str(2**40)], None),
+        ([], {"parameter": "grid.n_points", "values": [256, 2**30]}),
+    ],
+    ids=["override", "sweep_value"],
+)
+def test_oversized_grid_exits_2_naming_its_path(argv_extra, sweep, tmp_path, capsys):
+    doc = minimal_time_doc()
+    if sweep is not None:
+        doc["sweep"] = sweep
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out), *argv_extra]) == 2
+    prefix = "scenario error: " if sweep is None else "scenario error: scenario.sweep.values[1]: "
+    assert capsys.readouterr().err.startswith(prefix + "scenario.grid.n_points: ")
     assert not out.exists()

@@ -192,6 +192,46 @@ def test_trace_delay_text_follows_the_bits_of_the_axis():
         assert written(runner._trace_csv(corr)) == reference_trace(corr)
 
 
+def _trace(values: np.ndarray, background: float) -> Correlation1D:
+    tau = np.linspace(-10.0, 10.0, values.size, endpoint=False)
+    return Correlation1D(tau_grid=tau, values=values, background=background, peak_tau=0.0)
+
+
+def _doubles(*bit_patterns) -> list:
+    return np.array(bit_patterns, dtype=np.uint64).view(np.float64).tolist()
+
+
+def test_trace_mostly_background_with_zeros_and_nans():
+    # Values that compare equal (0.0, -0.0) or never compare equal (NaNs of
+    # any payload or sign) must each keep the text of their own bits.
+    rng = np.random.default_rng(11)
+    background = 0.1 + 0.2  # 0.30000000000000004
+    odd = [0.0, -0.0, math.inf, background * (1.0 + 2**-52), 1.0 / 3.0]
+    odd += _doubles(0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000)
+    values = np.full(1024, background)
+    where = rng.choice(values.size, size=200, replace=False)
+    values[where] = rng.choice(np.array(odd), size=where.size)
+    values[where[: len(odd)]] = odd  # every odd value at least once
+    bits = values.view(np.uint64)
+    assert np.count_nonzero(bits == np.float64(background).view(np.uint64)) > 800
+    assert len(set(bits[np.isnan(values)].tolist())) == 3
+    corr = _trace(values, background)
+    assert written(runner._trace_csv(corr)) == reference_trace(corr)
+
+
+def test_trace_of_one_distinct_value():
+    for value in (2.0 / 3.0, -0.0, math.nan):
+        corr = _trace(np.full(256, value), 2.0 / 3.0)
+        assert written(runner._trace_csv(corr)) == reference_trace(corr)
+
+
+def test_trace_of_all_distinct_values():
+    values = _special_column(512, 8)
+    assert np.unique(values.view(np.uint64)).size == values.size
+    corr = _trace(values, 1.0 / 7.0)
+    assert written(runner._trace_csv(corr)) == reference_trace(corr)
+
+
 def test_comb_special_values():
     m = 48
     comb = JointComb(
