@@ -11,16 +11,17 @@ key; such documents are accepted back as input.
 
 The parser checks each physics invariant by calling the library code that
 owns it (the grid, source and element constructors, ``check_modulator``,
-``check_drive`` and ``mod_steps``) and puts the JSON path in front of the
-library's message: a ``ValueError`` becomes a ``ScenarioError``, and a
-``PreconditionError`` is raised again as the same type.  A scenario whose
-``estimate_peak_bytes`` exceeds ``MEMORY_BUDGET_BYTES`` is refused at
-``scenario.grid.n_points`` before anything of the grid's size is allocated.
+``check_drive`` and ``mod_steps``) inside ``at_path``, the one place where a
+library error gets its JSON path; ``sweep_points`` parses a sweep's points
+through it too.  A scenario whose ``estimate_peak_bytes`` exceeds
+``MEMORY_BUDGET_BYTES`` is refused at ``scenario.grid.n_points`` before
+anything of the grid's size is allocated.
 """
 
 import copy
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -138,9 +139,17 @@ def _fail(path: str, message: str) -> ScenarioError:
     return ScenarioError(f"{path}: {message}")
 
 
-def at_path(exc: ScenarioError | PreconditionError, path: str):
-    """``exc`` again, as the same type, with ``path`` in front of its message."""
-    return type(exc)(f"{path}: {exc}")
+@contextmanager
+def at_path(path: str):
+    """Put ``path`` in front of the message of an error raised inside: a
+    ``ValueError`` becomes a ``ScenarioError``; a ``PreconditionError``, or a
+    ``ScenarioError`` of a nested parse (the library raises none), keeps its type."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+    except (ScenarioError, PreconditionError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _require_mapping(doc, path: str, allowed: set) -> dict:
@@ -152,11 +161,9 @@ def _require_mapping(doc, path: str, allowed: set) -> dict:
     return doc
 
 
-def _get(doc: dict, key: str, path: str, required: bool = True, default=None):
+def _get(doc: dict, key: str, path: str):
     if key not in doc:
-        if required:
-            raise _fail(path, f"missing required key {key!r}")
-        return default
+        raise _fail(path, f"missing required key {key!r}")
     return doc[key]
 
 
@@ -184,10 +191,8 @@ def _parse_grid(doc, path: str) -> FrequencyGrid:
     if isinstance(n_points, bool) or not isinstance(n_points, int):
         raise _fail(f"{path}.n_points", f"expected an integer, got {n_points!r}")
     delta_omega = _number(_get(doc, "delta_omega", path), f"{path}.delta_omega")
-    try:
+    with at_path(path):
         return FrequencyGrid(n_points=n_points, delta_omega=delta_omega)
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from exc
 
 
 def _parse_source(doc, path: str) -> SourceSpec:
@@ -196,59 +201,53 @@ def _parse_source(doc, path: str) -> SourceSpec:
     center = doc.get("center_frequency")
     if center is not None:
         center = _number(center, f"{path}.center_frequency")
-    try:
-        if mode == PHYSICAL:
-            if "envelope_bandwidth" in doc:
-                raise _fail(path, "envelope_bandwidth is an analytic-mode key")
-            gain = _number(_get(doc, "gain", path), f"{path}.gain")
-            coeffs = _number_list(doc.get("mismatch_coeffs", []), f"{path}.mismatch_coeffs")
+    # The numbers and this parser's own errors stay outside the boundary,
+    # which would put ``path`` in front of their own path.
+    if mode == PHYSICAL:
+        if "envelope_bandwidth" in doc:
+            raise _fail(path, "envelope_bandwidth is an analytic-mode key")
+        gain = _number(_get(doc, "gain", path), f"{path}.gain")
+        coeffs = _number_list(doc.get("mismatch_coeffs", []), f"{path}.mismatch_coeffs")
+        with at_path(path):
             return SourceSpec.physical(gain, coeffs, center_frequency=center)
-        if mode == ANALYTIC:
-            for key in ("gain", "mismatch_coeffs"):
-                if key in doc:
-                    raise _fail(path, f"{key} is a physical-mode key")
-            bandwidth = _number(
-                _get(doc, "envelope_bandwidth", path), f"{path}.envelope_bandwidth"
-            )
+    if mode == ANALYTIC:
+        for key in ("gain", "mismatch_coeffs"):
+            if key in doc:
+                raise _fail(path, f"{key} is a physical-mode key")
+        bandwidth = _number(_get(doc, "envelope_bandwidth", path), f"{path}.envelope_bandwidth")
+        with at_path(path):
             return SourceSpec.analytic(bandwidth, center_frequency=center)
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from exc
     raise _fail(f"{path}.mode", f"expected 'physical' or 'analytic', got {mode!r}")
 
 
-def _parse_elements(doc, path: str) -> tuple:
+def _two_mappings(doc, path: str, what: str, allowed: set):
+    """Each entry of a two-entry list of mappings, with its path, one at a time."""
     if not isinstance(doc, list) or len(doc) != 2:
-        raise _fail(path, "expected exactly two elements")
-    out = []
-    for i, element in enumerate(doc):
+        raise _fail(path, f"expected exactly two {what}")
+    for i, entry in enumerate(doc):
         epath = f"{path}[{i}]"
-        element = _require_mapping(element, epath, _ELEMENT_KEYS)
+        yield _require_mapping(entry, epath, allowed), epath
+
+
+def _parse_elements(doc, path: str) -> tuple:
+    out = []
+    for element, epath in _two_mappings(doc, path, "elements", _ELEMENT_KEYS):
         coeffs = _number_list(element.get("phase_coeffs", []), f"{epath}.phase_coeffs")
-        try:
+        with at_path(f"{epath}.phase_coeffs"):
             out.append(DispersiveElement(tuple(coeffs)))
-        except ValueError as exc:
-            raise _fail(f"{epath}.phase_coeffs", str(exc)) from exc
     return tuple(out)
 
 
 def _parse_modulators(doc, path: str) -> tuple:
-    if not isinstance(doc, list) or len(doc) != 2:
-        raise _fail(path, "expected exactly two modulators")
     out = []
-    for i, mod in enumerate(doc):
-        mpath = f"{path}[{i}]"
-        mod = _require_mapping(mod, mpath, _MODULATOR_KEYS)
+    for mod, mpath in _two_mappings(doc, path, "modulators", _MODULATOR_KEYS):
         freq = _number(_get(mod, "mod_freq", mpath), f"{mpath}.mod_freq")
         index = _number(_get(mod, "index", mpath), f"{mpath}.index")
-        try:
+        with at_path(mpath):
             check_modulator(freq, index)
-        except ValueError as exc:
-            raise _fail(mpath, str(exc)) from exc
         out.append((freq, index))
-    try:
+    with at_path(path):
         check_drive(out[0][0], out[1][0])
-    except PreconditionError as exc:
-        raise at_path(exc, path) from exc
     return tuple(out)
 
 
@@ -320,10 +319,7 @@ def sweep_columns(scenario: Scenario) -> dict:
 
 
 def check_sweep_outputs(scenario: Scenario) -> None:
-    """Refuse a sweep whose ``sweep.csv`` columns would not be computed.
-
-    The runner calls this before any point runs or file is written.
-    """
+    """Refuse a sweep whose ``sweep.csv`` columns would not be computed."""
     if scenario.sweep is None:
         return
     if scenario.exact_grid:
@@ -340,19 +336,20 @@ def check_sweep_outputs(scenario: Scenario) -> None:
 
 def resolve_parameter(doc: dict, dotted: str):
     """Look up a dotted path like ``elements.1.phase_coeffs.1`` in a document."""
+    path = "scenario.sweep.parameter"
     node = doc
     for part in dotted.split("."):
         if isinstance(node, list):
             try:
                 node = node[int(part)]
             except (ValueError, IndexError) as exc:
-                raise ScenarioError(f"sweep.parameter: bad list index {part!r} in {dotted!r}") from exc
+                raise _fail(path, f"bad list index {part!r} in {dotted!r}") from exc
         elif isinstance(node, dict):
             if part not in node:
-                raise ScenarioError(f"sweep.parameter: {dotted!r} not found (missing {part!r})")
+                raise _fail(path, f"{dotted!r} not found (missing {part!r})")
             node = node[part]
         else:
-            raise ScenarioError(f"sweep.parameter: {dotted!r} descends into a leaf at {part!r}")
+            raise _fail(path, f"{dotted!r} descends into a leaf at {part!r}")
     return node
 
 
@@ -407,10 +404,8 @@ def parse_scenario(document: dict) -> Scenario:
     if exact_grid:
         if temporal:
             raise _fail("scenario.exact_grid", "only spectral configurations support exact_grid")
-        try:
+        with at_path("scenario.exact_grid"):
             mod_steps(modulators[0][0], grid)
-        except PreconditionError as exc:
-            raise at_path(exc, "scenario.exact_grid") from exc
     _check_memory(grid, modulators if exact_grid else None)
 
     outputs = _parse_outputs(document.get("outputs"), "scenario.outputs", configuration)
@@ -430,6 +425,22 @@ def parse_scenario(document: dict) -> Scenario:
         sweep = _parse_sweep(sweep_doc, "scenario.sweep", scenario.resolved())
         scenario = replace(scenario, sweep=sweep)
     return scenario
+
+
+def sweep_points(scenario: Scenario) -> list:
+    """The parsed points of a sweep (none for a single run), after
+    ``check_sweep_outputs``; a point's error names its
+    ``scenario.sweep.values[i]``."""
+    sweep = scenario.sweep
+    if sweep is None:
+        return []
+    check_sweep_outputs(scenario)
+    resolved = scenario.resolved()
+    points = []
+    for i, value in enumerate(sweep.values):
+        with at_path(f"scenario.sweep.values[{i}]"):
+            points.append(parse_scenario(set_parameter(resolved, sweep.parameter, value)))
+    return points
 
 
 def load_scenario(path) -> Scenario:

@@ -234,14 +234,28 @@ NARROWBAND = {
 
 INDEX_SWEEP = {"parameter": "modulators.1.index", "values": [-1.2, 0.3]}
 
+# Exact grids are never swept, so this one runs alone; write_comb governs its
+# joint.csv.
+EXACT = {
+    **NARROWBAND,
+    "grid": {"n_points": 256, "delta_omega": 0.0025},
+    "source": {"mode": "analytic", "envelope_bandwidth": 0.05},
+    "modulators": [{"mod_freq": 0.02, "index": 0.5}, {"mod_freq": 0.02, "index": -0.3}],
+    "exact_grid": True,
+}
 
-@pytest.mark.parametrize("sweep", [None, INDEX_SWEEP])
-def test_narrowband_without_comb_files_keeps_its_results(sweep, tmp_path):
-    doc = {**NARROWBAND, "sweep": sweep}
+
+@pytest.mark.parametrize(
+    "base, sweep",
+    [(NARROWBAND, None), (NARROWBAND, INDEX_SWEEP), (EXACT, None)],
+    ids=["None", "sweep1", "exact"],
+)
+def test_narrowband_without_comb_files_keeps_its_results(base, sweep, tmp_path):
+    doc = {**base, "sweep": sweep}
     written = runner.run_scenario(parse_scenario(doc), tmp_path / "with")
     doc["outputs"] = {"write_comb": False}
     report = runner.run_scenario(parse_scenario(doc), tmp_path / "without")
-    comb_files = [name for name in written["files"] if name.endswith("comb.csv")]
+    comb_files = [name for name in written["files"] if name.endswith(("comb.csv", "joint.csv"))]
     assert len(comb_files) == (1 if sweep is None else 2)
     assert report["files"] == [name for name in written["files"] if name not in comb_files]
     assert sorted(p.name for p in (tmp_path / "without").iterdir()) == sorted(report["files"])

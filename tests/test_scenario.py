@@ -135,7 +135,7 @@ def test_exact_grid_not_allowed_for_temporal():
 def test_sweep_parameter_must_exist():
     doc = minimal_time_doc()
     doc["sweep"] = {"parameter": "elements.1.phase_coeffs.7", "values": [1.0]}
-    with pytest.raises(ScenarioError, match="sweep.parameter"):
+    with pytest.raises(ScenarioError, match=r"^scenario\.sweep\.parameter: "):
         parse_scenario(doc)
 
 
@@ -315,8 +315,44 @@ def _with(doc, *edits):
             "scenario.exact_grid: ",
             3,
         ),
+        (
+            _with(minimal_time_doc(), (("grid", "n_points"), 100)),
+            ScenarioError,
+            "scenario.grid: ",
+            2,
+        ),
+        (
+            _with(minimal_time_doc(), (("source",), {"mode": "physical", "gain": -1})),
+            ScenarioError,
+            "scenario.source: ",
+            2,
+        ),
+        (
+            _with(minimal_time_doc(), (("source", "envelope_bandwidth"), 1e-200)),
+            ScenarioError,
+            "scenario.source: ",
+            2,
+        ),
+        # A number is read before the source's boundary, so its path is not
+        # prefixed twice.
+        (
+            _with(minimal_time_doc(), (("source",), {"mode": "physical", "gain": "x"})),
+            ScenarioError,
+            "scenario.source.gain: ",
+            2,
+        ),
     ],
-    ids=["phase_orders", "mod_freq_positive", "index_bound", "drive_match", "commensurability"],
+    ids=[
+        "phase_orders",
+        "mod_freq_positive",
+        "index_bound",
+        "drive_match",
+        "commensurability",
+        "grid",
+        "physical_source",
+        "analytic_source",
+        "source_number",
+    ],
 )
 def test_each_scenario_rule_names_its_path_and_exit_code(
     doc, error, prefix, exit_code, tmp_path, capsys
