@@ -63,11 +63,12 @@ def rms_width(corr: Correlation1D) -> WidthReport:
     peak = float(np.max(sub))
     dt = corr.delta_tau
     window = dt * len(sub)
-    mass = float(np.sum(sub)) * dt
+    total = np.sum(sub)
+    mass = float(total) * dt
     if not (peak > 0.0 and mass >= DEGENERATE_MASS_FRACTION * peak * window):
         raise DegenerateTrace("trace has no structure above the background")
 
-    w = sub / np.sum(sub)
+    w = sub / total
     centroid = float(np.sum(corr.tau_grid * w))
     rms = float(np.sqrt(np.sum((corr.tau_grid - centroid) ** 2 * w)))
     if rms == 0.0:

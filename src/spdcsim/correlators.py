@@ -184,10 +184,16 @@ class JointGrid:
         return float(np.sum(self.profiles)) * self.grid.delta_omega**2
 
 
-def _trace_amplitude(integrand: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """(1/2pi) * Riemann sum of F(Omega) e^{i Omega tau} on the delay grid."""
-    amp = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(integrand)))
-    return amp * (grid.n_points * grid.delta_omega / (2.0 * np.pi))
+def _trace_amplitude(shifted: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """(1/2pi) * Riemann sum of F(Omega) e^{i Omega tau} on the delay grid.
+
+    Both sides are in FFT order: ``shifted`` holds F(Omega) with the two
+    halves of the grid swapped (``ifftshift`` order, Omega = 0 first), and
+    the result holds the delay samples with theirs swapped (tau = 0 first).
+    """
+    amp = np.fft.ifft(shifted)
+    amp *= grid.n_points * grid.delta_omega / (2.0 * np.pi)
+    return amp
 
 
 def _rms_bandwidth(weight: np.ndarray, omegas: np.ndarray) -> float:
@@ -249,7 +255,13 @@ def _check_alias(grid: FrequencyGrid, weight: np.ndarray, combined_coeffs) -> No
 
 
 def _build_correlation(amp: np.ndarray, grid: FrequencyGrid, flux: float) -> Correlation1D:
-    values = flux * flux + np.abs(amp) ** 2
+    """Trace N^2 + |amp|^2 from an amplitude in FFT order, un-shifted into
+    delay order while the background is added."""
+    power = np.abs(amp) ** 2
+    h = grid.n_points // 2
+    values = np.empty(grid.n_points)
+    np.add(power[h:], flux * flux, out=values[:h])
+    np.add(power[:h], flux * flux, out=values[h:])
     peak_tau = float(grid.taus[int(np.argmax(values))])
     return Correlation1D(
         tau_grid=grid.taus, values=values, background=flux * flux, peak_tau=peak_tau
@@ -266,13 +278,29 @@ def _g2_time(
     source: SourceFields, h1: DispersiveElement, h2: DispersiveElement, inter: bool
 ) -> Correlation1D:
     """Temporal trace of either pairing: integrand R H1(W) H2(-W) interbeam,
-    S H1*(W) H2(W) intrabeam."""
+    S H1*(W) H2(W) intrabeam.
+
+    The integrand is built straight into FFT order.  n is an even power of
+    two, so ``ifftshift`` and ``fftshift`` are both a swap of the two halves:
+    each half's products are written into the other half of the buffer.
+    The products are the same elementwise operations, in the same order, as
+    on the unshifted grid, so the trace keeps its bits.  There is no (-1)^k
+    factor in place of the swaps: it would change the FFT's input, and so
+    its rounding.
+    """
     grid = source.grid
     _check_alias(grid, _structure_weight(source, inter), _combined_phase_coeffs(h1, h2, inter))
     t1 = dispersive_transfer(h1, grid)
     t2 = dispersive_transfer(h2, grid)
-    integrand = source.R * t1 * grid.reflect(t2) if inter else source.S * np.conj(t1) * t2
-    return _build_correlation(_trace_amplitude(integrand, grid), grid, source.flux_n)
+    if inter:
+        field, first, second = source.R, t1, grid.reflect(t2)
+    else:
+        field, first, second = source.S, np.conj(t1), t2
+    h = grid.n_points // 2
+    shifted = np.empty(grid.n_points, dtype=complex)
+    np.multiply(field[h:] * first[h:], second[h:], out=shifted[:h])
+    np.multiply(field[:h] * first[:h], second[:h], out=shifted[h:])
+    return _build_correlation(_trace_amplitude(shifted, grid), grid, source.flux_n)
 
 
 def g2_inter_time(

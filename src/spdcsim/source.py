@@ -139,16 +139,25 @@ def gamma_of(gain, mismatch_phase):
 
 
 def _cosh_and_sinhc(z: np.ndarray):
-    """cosh(z) and sinh(z)/z with a 4th-order series below |z| = 1e-6."""
+    """cosh(z) and sinh(z)/z of a complex array.
+
+    Entries with |z| < 1e-6 (z = 0 included) take the 4th-order series
+    1 + z^2/2 + z^4/24 and 1 + z^2/6 + z^4/120, evaluated on those entries
+    only and written into place; every other entry is the library cosh and
+    sinh(z)/z.  Without such an entry no series is evaluated at all.
+    """
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < _SERIES_CUTOFF
+    if not small.any():
+        return np.cosh(z), np.sinh(z) / z
     safe = np.where(small, 1.0, z)
     cosh = np.cosh(safe)
     sinhc = np.sinh(safe) / safe
-    z2 = z * z
-    cosh_series = 1.0 + z2 / 2.0 + z2 * z2 / 24.0
-    sinhc_series = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
-    return np.where(small, cosh_series, cosh), np.where(small, sinhc_series, sinhc)
+    z_small = z[small]
+    z2 = z_small * z_small
+    cosh[small] = 1.0 + z2 / 2.0 + z2 * z2 / 24.0
+    sinhc[small] = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
+    return cosh, sinhc
 
 
 def evaluate_uv(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
@@ -164,12 +173,12 @@ def evaluate_uv(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
         half_phase = np.exp(0.5j * dl)
         u = half_phase * (cosh_gl - 0.5j * dl * sinhc_gl)
         v = -1j * spec.gain * half_phase * sinhc_gl
-        unitarity = np.abs(u) ** 2 - np.abs(v) ** 2 - 1.0
+        s = np.abs(v) ** 2
+        unitarity = np.abs(u) ** 2 - s - 1.0
         worst = float(np.max(np.abs(unitarity)))
     if not worst <= _UNITARITY_TOL:
         raise PreconditionError(f"Bogoliubov unitarity violated by {worst:.3e}")
 
-    s = np.abs(v) ** 2
     r = u * grid.reflect(v)
     flux = float(np.sum(s)) * grid.delta_omega / (2.0 * np.pi)
     return SourceFields(grid=grid, R=r, S=s, flux_n=flux, mode=PHYSICAL, U=u, V=v)

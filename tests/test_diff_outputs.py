@@ -1,0 +1,85 @@
+"""``tools/diff_outputs.py`` tells identical output trees from different ones.
+
+Synthetic trees only: nothing here runs the benchmark.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL_PATH = Path(__file__).resolve().parent.parent / "tools" / "diff_outputs.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("diff_outputs", TOOL_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+diff_outputs = _load_tool()
+
+FILES = {
+    "trace_sweeps-setup.json": b'[{"path": "/one/tree/scenarios/a.json"}]',
+    "trace_sweeps/op0/report.json": b'{"flux_n": 0.125}\n',
+    "trace_sweeps/op0/trace.csv": b"tau,g2\n-1,0.5\n0,1.5\n",
+    "analysis_sweeps/op3/sweep.csv": b"value,width\n1,2.0000000000000004\n",
+}
+
+
+def _tree(root: Path, files=FILES) -> Path:
+    for name, data in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root
+
+
+def test_identical_trees_pass(tmp_path):
+    assert diff_outputs.compare_trees(_tree(tmp_path / "a"), _tree(tmp_path / "b")) == []
+
+
+def test_one_changed_byte_fails_and_names_the_file(tmp_path):
+    changed = dict(FILES)
+    changed["trace_sweeps/op0/trace.csv"] = b"tau,g2\n-1,0.5\n0,1.6\n"
+    lines = diff_outputs.compare_trees(_tree(tmp_path / "a"), _tree(tmp_path / "b", changed))
+    assert len(lines) == 1 and "op0/trace.csv" in lines[0]
+
+
+def test_missing_file_fails_and_names_the_file(tmp_path):
+    fewer = {k: v for k, v in FILES.items() if not k.endswith("trace.csv")}
+    lines = diff_outputs.compare_trees(_tree(tmp_path / "a"), _tree(tmp_path / "b", fewer))
+    assert lines == [f"Only in {tmp_path / 'a' / 'trace_sweeps' / 'op0'}: trace.csv"]
+
+
+def test_missing_directory_fails_and_names_it(tmp_path):
+    fewer = {k: v for k, v in FILES.items() if not k.startswith("analysis_sweeps/")}
+    lines = diff_outputs.compare_trees(_tree(tmp_path / "a", fewer), _tree(tmp_path / "b"))
+    assert lines == [f"Only in {tmp_path / 'b'}: analysis_sweeps"]
+
+
+def test_setup_file_differences_are_ignored(tmp_path):
+    moved = dict(FILES)
+    moved["trace_sweeps-setup.json"] = b'[{"path": "/other/tree/scenarios/a.json"}]'
+    assert diff_outputs.compare_trees(_tree(tmp_path / "a"), _tree(tmp_path / "b", moved)) == []
+
+
+@pytest.mark.parametrize(
+    "files, status", [(FILES, 0), ({**FILES, "trace_sweeps/op0/x.csv": b"1"}, 1)]
+)
+def test_main_exit_status(tmp_path, monkeypatch, capsys, files, status):
+    """The command line compares the revision's tree with this checkout's."""
+    here = tmp_path / "checkout"
+    monkeypatch.setattr(diff_outputs, "ROOT", here)
+    monkeypatch.setattr(diff_outputs, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(
+        diff_outputs,
+        "run_workloads",
+        lambda tree, seed: _tree(tree / diff_outputs.OUT, FILES if tree != here else files),
+    )
+    assert diff_outputs.main(["--rev", "HEAD~1", "--seed", "7"]) == status
+    out = capsys.readouterr().out
+    assert ("x.csv" in out) == bool(status)

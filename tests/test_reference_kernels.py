@@ -1,0 +1,181 @@
+"""The source and temporal-trace kernels give the frozen reference's bits.
+
+``reference_kernels`` keeps the straightforward forms of ``evaluate_uv``,
+``_cosh_and_sinhc``, the temporal FFT and ``rms_width``.  Over small grids,
+both pairings, analytic and physical sources with up to three mismatch
+orders, gains that put all, part or none of the grid below the small-|GL|
+series cutoff, and a gain and mismatch that land GL = 0 exactly on a grid
+sample, the library must return the same bytes for R, S, U, V, the flux, the
+trace and its widths, or fail the same gate with the same message.
+"""
+
+import math
+from dataclasses import astuple
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import reference_kernels as ref
+from spdcsim.analysis import rms_width
+from spdcsim.correlators import _g2_time
+from spdcsim.elements import DispersiveElement
+from spdcsim.errors import SpdcSimError
+from spdcsim.grid import FrequencyGrid
+from spdcsim.source import (
+    _SERIES_CUTOFF,
+    SourceSpec,
+    _cosh_and_sinhc,
+    evaluate_analytic,
+    evaluate_uv,
+    gamma_of,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+# 0 and 1e-9 put every |GL| near zero detuning below the cutoff, 3e-7 some
+# of them, the drawn gains (almost always) none.
+SERIES_GAINS = (0.0, 1e-9, 3e-7)
+GAINS = st.one_of(
+    st.sampled_from(SERIES_GAINS + (math.nan, math.inf)),
+    st.floats(min_value=0.0, max_value=8.0),
+)
+MISMATCH = st.lists(st.floats(min_value=-2.0, max_value=2.0), max_size=3)
+GRID_POINTS = st.integers(min_value=6, max_value=12).map(lambda k: 2**k)
+GRID_SPACINGS = st.floats(min_value=0.005, max_value=0.5)
+
+
+def _outcome(fn, *args):
+    """(result, None) or (None, (error type, message)) of a gated call."""
+    try:
+        return fn(*args), None
+    except SpdcSimError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _assert_same_arrays(a, b):
+    if b is None:
+        assert a is None
+        return
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def _assert_same_source(new, old):
+    for name in ("R", "S", "U", "V"):
+        _assert_same_arrays(getattr(new, name), getattr(old, name))
+    assert _bits(new.flux_n) == _bits(old.flux_n)
+
+
+def _element(draw, grid: FrequencyGrid) -> DispersiveElement:
+    """Up to three phase orders, each scaled so that its band-edge group
+    delay is at most a fifth of the delay window: most draws pass the alias
+    gate, some do not."""
+    fractions = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=3))
+    return DispersiveElement(
+        tuple(
+            f * 0.2 * grid.tau_window * math.factorial(k - 1) / grid.omega_max ** (k - 1)
+            for k, f in enumerate(fractions, start=1)
+        )
+    )
+
+
+def _assert_same_traces(draw, new_src, old_src):
+    grid = old_src.grid
+    h1, h2 = _element(draw, grid), _element(draw, grid)
+    for inter in (True, False):
+        new, new_err = _outcome(_g2_time, new_src, h1, h2, inter)
+        old, old_err = _outcome(ref.g2_time, old_src, h1, h2, inter)
+        assert new_err == old_err
+        if old is None:
+            continue
+        _assert_same_arrays(new.values, old.values)
+        _assert_same_arrays(new.tau_grid, old.tau_grid)
+        assert _bits(new.peak_tau) == _bits(old.peak_tau)
+        assert _bits(new.background) == _bits(old.background)
+
+        width, width_err = _outcome(rms_width, old)
+        old_width, old_width_err = _outcome(ref.rms_width, old)
+        assert width_err == old_width_err
+        if old_width is not None:
+            assert width.method == old_width.method
+            assert np.array(astuple(width)[:3]).tobytes() == np.array(astuple(old_width)[:3]).tobytes()
+
+
+def _check_physical(draw, spec: SourceSpec, grid: FrequencyGrid):
+    new, new_err = _outcome(evaluate_uv, spec, grid)
+    old, old_err = _outcome(ref.evaluate_uv, spec, grid)
+    assert new_err == old_err
+    if old is not None:
+        _assert_same_source(new, old)
+        _assert_same_traces(draw, new, old)
+
+
+@PROPERTY
+@given(data=st.data(), n=GRID_POINTS, spacing=GRID_SPACINGS, gain=GAINS, mismatch=MISMATCH)
+def test_physical_source_and_traces_match_reference(data, n, spacing, gain, mismatch):
+    _check_physical(data.draw, SourceSpec.physical(gain, mismatch), FrequencyGrid(n, spacing))
+
+
+@PROPERTY
+@given(
+    data=st.data(),
+    n=GRID_POINTS,
+    spacing=GRID_SPACINGS,
+    gain=st.sampled_from(SERIES_GAINS),
+    mismatch=MISMATCH,
+)
+def test_series_gains_match_reference(data, n, spacing, gain, mismatch):
+    grid = FrequencyGrid(n, spacing)
+    spec = SourceSpec.physical(gain, mismatch)
+    gl = gamma_of(gain, spec.mismatch.phase(grid.omegas))
+    assert np.any(np.abs(gl) < _SERIES_CUTOFF)  # the series branch is taken
+    _check_physical(data.draw, spec, grid)
+
+
+@PROPERTY
+@given(
+    data=st.data(),
+    log_n=st.integers(min_value=6, max_value=12),
+    log_spacing=st.integers(min_value=-7, max_value=-1),
+    log_gain=st.integers(min_value=-30, max_value=1),
+    sign=st.sampled_from((1.0, -1.0)),
+)
+def test_branch_point_on_a_sample_matches_reference(data, log_n, log_spacing, log_gain, sign):
+    """Powers of two make DL = 2*gain exact at a grid sample, where GL = 0."""
+    n = 2**log_n
+    grid = FrequencyGrid(n, 2.0**log_spacing)
+    offset = 2 ** data.draw(st.integers(min_value=0, max_value=log_n - 2))
+    gain = 2.0**log_gain
+    spec = SourceSpec.physical(gain, [sign * 2.0 * gain / (offset * grid.delta_omega)])
+    gl = gamma_of(gain, spec.mismatch.phase(grid.omegas))
+    assert gl[n // 2 + offset] == 0.0
+    _check_physical(data.draw, spec, grid)
+
+
+@PROPERTY
+@given(data=st.data(), n=GRID_POINTS, spacing=GRID_SPACINGS, bandwidth=st.floats(0.01, 10.0))
+def test_analytic_source_traces_match_reference(data, n, spacing, bandwidth):
+    src = evaluate_analytic(SourceSpec.analytic(bandwidth), FrequencyGrid(n, spacing))
+    _assert_same_traces(data.draw, src, src)
+
+
+COMPLEX = st.one_of(
+    st.complex_numbers(max_magnitude=2.0 * _SERIES_CUTOFF),
+    st.complex_numbers(max_magnitude=50.0),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+)
+
+
+@PROPERTY
+@given(values=st.lists(COMPLEX, min_size=1, max_size=64))
+def test_cosh_and_sinhc_match_reference(values):
+    z = np.array(values, dtype=complex)
+    with np.errstate(all="ignore"):
+        new = _cosh_and_sinhc(z)
+        old = ref.cosh_and_sinhc(z)
+    for a, b in zip(new, old):
+        _assert_same_arrays(a, b)
