@@ -141,18 +141,16 @@ def gamma_of(gain, mismatch_phase):
 def _cosh_and_sinhc(z: np.ndarray):
     """cosh(z) and sinh(z)/z of a complex array.
 
-    Entries with |z| < 1e-6 (z = 0 included) take the 4th-order series
-    1 + z^2/2 + z^4/24 and 1 + z^2/6 + z^4/120, evaluated on those entries
-    only and written into place; every other entry is the library cosh and
-    sinh(z)/z.  Without such an entry no series is evaluated at all.
+    Every entry starts as the library cosh and sinh(z)/z; entries with
+    |z| < 1e-6 (z = 0 included, whose 0/0 is overwritten) then take the
+    4th-order series 1 + z^2/2 + z^4/24 and 1 + z^2/6 + z^4/120, evaluated
+    on those entries only and written into place.
     """
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < _SERIES_CUTOFF
-    if not small.any():
-        return np.cosh(z), np.sinh(z) / z
-    safe = np.where(small, 1.0, z)
-    cosh = np.cosh(safe)
-    sinhc = np.sinh(safe) / safe
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosh = np.cosh(z)
+        sinhc = np.sinh(z) / z
     z_small = z[small]
     z2 = z_small * z_small
     cosh[small] = 1.0 + z2 / 2.0 + z2 * z2 / 24.0

@@ -11,6 +11,10 @@ files, which hold paths inside their own tree.  Prints every file that
 differs or exists on one side only and exits 1 if there is any, else 0.  The
 temporary tree is removed afterwards.
 
+This checkout's workloads run in place, so the run overwrites this
+checkout's ``perfbench/out/`` and ``perfbench/results/<workload>-trace0.json``;
+keep a longer benchmark result elsewhere before running it.
+
 REV is extracted with ``git archive`` rather than checked out as a worktree,
 so an interrupted run leaves nothing registered in the repository.
 """
