@@ -21,6 +21,10 @@ from .source import SourceFields
 
 DEGENERATE_MASS_FRACTION = 1e-15
 
+# Default verdict tolerances: |width ratio - 1| and comb leakage for "canceled".
+WIDTH_RATIO_TOLERANCE = 1e-6
+LEAKAGE_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class WidthReport:
@@ -179,7 +183,7 @@ def assess_time_cancelation(
     corr: Correlation1D,
     reference: Correlation1D,
     configuration: str,
-    tolerance: float = 1e-6,
+    tolerance: float = WIDTH_RATIO_TOLERANCE,
 ) -> CancelationVerdict:
     """Verdict from the RMS width ratio of a trace to its no-element baseline."""
     return _width_ratio_verdict(
@@ -188,7 +192,7 @@ def assess_time_cancelation(
 
 
 def _width_ratio_verdict(
-    width: float, reference_width: float, configuration: str, tolerance: float
+    width: float, reference_width: float, configuration: str, tolerance=WIDTH_RATIO_TOLERANCE
 ) -> CancelationVerdict:
     """Verdict from an RMS width and the RMS width of its baseline."""
     ratio = width / reference_width
@@ -202,7 +206,7 @@ def _width_ratio_verdict(
 
 
 def assess_comb_cancelation(
-    comb: JointComb, configuration: str, tolerance: float = 1e-12
+    comb: JointComb, configuration: str, tolerance: float = LEAKAGE_TOLERANCE
 ) -> CancelationVerdict:
     """Verdict from the off-ridge leakage of a narrowband joint comb."""
     leakage = comb_leakage(comb)

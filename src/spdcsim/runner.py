@@ -5,12 +5,11 @@ files are written atomically (temp file + rename), report.json embeds the
 fully resolved scenario, and sweep rows are ordered by sweep index no matter
 which worker finishes first.
 
-A sweep takes its parsed points from ``scenario.sweep_points`` and computes
-what they share with its base scenario once: on the base's grid, the source
-fields and the width of the no-element baseline of every point whose source
-equals the base's, and the transfer of every dispersive element that equals
-the base's (the point is handed the base's element object, on which
-``dispersive_transfer`` memoises it).
+A run reads its source fields and baseline width through a
+``_SharedWithBase``, its own or its sweep's base scenario's:
+``_SharedWithBase.adopt`` puts a sweep point on the base's grid object and
+equal element objects (on which ``dispersive_transfer`` memoises the
+transfer) and shares the base's when the point's source equals the base's.
 
 The CSV writers format whole columns at once: a row template repeated over
 the rows is filled by a single %-operation (``_format_rows``), and
@@ -53,9 +52,6 @@ from .elements import build_comb
 from .errors import NonFiniteResult
 from .scenario import Scenario, sweep_columns, sweep_points
 from .source import evaluate_source
-
-WIDTH_RATIO_TOLERANCE = 1e-6
-LEAKAGE_TOLERANCE = 1e-12
 
 _JOINT_CHUNK_ROWS = 8192
 
@@ -147,14 +143,13 @@ class PointOutcome:
 
 
 class _SharedWithBase:
-    """Source fields and baseline width of a sweep's base scenario, each
-    computed once.
+    """Source fields and baseline width of one scenario, each computed once.
 
-    Handed to the points whose source and grid equal the base's; the first
-    point to ask computes a piece while the others wait for it.  Computing
-    both in the main thread before the pool starts drops the lock but cost
-    compute-bound sweeps about 8% more wall and CPU time, with twice the
-    minor page faults.
+    One per run: the base's for the sweep points that ``adopt`` shares it
+    with, else the run's own.  The first point to ask computes a piece while
+    the others wait for it.  Computing both in the main thread before the
+    pool starts drops the lock but cost compute-bound sweeps about 8% more
+    wall and CPU time, with twice the minor page faults.
     """
 
     def __init__(self, base: Scenario):
@@ -162,6 +157,19 @@ class _SharedWithBase:
         self._lock = threading.Lock()
         self._source = None
         self._reference_width = None
+
+    def adopt(self, point: Scenario):
+        """``(point, shared)``: ``point`` on the base's grid object and equal
+        element objects, ``shared`` this object when its source is the base's
+        too, else None; off the base's grid, ``point`` unchanged and None."""
+        base = self._base
+        if point.grid != base.grid:
+            return point, None
+        elements = point.elements
+        if point.is_temporal:
+            elements = tuple(b if p == b else p for p, b in zip(point.elements, base.elements))
+        point = replace(point, grid=base.grid, elements=elements)
+        return point, (self if point.source == base.source else None)
 
     def source(self):
         with self._lock:
@@ -179,24 +187,23 @@ class _SharedWithBase:
             return self._reference_width
 
 
-def _share_with_base(point: Scenario, base: Scenario) -> Scenario:
-    """``point`` on the base's grid object, with each dispersive element that
-    equals the base's replaced by the base's object; unchanged off that grid."""
-    if point.grid != base.grid:
-        return point
-    elements = point.elements
-    if point.is_temporal:
-        elements = tuple(b if p == b else p for p, b in zip(point.elements, base.elements))
-    return replace(point, grid=base.grid, elements=elements)
+def _verdict_results(verdict: analysis.CancelationVerdict) -> dict:
+    """The report entries of a cancelation verdict, its metric under its kind."""
+    return {
+        verdict.kind: verdict.metric,
+        "canceled": verdict.canceled,
+        "cancel_tolerance": verdict.tolerance,
+    }
 
 
 def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointOutcome:
     """Run the configured correlator and the requested analyses.
 
     ``shared`` supplies the source fields and the baseline width when they are
-    those of a sweep's base scenario.
+    those of a sweep's base scenario; without it the scenario computes its own.
     """
-    source = shared.source() if shared else evaluate_source(scenario.source, scenario.grid)
+    shared = shared or _SharedWithBase(scenario)
+    source = shared.source()
     config = scenario.configuration
 
     if scenario.is_temporal:
@@ -217,16 +224,9 @@ def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointO
         if "s_over_b" in wanted:
             results["s_over_b"] = analysis.signal_to_background(corr)
         if "width_ratio" in wanted:
-            if shared:
-                reference_width = shared.reference_width()
-            else:
-                reference_width = analysis.rms_width(baseline(source, config)).rms_width
-            verdict = analysis._width_ratio_verdict(
-                report.rms_width, reference_width, config, WIDTH_RATIO_TOLERANCE
+            results |= _verdict_results(
+                analysis._width_ratio_verdict(report.rms_width, shared.reference_width(), config)
             )
-            results["width_ratio"] = verdict.metric
-            results["canceled"] = verdict.canceled
-            results["cancel_tolerance"] = verdict.tolerance
         return PointOutcome(result=corr if scenario.outputs.write_trace else None, analyses=results)
 
     (freq, idx1), (_, idx2) = scenario.modulators
@@ -247,10 +247,7 @@ def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointO
         "n0_coefficient": comb.coefficient(0),
     }
     if "comb_leakage" in scenario.outputs.analyses:
-        verdict = analysis.assess_comb_cancelation(comb, config, tolerance=LEAKAGE_TOLERANCE)
-        results["comb_leakage"] = verdict.metric
-        results["canceled"] = verdict.canceled
-        results["cancel_tolerance"] = verdict.tolerance
+        results |= _verdict_results(analysis.assess_comb_cancelation(comb, config))
     return PointOutcome(result=comb if scenario.outputs.write_comb else None, analyses=results)
 
 
@@ -294,7 +291,8 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
     point is parsed before the directory is made; a point's error names its
     ``scenario.sweep.values[i]``.
     """
-    points = [_share_with_base(point, scenario) for point in sweep_points(scenario)]
+    shared = _SharedWithBase(scenario)
+    points = [shared.adopt(point) for point in sweep_points(scenario)]
     sweep = scenario.sweep
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -306,15 +304,9 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
         files += _write_point_files(outcome, out_dir, "")
         report["results"] = outcome.analyses
     else:
-        shared = _SharedWithBase(scenario)
-
-        def run_point(point: Scenario) -> PointOutcome:
-            shares_source = point.grid is scenario.grid and point.source == scenario.source
-            return execute(point, shared if shares_source else None)
-
         max_workers = workers or os.cpu_count() or 1
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            pending = pool.map(run_point, points)
+            pending = pool.map(execute, *zip(*points))
             # The pool now holds the only reference to each point, so a point
             # and the transfers memoised on its own elements are freed once run.
             del points

@@ -444,12 +444,18 @@ def sweep_points(scenario: Scenario) -> list:
 
 
 def load_scenario(path) -> Scenario:
-    """Read and validate a scenario file; syntax errors keep line/column."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read and validate a scenario file; syntax errors keep line/column, and
+    bytes that are not UTF-8 their offset."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: byte {exc.start}: invalid UTF-8: {exc.reason}") from exc
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{path}: invalid JSON: nested too deeply") from exc
     if not isinstance(document, dict):
         raise ScenarioError(f"{path}: top level must be a JSON object")
     return parse_scenario(document)

@@ -162,53 +162,40 @@ def check_sb_scaling() -> CheckResult:
     )
 
 
-def check_inter_modulation_cancelation() -> CheckResult:
-    """Opposite drive indexes cancel the interbeam comb; equal indexes give
-    squared Bessel lines of the summed index."""
+def _modulation_cancelation(name, correlator, canceling, composing, combined) -> CheckResult:
+    """The ``canceling`` drive indexes leave no comb leakage; the ``composing``
+    ones give squared Bessel lines of the ``combined`` index."""
     src = _analytic_source(60.0, 2048, 0.4)
-    canceled = g2_inter_freq_narrowband(
-        src, build_comb(0.01, 0.8), build_comb(0.01, -0.8)
-    )
+    canceled = correlator(src, *(build_comb(0.01, index) for index in canceling))
     leakage = analysis.comb_leakage(canceled)
 
-    modulated = g2_inter_freq_narrowband(
-        src, build_comb(0.01, 0.6), build_comb(0.01, 0.6)
-    )
+    modulated = correlator(src, *(build_comb(0.01, index) for index in composing))
     worst = 0.0
     for n in range(-6, 7):
-        expected = oracle.bessel_quadrature(n, 1.2) ** 2
+        expected = oracle.bessel_quadrature(n, combined) ** 2
         worst = max(worst, abs(modulated.coefficient(n) - expected))
     ok = leakage < 1e-12 and worst < 1e-10
     return _result(
-        "inter_modulation_cancelation",
+        name,
         ok,
-        f"canceled leakage = {leakage:.3e} (tol 1e-12); max |coeff - J_n(1.2)^2| = "
+        f"canceled leakage = {leakage:.3e} (tol 1e-12); max |coeff - J_n({combined})^2| = "
         f"{worst:.3e} for |n|<=6 (tol 1e-10)",
+    )
+
+
+def check_inter_modulation_cancelation() -> CheckResult:
+    """Opposite drive indexes cancel the interbeam comb; equal indexes give
+    squared Bessel lines of the summed index."""
+    return _modulation_cancelation(
+        "inter_modulation_cancelation", g2_inter_freq_narrowband, (0.8, -0.8), (0.6, 0.6), 1.2
     )
 
 
 def check_intra_modulation_cancelation() -> CheckResult:
     """Equal drive indexes cancel the intrabeam comb; an index difference of
     one gives squared Bessel lines of that difference."""
-    src = _analytic_source(60.0, 2048, 0.4)
-    canceled = g2_intra_freq_narrowband(
-        src, build_comb(0.01, 1.3), build_comb(0.01, 1.3)
-    )
-    leakage = analysis.comb_leakage(canceled)
-
-    modulated = g2_intra_freq_narrowband(
-        src, build_comb(0.01, 1.0), build_comb(0.01, 0.0)
-    )
-    worst = 0.0
-    for n in range(-6, 7):
-        expected = oracle.bessel_quadrature(n, 1.0) ** 2
-        worst = max(worst, abs(modulated.coefficient(n) - expected))
-    ok = leakage < 1e-12 and worst < 1e-10
-    return _result(
-        "intra_modulation_cancelation",
-        ok,
-        f"canceled leakage = {leakage:.3e} (tol 1e-12); max |coeff - J_n(1.0)^2| = "
-        f"{worst:.3e} for |n|<=6 (tol 1e-10)",
+    return _modulation_cancelation(
+        "intra_modulation_cancelation", g2_intra_freq_narrowband, (1.3, 1.3), (1.0, 0.0), 1.0
     )
 
 

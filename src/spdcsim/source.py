@@ -168,8 +168,9 @@ def evaluate_uv(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
         dl = spec.mismatch.phase(grid.omegas)
         gl = gamma_of(spec.gain, dl)
         cosh_gl, sinhc_gl = _cosh_and_sinhc(gl)
-        half_phase = np.exp(0.5j * dl)
-        u = half_phase * (cosh_gl - 0.5j * dl * sinhc_gl)
+        i_half_dl = 0.5j * dl
+        half_phase = np.exp(i_half_dl)
+        u = half_phase * (cosh_gl - i_half_dl * sinhc_gl)
         v = -1j * spec.gain * half_phase * sinhc_gl
         s = np.abs(v) ** 2
         unitarity = np.abs(u) ** 2 - s - 1.0

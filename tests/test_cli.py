@@ -151,6 +151,24 @@ class TestExitCodes:
         proc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
 
+    def test_non_utf8_file_is_2_naming_the_byte(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"schema_version": 1, "configuration": "inter_time\xff"}')
+        out = tmp_path / "out"
+        proc = run_cli("run", "--scenario", str(path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"scenario error: {path}: byte 50: invalid UTF-8: invalid start byte\n"
+        assert not out.exists()
+
+    def test_deeply_nested_json_is_2(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+        out = tmp_path / "out"
+        proc = run_cli("run", "--scenario", str(path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == f"scenario error: {path}: invalid JSON: nested too deeply\n"
+        assert not out.exists()
+
     def test_alias_risk_is_3(self, tmp_path):
         doc = scenario_doc()
         doc["grid"] = {"n_points": 64, "delta_omega": 0.2}

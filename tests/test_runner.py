@@ -116,11 +116,27 @@ def test_element_sweep_evaluates_source_and_baseline_once(workers, monkeypatch, 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_gain_sweep_evaluates_source_and_baseline_per_point(workers, monkeypatch, tmp_path):
+    # A point that does not share the base's source computes its own source
+    # and baseline, whether its source or its grid differs.
     calls = count_calls(monkeypatch)
-    scenario = parse_scenario(SWEEPS["gain"])
-    runner.run_scenario(scenario, tmp_path, workers=workers)
-    points = len(scenario.sweep.values)
-    assert calls == {"evaluate_source": points, "baseline": points}
+    for name in ("gain", "grid"):
+        calls.update(evaluate_source=0, baseline=0)
+        scenario = parse_scenario(SWEEPS[name])
+        runner.run_scenario(scenario, tmp_path / name, workers=workers)
+        points = len(scenario.sweep.values)
+        assert calls == {"evaluate_source": points, "baseline": points}, name
+
+
+@pytest.mark.parametrize("analyses", [["width_ratio"], ["rms_width", "s_over_b"]])
+def test_single_run_evaluates_source_once_and_baseline_for_width_ratio(
+    analyses, monkeypatch, tmp_path
+):
+    calls = count_calls(monkeypatch)
+    doc = {**SWEEPS["gain"], "sweep": None, "outputs": {"analyses": analyses}}
+    report = runner.run_scenario(parse_scenario(doc), tmp_path)
+    wants_ratio = "width_ratio" in analyses
+    assert calls == {"evaluate_source": 1, "baseline": 1 if wants_ratio else 0}
+    assert ("width_ratio" in report["results"]) == wants_ratio
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -35,11 +35,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = ROOT / "perfbench"
 RESULTS_DIR = BENCH_DIR / "results"
-WORKLOADS = ("trace_sweeps", "analysis_sweeps", "joint_spectra")
 WARMUP_ROUNDS = 1  # perfbench/run.py leaves its first round out of the timings
 
 sys.path.insert(0, str(BENCH_DIR))
 import machine  # noqa: E402  (reference speeds of perfbench/run.py)
+from workloads import WORKLOADS  # noqa: E402  (the benchmark's workload names)
 
 
 def _spread(samples: list, unit: str) -> dict:

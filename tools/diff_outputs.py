@@ -26,9 +26,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("trace_sweeps", "analysis_sweeps", "joint_spectra")
 OUT = Path("perfbench") / "out"
 IGNORED = "*-setup.json"
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402  (the benchmark's workload names)
 
 
 def compare_trees(left: Path, right: Path) -> list:
