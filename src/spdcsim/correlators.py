@@ -60,7 +60,9 @@ ALIAS_WINDOW_FRACTION = 0.40
 NARROWBAND_MAX_RATIO = 0.05
 
 # Peak traced memory of one run_scenario point over temporal grids of 4096 to
-# 65536 samples was 236-302 bytes per sample; exact joint spectra at n = 4096
+# 65536 samples was 211-352 bytes per sample, the most with two five-order
+# elements, whose four detuning powers the grid keeps (32 bytes per sample)
+# while the trace text is written; exact joint spectra at n = 4096
 # with 77 and 177 comb lines added 20-27 bytes per line per sample, below the
 # 32 of a complex amplitude and its squared modulus held at once.
 _PEAK_BYTES_PER_SAMPLE = 384
@@ -222,7 +224,25 @@ def _combined_phase_coeffs(h1: DispersiveElement, h2: DispersiveElement, inter: 
     return [h2.coefficient(k) - h1.coefficient(k) for k in orders]
 
 
-def _check_alias(grid: FrequencyGrid, weight: np.ndarray, combined_coeffs) -> None:
+def _structure_bandwidth(source: SourceFields, inter: bool) -> tuple:
+    """``(empty, bandwidth)`` of the structure weight of one pairing: whether
+    the weight sums to zero, and its ``_rms_bandwidth``.
+
+    Memoised on the source object for each pairing, as two scalars rather
+    than the weight: the points of an element sweep share one source, and a
+    point's baseline and trace gate the same one.  Threads racing on a first
+    call may each compute the same pair; either is kept.
+    """
+    name = "_inter_bandwidth" if inter else "_intra_bandwidth"
+    memo = source.__dict__.get(name)
+    if memo is None:
+        weight = _structure_weight(source, inter)
+        memo = (float(np.sum(weight)) == 0.0, _rms_bandwidth(weight, source.grid.omegas))
+        source.__dict__[name] = memo
+    return memo
+
+
+def _check_alias(source: SourceFields, inter: bool, combined_coeffs) -> None:
     """Reject setups whose dispersed trace would wrap around the FFT window.
 
     The undispersed width is estimated as 1/(2 * RMS bandwidth of the
@@ -232,9 +252,10 @@ def _check_alias(grid: FrequencyGrid, weight: np.ndarray, combined_coeffs) -> No
     spread too large for a double counts as infinite, and a NaN bandwidth as
     a pointlike spectrum; every comparison fails closed on NaN.
     """
-    if float(np.sum(weight)) == 0.0:
+    grid = source.grid
+    empty, bw = _structure_bandwidth(source, inter)
+    if empty:
         return
-    bw = _rms_bandwidth(weight, grid.omegas)
     if not bw > 0:
         raise AliasRisk("pointlike integrand spectrum; trace cannot fit the delay window")
     tau0 = 1.0 / (2.0 * bw)
@@ -289,7 +310,7 @@ def _g2_time(
     its rounding.
     """
     grid = source.grid
-    _check_alias(grid, _structure_weight(source, inter), _combined_phase_coeffs(h1, h2, inter))
+    _check_alias(source, inter, _combined_phase_coeffs(h1, h2, inter))
     t1 = dispersive_transfer(h1, grid)
     t2 = dispersive_transfer(h2, grid)
     if inter:
@@ -351,12 +372,12 @@ def mod_steps(mod_freq: float, grid: FrequencyGrid) -> int:
 
 
 def _check_narrowband(
-    weight: np.ndarray, grid: FrequencyGrid, m1: ModulatorComb, m2: ModulatorComb
+    source: SourceFields, inter: bool, m1: ModulatorComb, m2: ModulatorComb
 ) -> None:
     span = (m1.n_max + m2.n_max) * m1.mod_freq
     if span == 0.0:
         return
-    bw = _rms_bandwidth(weight, grid.omegas)
+    bw = _structure_bandwidth(source, inter)[1]
     ratio = span / bw if bw > 0 else np.inf
     if not ratio < NARROWBAND_MAX_RATIO:
         raise NarrowbandInvalid(
@@ -379,8 +400,7 @@ def _g2_freq_narrowband(
     S^2 intrabeam."""
     check_drive(m1.mod_freq, m2.mod_freq)
     grid = source.grid
-    weight = _structure_weight(source, inter)
-    _check_narrowband(weight, grid, m1, m2)
+    _check_narrowband(source, inter, m1, m2)
     combined_index = m1.index + m2.index if inter else m1.index - m2.index
     combined = build_comb(m1.mod_freq, combined_index, 2 * MAX_MOD_INDEX)
     density = _flux_density(source)
@@ -392,7 +412,7 @@ def _g2_freq_narrowband(
         orders=combined.orders.copy(),
         coefficients=combined.weights**2,
         envelope_axis=2.0 * grid.omegas,
-        envelope=weight,
+        envelope=_structure_weight(source, inter),
         background_factor_1=density,
         background_factor_2=density,
     )

@@ -52,12 +52,16 @@ class DispersiveElement:
             return self.phase_coeffs[order - 1]
         return 0.0
 
-    def phase(self, omegas: np.ndarray) -> np.ndarray:
-        """Spectral phase sum_k Phi_k Omega^k / k! in radians."""
-        out = np.zeros_like(omegas, dtype=float)
+    def phase(self, grid: FrequencyGrid) -> np.ndarray:
+        """Spectral phase sum_k Phi_k Omega^k / k! in radians on the grid.
+
+        Each power Omega^k is ``grid.omega_power(k)``, raised once per grid
+        object, so elements on one grid do not raise it again.
+        """
+        out = np.zeros(grid.n_points)
         for k, phi in enumerate(self.phase_coeffs, start=1):
             if phi != 0.0:
-                out += (phi / _FACTORIALS[k]) * omegas**k
+                out += (phi / _FACTORIALS[k]) * grid.omega_power(k)
         return out
 
 
@@ -68,8 +72,11 @@ def dispersive_transfer(element: DispersiveElement, grid: FrequencyGrid) -> np.n
 
     The result is read-only and memoised on the element for the last grid it
     was asked for, so the points of a sweep that share one element object
-    evaluate its phase once.  Threads racing on a first call may each compute
-    the same samples; any of them is kept.
+    evaluate its phase once.  The detuning powers of the phase are cached on
+    the grid object (``FrequencyGrid.omega_power``), so the points of a sweep
+    on one grid raise each of them once, whatever their elements.  Threads
+    racing on a first call may each compute the same samples; any of them is
+    kept.
     """
     memo = element.__dict__.get("_transfer")
     if memo is not None and memo[0] == grid:
@@ -78,7 +85,7 @@ def dispersive_transfer(element: DispersiveElement, grid: FrequencyGrid) -> np.n
         out = np.ones(grid.n_points, dtype=complex)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.exp(1j * element.phase(grid.omegas))
+            out = np.exp(1j * element.phase(grid))
         # exp(i * phase) is finite exactly where the phase is.
         if not np.all(np.isfinite(out)):
             raise PreconditionError(

@@ -5,6 +5,11 @@ is symmetric around the degenerate frequency except for the single -Omega_max
 endpoint at k = 0.  The paired delay grid tau_j = (j - n/2) * delta_tau with
 delta_tau = 2*pi / (n * delta_omega) makes a plain FFT implement the
 e^{+i*Omega*tau} transform used by the temporal correlators.
+
+A grid object computes its samples once: ``omegas``, ``taus`` and each power
+``omega_power(k)`` are read-only arrays cached on the object, so everything
+handed the same grid object (every point of a sweep on its base's grid)
+shares them.
 """
 
 import math
@@ -25,6 +30,9 @@ class FrequencyGrid:
     Attributes:
         n_points: number of samples, a power of two >= 64.
         delta_omega: grid spacing in rad/ps.
+
+    Equality and hashing see only these two fields; the sample arrays cached
+    on an object are not part of its value.
     """
 
     n_points: int
@@ -69,6 +77,26 @@ class FrequencyGrid:
         j = np.arange(self.n_points)
         out = (j - self.n_points // 2) * self.delta_tau
         out.setflags(write=False)
+        return out
+
+    def omega_power(self, k: int) -> np.ndarray:
+        """Detuning power Omega_k**k for an order k >= 1, read-only.
+
+        Computed once per grid object, as ``omegas**k``; ``k == 1`` is
+        ``omegas`` itself, which has the same bits.  A power that overflows
+        is left infinite without a warning, for the caller's finite check to
+        refuse.  Threads racing on a first call may each compute the same
+        samples; any of them is kept.
+        """
+        if k == 1:
+            return self.omegas
+        name = f"_omega_power_{k}"
+        out = self.__dict__.get(name)
+        if out is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = self.omegas**k
+            out.setflags(write=False)
+            self.__dict__[name] = out
         return out
 
     def reflect(self, samples: np.ndarray) -> np.ndarray:

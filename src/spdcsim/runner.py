@@ -10,6 +10,10 @@ A run reads its source fields and baseline width through a
 ``_SharedWithBase.adopt`` puts a sweep point on the base's grid object and
 equal element objects (on which ``dispersive_transfer`` memoises the
 transfer) and shares the base's when the point's source equals the base's.
+What hangs on those objects is then shared too: the grid's detuning samples
+and their powers (``FrequencyGrid.omega_power``), which every element phase
+on the grid reads, and the source's structure bandwidth per pairing, which
+the alias and narrowband gates read.
 
 The CSV writers format whole columns at once: a row template repeated over
 the rows is filled by a single %-operation (``_format_rows``), and
@@ -104,7 +108,13 @@ def _trace_csv(corr: Correlation1D):
     values = np.ascontiguousarray(corr.values, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     text = _format_rows("%.17g\n", bits.view(np.float64)).split("\n")
-    yield template % tuple(np.array(text, dtype=object)[inverse].tolist())
+    rows = tuple(np.array(text, dtype=object)[inverse].tolist())
+    del inverse
+    out = template % rows
+    # The row template is nearly as long as the text: drop it before the
+    # text is encoded and written, which holds a second copy of it.
+    del template, rows
+    yield out
 
 
 def _comb_csv(comb: JointComb):

@@ -1,25 +1,31 @@
 """Test-only frozen copies of the source and temporal-trace kernels.
 
 The library builds the temporal integrand straight into FFT order, evaluates
-the small-|GL| series only where it is used, and squares |V| once.  Each of
-those is meant to change no output bit, so the tests compare the library with
-the straightforward forms kept here: ``evaluate_uv`` and ``_cosh_and_sinhc``
-with the series and ``np.where`` over the whole array, ``g2_time`` with
-explicit ``ifftshift``/``fftshift`` around the FFT, and ``rms_width`` summing
-the subtracted trace twice.
+the small-|GL| series only where it is used, squares |V| once, raises each
+detuning power once per grid object and gates each source's bandwidth once
+per pairing.  Each of those is meant to change no output bit, so the tests
+compare the library with the straightforward forms kept here:
+``evaluate_uv`` and ``_cosh_and_sinhc`` with the series and ``np.where`` over
+the whole array, ``phase`` and ``dispersive_transfer`` raising ``omegas**k``
+on every call, ``check_alias`` building the weight and its bandwidth on every
+call, ``g2_time`` with explicit ``ifftshift``/``fftshift`` around the FFT,
+and ``rms_width`` summing the subtracted trace twice.
 """
+
+import math
 
 import numpy as np
 
 from spdcsim.analysis import DEGENERATE_MASS_FRACTION, WidthReport, _fwhm
 from spdcsim.correlators import (
+    ALIAS_WINDOW_FRACTION,
     Correlation1D,
-    _check_alias,
     _combined_phase_coeffs,
+    _rms_bandwidth,
     _structure_weight,
 )
-from spdcsim.elements import dispersive_transfer
-from spdcsim.errors import DegenerateTrace, PreconditionError
+from spdcsim.elements import _FACTORIALS
+from spdcsim.errors import AliasRisk, DegenerateTrace, PreconditionError
 from spdcsim.source import (
     _SERIES_CUTOFF,
     _UNITARITY_TOL,
@@ -64,6 +70,53 @@ def evaluate_uv(spec, grid):
     return SourceFields(grid=grid, R=r, S=s, flux_n=flux, mode=PHYSICAL, U=u, V=v)
 
 
+def phase(element, omegas):
+    """Spectral phase sum_k Phi_k Omega^k / k! in radians."""
+    out = np.zeros_like(omegas, dtype=float)
+    for k, phi in enumerate(element.phase_coeffs, start=1):
+        if phi != 0.0:
+            out += (phi / _FACTORIALS[k]) * omegas**k
+    return out
+
+
+def dispersive_transfer(element, grid):
+    """Unit-modulus transfer samples exp(i * phase) on the grid."""
+    if not element.phase_coeffs:
+        return np.ones(grid.n_points, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(1j * phase(element, grid.omegas))
+    if not np.all(np.isfinite(out)):
+        raise PreconditionError(
+            "dispersive phase is not finite on the grid; reduce the phase "
+            "coefficients or the grid span"
+        )
+    return out
+
+
+def check_alias(grid, weight, combined_coeffs):
+    """Reject setups whose dispersed trace would wrap around the FFT window."""
+    if float(np.sum(weight)) == 0.0:
+        return
+    bw = _rms_bandwidth(weight, grid.omegas)
+    if not bw > 0:
+        raise AliasRisk("pointlike integrand spectrum; trace cannot fit the delay window")
+    tau0 = 1.0 / (2.0 * bw)
+    spread = 0.0
+    for k, c in enumerate(combined_coeffs, start=1):
+        if c != 0.0:
+            try:
+                spread += abs(c) * grid.omega_max ** (k - 1) / _FACTORIALS[k - 1]
+            except OverflowError:
+                spread = math.inf
+    budget = ALIAS_WINDOW_FRACTION * grid.tau_window
+    if not tau0 + spread <= budget:
+        raise AliasRisk(
+            f"predicted trace extent {tau0 + spread:.3g} ps exceeds {budget:.3g} ps "
+            f"(40% of the {grid.tau_window:.3g} ps delay window); enlarge the grid "
+            "or reduce the dispersion"
+        )
+
+
 def trace_amplitude(integrand, grid):
     """(1/2pi) * Riemann sum of F(Omega) e^{i Omega tau} on the delay grid."""
     amp = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(integrand)))
@@ -82,7 +135,7 @@ def g2_time(source, h1, h2, inter):
     """Temporal trace of either pairing: integrand R H1(W) H2(-W) interbeam,
     S H1*(W) H2(W) intrabeam."""
     grid = source.grid
-    _check_alias(grid, _structure_weight(source, inter), _combined_phase_coeffs(h1, h2, inter))
+    check_alias(grid, _structure_weight(source, inter), _combined_phase_coeffs(h1, h2, inter))
     t1 = dispersive_transfer(h1, grid)
     t2 = dispersive_transfer(h2, grid)
     integrand = source.R * t1 * grid.reflect(t2) if inter else source.S * np.conj(t1) * t2

@@ -480,3 +480,73 @@ def test_precondition_at_a_sweep_value_keeps_its_type(tmp_path, capsys):
         "modulator drive frequencies differ: 0.01 vs 0.02 rad/ps\n"
     )
     assert not out.exists()
+
+
+def _run_text(tmp_path, text):
+    """``spdcsim run`` in its own process on a scenario file holding ``text``:
+    a value nested 950 deep needs the shallow stack of the command line."""
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    return run_cli("run", "--scenario", str(scenario_file), "--out", str(out)), out
+
+
+def _with_value(doc, key, raw):
+    """The JSON text of ``doc`` with ``"key": null`` replaced by ``raw`` text."""
+    text = json.dumps(doc)
+    assert text.count(f'"{key}": null') == 1
+    return text.replace(f'"{key}": null', f'"{key}": {raw}')
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        (
+            "nested_list_950",
+            "scenario.sweep.values[0]: expected a number, got " + "[" * 77 + "...",
+        ),
+        (
+            "string_1mb",
+            "scenario.grid.delta_omega: expected a number, got '" + "x" * 76 + "...",
+        ),
+        (
+            "unknown_analysis_1mb",
+            "scenario.outputs.analyses: unknown analysis '" + "y" * 76 + "... for inter_time; "
+            "allowed: ['rms_width', 'fwhm', 's_over_b', 'width_ratio']",
+        ),
+    ],
+)
+def test_large_offending_value_is_echoed_bounded(tmp_path, name, expected):
+    if name == "nested_list_950":
+        sweep = {"parameter": "grid.delta_omega", "values": None}
+        nested = "[" + "[" * 950 + "]" * 950 + "]"
+        text = _with_value(temporal_doc(sweep=sweep), "values", nested)
+    elif name == "string_1mb":
+        text = json.dumps(temporal_doc(grid={"n_points": 256, "delta_omega": "x" * 2**20}))
+    else:
+        text = json.dumps(temporal_doc(outputs={"analyses": ["y" * 2**20]}))
+    proc, out = _run_text(tmp_path, text)
+    assert proc.returncode == cli.EXIT_PARSE
+    assert proc.stderr == f"scenario error: {expected}\n"
+    assert not out.exists()
+
+
+def test_grid_size_beyond_a_double_is_refused_typed(tmp_path, capsys):
+    grid = {"n_points": 2**1100, "delta_omega": 0.05}
+    code, out = _run_in_process(tmp_path, temporal_doc(grid=grid))
+    assert code == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: scenario.grid.n_points: 1")
+    assert err.endswith("... samples need an estimated inf GiB, above the 4 GiB budget\n")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert not out.exists()
+
+
+def test_integer_literal_beyond_the_digit_limit_is_invalid_json(tmp_path):
+    doc = temporal_doc(grid={"n_points": 256, "delta_omega": None})
+    proc, out = _run_text(tmp_path, _with_value(doc, "delta_omega", "1" * 5000))
+    assert proc.returncode == cli.EXIT_PARSE
+    path = tmp_path / "scenario.json"
+    assert proc.stderr.startswith(f"scenario error: {path}: invalid JSON: ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()

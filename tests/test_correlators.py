@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -325,3 +328,42 @@ def test_zero_gain_trace_is_pure_background():
     src = evaluate_uv(SourceSpec.physical(0.0), grid)
     corr = g2_inter_time(src, IDENT, IDENT)
     assert np.all(corr.values == 0.0)  # N = 0 and no structure
+
+
+def test_threads_racing_on_a_fresh_grid_and_source_get_the_reference_traces():
+    """Threads that share one grid and one source each raise the grid's
+    detuning powers and gate the source's bandwidth on a first call, or read
+    what another thread kept; every trace has the bits of one computed alone."""
+    spec = SourceSpec.physical(0.5, [0.5])
+    coeffs = ((0.0, 2.0, 0.1, 0.01, 0.001), (0.0, 1.0, 0.05))
+
+    def traces(source):
+        h1, h2 = (DispersiveElement(c) for c in coeffs)
+        return [g2(source, h1, h2).values.tobytes() for g2 in (g2_inter_time, g2_intra_time)]
+
+    expected = traces(evaluate_uv(spec, FrequencyGrid(4096, 0.01)))
+    source = evaluate_uv(spec, FrequencyGrid(4096, 0.01))
+    workers = 8
+    start = threading.Barrier(workers, timeout=30)
+    results = []
+
+    def work():
+        start.wait()
+        results.append(traces(source))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * workers
+    for k in range(2, 6):
+        power = source.grid.omega_power(k)
+        assert not power.flags.writeable
+        assert power.tobytes() == (source.grid.omegas**k).tobytes()

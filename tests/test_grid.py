@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from spdcsim import FrequencyGrid
+from spdcsim import DispersiveElement, FrequencyGrid, PreconditionError, dispersive_transfer
 
 
 def test_omega_samples_symmetric_convention():
@@ -63,3 +65,35 @@ def test_reflect_rejects_wrong_shape():
     g = FrequencyGrid(64, 0.1)
     with pytest.raises(ValueError):
         g.reflect(np.zeros(65))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_omega_power_is_cached_read_only(k):
+    g = FrequencyGrid(256, 0.0025)
+    power = g.omega_power(k)
+    assert not power.flags.writeable
+    with pytest.raises(ValueError):
+        power[0] = 1.0
+    assert g.omega_power(k) is power
+    # An equal grid built separately raises its own power to the same bits.
+    other = FrequencyGrid(256, 0.0025)
+    assert other == g and hash(other) == hash(g)
+    assert other.omega_power(k) is not power
+    assert other.omega_power(k).tobytes() == power.tobytes()
+    assert power.tobytes() == (g.omegas**k).tobytes()
+
+
+def test_omega_power_one_is_the_detunings():
+    g = FrequencyGrid(64, 0.5)
+    assert g.omega_power(1) is g.omegas
+
+
+def test_overflowing_power_is_refused_by_the_transfer_without_warning():
+    g = FrequencyGrid(64, 1e61)  # Omega_max = 3.2e62, whose fifth power overflows
+    element = DispersiveElement((0.0, 0.0, 0.0, 0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="dispersive phase is not finite"):
+            dispersive_transfer(element, g)
+        assert np.isinf(g.omega_power(5)[0])
+        assert np.all(np.isfinite(g.omega_power(2)))

@@ -1,12 +1,16 @@
 """The source and temporal-trace kernels give the frozen reference's bits.
 
 ``reference_kernels`` keeps the straightforward forms of ``evaluate_uv``,
-``_cosh_and_sinhc``, the temporal FFT and ``rms_width``.  Over small grids,
-both pairings, analytic and physical sources with up to three mismatch
-orders, gains that put all, part or none of the grid below the small-|GL|
-series cutoff, and a gain and mismatch that land GL = 0 exactly on a grid
-sample, the library must return the same bytes for R, S, U, V, the flux, the
-trace and its widths, or fail the same gate with the same message.
+``_cosh_and_sinhc``, the dispersive phase and transfer, the alias gate, the
+temporal FFT and ``rms_width``.  Over small grids, both pairings, analytic
+and physical sources with up to three mismatch orders, gains that put all,
+part or none of the grid below the small-|GL| series cutoff, and a gain and
+mismatch that land GL = 0 exactly on a grid sample, the library must return
+the same bytes for R, S, U, V, the flux, the trace and its widths, or fail
+the same gate with the same message, also when a second trace reads the
+bandwidth gated on the same source.  The dispersive phase and transfer are
+held to the reference over all five orders and signed coefficients, up to
+grid spacings whose powers overflow.
 """
 
 import math
@@ -18,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 import reference_kernels as ref
 from spdcsim.analysis import rms_width
 from spdcsim.correlators import _g2_time
-from spdcsim.elements import DispersiveElement
+from spdcsim.elements import MAX_PHASE_ORDER, DispersiveElement, dispersive_transfer
 from spdcsim.errors import SpdcSimError
 from spdcsim.grid import FrequencyGrid
 from spdcsim.source import (
@@ -90,8 +94,12 @@ def _assert_same_traces(draw, new_src, old_src):
         new, new_err = _outcome(_g2_time, new_src, h1, h2, inter)
         old, old_err = _outcome(ref.g2_time, old_src, h1, h2, inter)
         assert new_err == old_err
+        # A second trace on the source gates the bandwidth memoised by the first.
+        again, again_err = _outcome(_g2_time, new_src, h1, h2, inter)
+        assert again_err == old_err
         if old is None:
             continue
+        _assert_same_arrays(again.values, old.values)
         _assert_same_arrays(new.values, old.values)
         _assert_same_arrays(new.tau_grid, old.tau_grid)
         assert _bits(new.peak_tau) == _bits(old.peak_tau)
@@ -179,3 +187,45 @@ def test_cosh_and_sinhc_match_reference(values):
         old = ref.cosh_and_sinhc(z)
     for a, b in zip(new, old):
         _assert_same_arrays(a, b)
+
+
+# Spacings from fine to those whose fifth (and lower) detuning powers
+# overflow a double: |Omega|^5 does above about 1.3e61 rad/ps.
+PHASE_SPACINGS = st.one_of(
+    st.floats(min_value=1e-4, max_value=1.0),
+    st.floats(min_value=1.0, max_value=1e70),
+)
+PHASE_COEFFS = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=-100.0, max_value=100.0),
+        st.floats(min_value=-1e300, max_value=1e300),
+    ),
+    min_size=1,
+    max_size=MAX_PHASE_ORDER,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=6, max_value=12).map(lambda k: 2**k),
+    spacing=PHASE_SPACINGS,
+    coeffs=PHASE_COEFFS,
+    others=st.lists(PHASE_COEFFS, max_size=2),
+)
+def test_dispersive_phase_and_transfer_match_reference(n, spacing, coeffs, others):
+    """Elements on one grid, the first raising its powers and the others
+    reading them from the grid, give the reference's phase and transfer
+    bytes, or its error type and message; the transfer warns nothing."""
+    grid = FrequencyGrid(n, spacing)
+    for phase_coeffs in [coeffs] + others:
+        element = DispersiveElement(tuple(phase_coeffs))
+        with np.errstate(all="ignore"):
+            new_phase = element.phase(grid)
+            old_phase = ref.phase(element, grid.omegas)
+        _assert_same_arrays(new_phase, old_phase)
+        new, new_err = _outcome(dispersive_transfer, element, grid)
+        old, old_err = _outcome(ref.dispersive_transfer, element, grid)
+        assert new_err == old_err
+        if old is not None:
+            _assert_same_arrays(new, old)

@@ -9,7 +9,9 @@ from spdcsim.correlators import estimate_peak_bytes
 from spdcsim.elements import build_comb
 from spdcsim.runner import execute, run_scenario
 from spdcsim.scenario import (
+    ECHO_LIMIT,
     MEMORY_BUDGET_BYTES,
+    _echo,
     check_sweep_outputs,
     load_scenario,
     parse_scenario,
@@ -435,6 +437,24 @@ def test_peak_estimate_covers_a_traced_run(doc, run, tmp_path):
     assert peak <= estimate <= 2 * peak
 
 
+@pytest.mark.parametrize("n_points, delta_omega", [(4096, 0.01), (65536, 0.001)])
+def test_peak_estimate_covers_a_five_order_run(n_points, delta_omega, tmp_path):
+    """Two elements with all five orders make the grid hold four detuning
+    powers (32 bytes per sample) besides the transfers, the trace and its
+    text; the estimate still covers the traced peak."""
+    doc = _with(
+        minimal_time_doc(),
+        (("grid",), {"n_points": n_points, "delta_omega": delta_omega}),
+        (("source",), {"mode": "physical", "gain": 0.5, "mismatch_coeffs": [0.5]}),
+        (("configuration",), "intra_time"),
+        (("elements", 0, "phase_coeffs"), [0.0, 2.0, 0.1, 0.01, 0.001]),
+        (("elements", 1, "phase_coeffs"), [0.0, 1.0, 0.05, 0.005, 0.0005]),
+    )
+    scenario = parse_scenario(doc)
+    peak = _traced_peak(lambda: run_scenario(scenario, tmp_path / "out"))
+    assert peak <= estimate_peak_bytes(n_points)
+
+
 @pytest.mark.parametrize("n_points", [2**30, 2**40])
 def test_oversized_grid_refused_before_allocation(n_points):
     doc = _with(minimal_time_doc(), (("grid", "n_points"), n_points))
@@ -477,3 +497,20 @@ def test_oversized_grid_exits_2_naming_its_path(argv_extra, sweep, tmp_path, cap
     prefix = "scenario error: " if sweep is None else "scenario error: scenario.sweep.values[1]: "
     assert capsys.readouterr().err.startswith(prefix + "scenario.grid.n_points: ")
     assert not out.exists()
+
+
+def test_echo_keeps_short_values_and_cuts_long_ones():
+    assert _echo("fwhm") == "'fwhm'"
+    assert _echo([1.5, "x"]) == "[1.5, 'x']"
+    assert _echo(2**64) == "18446744073709551616"
+    exact = "z" * (ECHO_LIMIT - 2)
+    assert _echo(exact) == repr(exact)
+    assert _echo(exact + "z") == repr(exact + "z")[: ECHO_LIMIT - 3] + "..."
+    assert len(_echo(list(range(10**5)))) == ECHO_LIMIT
+
+
+def test_echo_names_a_value_nested_beyond_repr():
+    nested = []
+    for _ in range(10**5):
+        nested = [nested]
+    assert _echo(nested) == "a too deeply nested list"
