@@ -3,7 +3,24 @@
 ``PreconditionError`` subclasses mark physics preconditions that a caller can
 repair by changing the numerical setup (grid, modulation frequency, source
 bandwidth).  The CLI maps them to a dedicated exit code.
+
+``echo`` is the one way an error message repeats an offending value, in the
+library and in the scenario parser alike.
 """
+
+# Longest text of an offending value that an error message echoes.
+ECHO_LIMIT = 80
+
+
+def echo(value) -> str:
+    """``repr(value)`` for an error message, cut to ``ECHO_LIMIT`` characters
+    (ending in "...") so that a large value is not repeated in full.  A
+    value nested deeper than ``repr`` can descend is named by its type."""
+    try:
+        text = repr(value)
+    except RecursionError:
+        return f"a too deeply nested {type(value).__name__}"
+    return text if len(text) <= ECHO_LIMIT else text[: ECHO_LIMIT - 3] + "..."
 
 
 class SpdcSimError(Exception):

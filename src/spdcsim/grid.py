@@ -18,6 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import echo
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -40,7 +42,7 @@ class FrequencyGrid:
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_points, int) or not _is_power_of_two(self.n_points):
-            raise ValueError(f"n_points must be a power of two, got {self.n_points}")
+            raise ValueError(f"n_points must be a power of two, got {echo(self.n_points)}")
         if self.n_points < 64:
             raise ValueError(f"n_points must be >= 64, got {self.n_points}")
         if not (self.delta_omega > 0 and math.isfinite(self.delta_omega)):

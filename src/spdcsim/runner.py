@@ -13,7 +13,12 @@ transfer) and shares the base's when the point's source equals the base's.
 What hangs on those objects is then shared too: the grid's detuning samples
 and their powers (``FrequencyGrid.omega_power``), which every element phase
 on the grid reads, and the source's structure bandwidth per pairing, which
-the alias and narrowband gates read.
+the alias and narrowband gates read.  A point whose physical source differs
+from the base's in its gain alone (a ``source.gain`` sweep) computes its own
+source and baseline, but reads the base's gain-free phase factor exp(i DL/2)
+of the mismatch phase DL (``source.gain_free_terms``): the base computes it
+once, when the first such point asks, and it is dropped with the base's
+shared object when ``run_scenario`` returns.
 
 The CSV writers format whole columns at once: a row template repeated over
 the rows is filled by a single %-operation (``_format_rows``), and
@@ -55,7 +60,7 @@ from .correlators import (
 from .elements import build_comb
 from .errors import NonFiniteResult
 from .scenario import Scenario, sweep_columns, sweep_points
-from .source import evaluate_source
+from .source import PHYSICAL, evaluate_source, gain_free_terms
 
 _JOINT_CHUNK_ROWS = 8192
 
@@ -156,22 +161,31 @@ class _SharedWithBase:
     """Source fields and baseline width of one scenario, each computed once.
 
     One per run: the base's for the sweep points that ``adopt`` shares it
-    with, else the run's own.  The first point to ask computes a piece while
-    the others wait for it.  Computing both in the main thread before the
-    pool starts drops the lock but cost compute-bound sweeps about 8% more
-    wall and CPU time, with twice the minor page faults.
+    with, else the point's own.  A point whose source differs from the
+    base's in its gain alone gets its own object that reads the base's
+    gain-free source terms (``source.gain_free_terms``, exp(i DL/2) on the
+    grid); the base computes them on the first such ask, so they live as
+    long as the sweep run, and only a sweep with such points holds them.
+    The first point to ask computes a piece while the others wait for it.
+    Computing the pieces in the main thread before the pool starts drops the
+    lock but cost compute-bound sweeps about 8% more wall and CPU time, with
+    twice the minor page faults.
     """
 
-    def __init__(self, base: Scenario):
+    def __init__(self, base: Scenario, terms_from: "_SharedWithBase | None" = None):
         self._base = base
+        self._terms_from = terms_from
         self._lock = threading.Lock()
         self._source = None
         self._reference_width = None
+        self._gain_free_terms = None
 
     def adopt(self, point: Scenario):
         """``(point, shared)``: ``point`` on the base's grid object and equal
-        element objects, ``shared`` this object when its source is the base's
-        too, else None; off the base's grid, ``point`` unchanged and None."""
+        element objects; ``shared`` this object when its source is the base's
+        too, a new one reading this object's gain-free terms when the source
+        is physical and differs from the base's in its gain alone, else None;
+        off the base's grid, ``point`` unchanged and None."""
         base = self._base
         if point.grid != base.grid:
             return point, None
@@ -179,12 +193,29 @@ class _SharedWithBase:
         if point.is_temporal:
             elements = tuple(b if p == b else p for p, b in zip(point.elements, base.elements))
         point = replace(point, grid=base.grid, elements=elements)
-        return point, (self if point.source == base.source else None)
+        if point.source == base.source:
+            return point, self
+        gain_only = replace(point.source, gain=base.source.gain) == base.source
+        if gain_only and point.source.mode == PHYSICAL:
+            return point, _SharedWithBase(point, terms_from=self)
+        return point, None
+
+    def gain_free_terms(self):
+        """``source.gain_free_terms`` of the base's mismatch on its grid."""
+        with self._lock:
+            if self._gain_free_terms is None:
+                self._gain_free_terms = gain_free_terms(self._base.source.mismatch, self._base.grid)
+            return self._gain_free_terms
 
     def source(self):
+        """The source fields without U and V, which no correlator or analysis
+        of a run reads, so that a point holds only R and S (at n = 65536, 1.5
+        of 3.5 MiB) while its traces are computed."""
         with self._lock:
             if self._source is None:
-                self._source = evaluate_source(self._base.source, self._base.grid)
+                terms = None if self._terms_from is None else self._terms_from.gain_free_terms()
+                fields = evaluate_source(self._base.source, self._base.grid, terms)
+                self._source = replace(fields, U=None, V=None)
             return self._source
 
     def reference_width(self) -> float:
@@ -209,8 +240,9 @@ def _verdict_results(verdict: analysis.CancelationVerdict) -> dict:
 def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointOutcome:
     """Run the configured correlator and the requested analyses.
 
-    ``shared`` supplies the source fields and the baseline width when they are
-    those of a sweep's base scenario; without it the scenario computes its own.
+    ``shared`` supplies the source fields and the baseline width, those of a
+    sweep's base scenario or the point's own (``_SharedWithBase.adopt``);
+    without it the scenario computes its own.
     """
     shared = shared or _SharedWithBase(scenario)
     source = shared.source()

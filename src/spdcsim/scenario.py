@@ -27,14 +27,11 @@ from pathlib import Path
 
 from .correlators import CONFIGURATIONS, check_drive, estimate_peak_bytes, mod_steps
 from .elements import DispersiveElement, build_comb, check_modulator
-from .errors import PreconditionError, ScenarioError
+from .errors import PreconditionError, ScenarioError, echo
 from .grid import FrequencyGrid
 from .source import ANALYTIC, PHYSICAL, SourceSpec
 
 SCHEMA_VERSION = 1
-
-# Longest text of an offending value that an error message echoes.
-ECHO_LIMIT = 80
 
 # Largest estimated peak memory of one point (``estimate_peak_bytes``) that
 # parses; the shipped and benchmark scenarios estimate at most about 24 MiB.
@@ -142,17 +139,6 @@ def _fail(path: str, message: str) -> ScenarioError:
     return ScenarioError(f"{path}: {message}")
 
 
-def _echo(value) -> str:
-    """``repr(value)`` for an error message, cut to ``ECHO_LIMIT`` characters
-    (ending in "...") so that a large document value is not repeated in full.
-    A value nested deeper than ``repr`` can descend is named by its type."""
-    try:
-        text = repr(value)
-    except RecursionError:
-        return f"a too deeply nested {type(value).__name__}"
-    return text if len(text) <= ECHO_LIMIT else text[: ECHO_LIMIT - 3] + "..."
-
-
 @contextmanager
 def at_path(path: str):
     """Put ``path`` in front of the message of an error raised inside: a
@@ -171,7 +157,7 @@ def _require_mapping(doc, path: str, allowed: set) -> dict:
         raise _fail(path, f"expected an object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - allowed)
     if unknown:
-        raise _fail(path, f"unknown key(s) {_echo(unknown)}; allowed: {sorted(allowed)}")
+        raise _fail(path, f"unknown key(s) {echo(unknown)}; allowed: {sorted(allowed)}")
     return doc
 
 
@@ -183,13 +169,13 @@ def _get(doc: dict, key: str, path: str):
 
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(path, f"expected a number, got {_echo(value)}")
+        raise _fail(path, f"expected a number, got {echo(value)}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise _fail(path, f"expected a finite number, got {_echo(value)}")
+        raise _fail(path, f"expected a finite number, got {echo(value)}")
     return number
 
 
@@ -203,7 +189,7 @@ def _parse_grid(doc, path: str) -> FrequencyGrid:
     doc = _require_mapping(doc, path, _GRID_KEYS)
     n_points = _get(doc, "n_points", path)
     if isinstance(n_points, bool) or not isinstance(n_points, int):
-        raise _fail(f"{path}.n_points", f"expected an integer, got {_echo(n_points)}")
+        raise _fail(f"{path}.n_points", f"expected an integer, got {echo(n_points)}")
     delta_omega = _number(_get(doc, "delta_omega", path), f"{path}.delta_omega")
     with at_path(path):
         return FrequencyGrid(n_points=n_points, delta_omega=delta_omega)
@@ -231,7 +217,7 @@ def _parse_source(doc, path: str) -> SourceSpec:
         bandwidth = _number(_get(doc, "envelope_bandwidth", path), f"{path}.envelope_bandwidth")
         with at_path(path):
             return SourceSpec.analytic(bandwidth, center_frequency=center)
-    raise _fail(f"{path}.mode", f"expected 'physical' or 'analytic', got {_echo(mode)}")
+    raise _fail(f"{path}.mode", f"expected 'physical' or 'analytic', got {echo(mode)}")
 
 
 def _two_mappings(doc, path: str, what: str, allowed: set):
@@ -275,14 +261,14 @@ def _parse_sweep(doc, path: str, resolved: dict) -> SweepSpec:
         raise _fail(f"{path}.values", "expected at least one value")
     current = resolve_parameter(resolved, parameter)  # raises ScenarioError if absent
     if isinstance(current, bool) or not isinstance(current, (int, float)):
-        raise _fail(f"{path}.parameter", f"{_echo(parameter)} does not address a number")
+        raise _fail(f"{path}.parameter", f"{echo(parameter)} does not address a number")
     if isinstance(current, int):
         # An integer leaf (grid.n_points) takes integral values only, kept as int.
         raw = doc["values"]
         for i, (value, number) in enumerate(zip(raw, values)):
             if not number.is_integer():
                 raise _fail(
-                    f"{path}.values[{i}]", f"{_echo(parameter)} takes integers, got {_echo(value)}"
+                    f"{path}.values[{i}]", f"{echo(parameter)} takes integers, got {echo(value)}"
                 )
         values = [int(value) for value in raw]
     return SweepSpec(parameter=parameter, values=tuple(values))
@@ -302,7 +288,7 @@ def _check_memory(grid: FrequencyGrid, exact_modulators: tuple | None) -> None:
             gib = math.inf
         raise _fail(
             "scenario.grid.n_points",
-            f"{_echo(grid.n_points)} samples need an estimated {gib:.3g} GiB, "
+            f"{echo(grid.n_points)} samples need an estimated {gib:.3g} GiB, "
             f"above the {MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget",
         )
 
@@ -321,7 +307,7 @@ def _parse_outputs(doc, path: str, configuration: str) -> OutputSpec:
         if name not in allowed:
             raise _fail(
                 f"{path}.analyses",
-                f"unknown analysis {_echo(name)} for {configuration}; allowed: {list(allowed)}",
+                f"unknown analysis {echo(name)} for {configuration}; allowed: {list(allowed)}",
             )
     write_trace = doc.get("write_trace", True)
     write_comb = doc.get("write_comb", True)
@@ -363,13 +349,13 @@ def resolve_parameter(doc: dict, dotted: str):
             try:
                 node = node[int(part)]
             except (ValueError, IndexError) as exc:
-                raise _fail(path, f"bad list index {_echo(part)} in {_echo(dotted)}") from exc
+                raise _fail(path, f"bad list index {echo(part)} in {echo(dotted)}") from exc
         elif isinstance(node, dict):
             if part not in node:
-                raise _fail(path, f"{_echo(dotted)} not found (missing {_echo(part)})")
+                raise _fail(path, f"{echo(dotted)} not found (missing {echo(part)})")
             node = node[part]
         else:
-            raise _fail(path, f"{_echo(dotted)} descends into a leaf at {_echo(part)}")
+            raise _fail(path, f"{echo(dotted)} descends into a leaf at {echo(part)}")
     return node
 
 
@@ -393,13 +379,13 @@ def parse_scenario(document: dict) -> Scenario:
 
     version = _get(document, "schema_version", "scenario")
     if version != SCHEMA_VERSION:
-        raise _fail("scenario.schema_version", f"expected {SCHEMA_VERSION}, got {_echo(version)}")
+        raise _fail("scenario.schema_version", f"expected {SCHEMA_VERSION}, got {echo(version)}")
 
     configuration = _get(document, "configuration", "scenario")
     if configuration not in CONFIGURATIONS:
         raise _fail(
             "scenario.configuration",
-            f"expected one of {list(CONFIGURATIONS)}, got {_echo(configuration)}",
+            f"expected one of {list(CONFIGURATIONS)}, got {echo(configuration)}",
         )
     temporal = _is_temporal(configuration)
 

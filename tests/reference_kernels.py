@@ -1,7 +1,9 @@
 """Test-only frozen copies of the source and temporal-trace kernels.
 
 The library builds the temporal integrand straight into FFT order, evaluates
-the small-|GL| series only where it is used, squares |V| once, raises each
+the small-|GL| series only where it is used, squares |V| once, evaluates
+cosh(GL) and sinh(GL)/GL on half the grid when the mismatch is odd, takes
+exp(i DL/2) from gain-free terms that a gain sweep shares, raises each
 detuning power once per grid object and gates each source's bandwidth once
 per pairing.  Each of those is meant to change no output bit, so the tests
 compare the library with the straightforward forms kept here:

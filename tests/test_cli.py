@@ -531,6 +531,16 @@ def test_large_offending_value_is_echoed_bounded(tmp_path, name, expected):
     assert not out.exists()
 
 
+def test_grid_size_of_4001_digits_is_echoed_bounded(tmp_path, capsys):
+    grid = {"n_points": 3 * 10**4000, "delta_omega": 0.05}
+    code, out = _run_in_process(tmp_path, temporal_doc(grid=grid))
+    assert code == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: scenario.grid: n_points must be a power of two, got 30")
+    assert err.endswith("...\n") and len(err) < 200
+    assert not out.exists()
+
+
 def test_grid_size_beyond_a_double_is_refused_typed(tmp_path, capsys):
     grid = {"n_points": 2**1100, "delta_omega": 0.05}
     code, out = _run_in_process(tmp_path, temporal_doc(grid=grid))

@@ -4,6 +4,7 @@ Synthetic trees only: nothing here runs the benchmark.
 """
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -83,3 +84,37 @@ def test_main_exit_status(tmp_path, monkeypatch, capsys, files, status):
     assert diff_outputs.main(["--rev", "HEAD~1", "--seed", "7"]) == status
     out = capsys.readouterr().out
     assert ("x.csv" in out) == bool(status)
+
+
+@pytest.mark.parametrize(
+    "seeds, differing, status",
+    [(["7", "8", "9"], set(), 0), (["7", "8", "9"], {8}, 1), (["7", "8"], {7, 8}, 1)],
+    ids=["all_identical", "second_differs", "both_differ"],
+)
+def test_main_compares_every_seed(tmp_path, monkeypatch, capsys, seeds, differing, status):
+    """The command line extracts the revision once and compares its tree with
+    this checkout's at every seed, failing if any seed differs."""
+    here = tmp_path / "checkout"
+    extracted, ran = [], []
+    monkeypatch.setattr(diff_outputs, "ROOT", here)
+    monkeypatch.setattr(diff_outputs, "extract", lambda rev, dest: extracted.append(rev))
+
+    def run_workloads(tree, seed):
+        ran.append((tree == here, seed))
+        changed = tree == here and seed in differing
+        out = tree / diff_outputs.OUT
+        if out.exists():
+            shutil.rmtree(out)
+        _tree(out, {**FILES, "trace_sweeps/op0/x.csv": b"1"} if changed else FILES)
+
+    monkeypatch.setattr(diff_outputs, "run_workloads", run_workloads)
+    assert diff_outputs.main(["--rev", "HEAD~1", "--seed", *seeds]) == status
+    assert extracted == ["HEAD~1"]
+    assert ran == [(side, int(seed)) for seed in seeds for side in (False, True)]
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = [line for line in lines if line.startswith("perfbench/out at seed")]
+    assert len(verdicts) == len(seeds)
+    for seed, verdict in zip(seeds, verdicts):
+        assert verdict.startswith(f"perfbench/out at seed {seed} against HEAD~1: ")
+        assert verdict.endswith("identical") == (int(seed) not in differing)
+    assert any("x.csv" in line for line in lines) == bool(differing)

@@ -8,15 +8,21 @@ part or none of the grid below the small-|GL| series cutoff, and a gain and
 mismatch that land GL = 0 exactly on a grid sample, the library must return
 the same bytes for R, S, U, V, the flux, the trace and its widths, or fail
 the same gate with the same message, also when a second trace reads the
-bandwidth gated on the same source.  The dispersive phase and transfer are
-held to the reference over all five orders and signed coefficients, up to
-grid spacings whose powers overflow.
+bandwidth gated on the same source.  Odd mismatches of one to six orders
+(even orders written as 0.0 or -0.0, and the empty mismatch), which take
+the half-grid path of ``evaluate_uv``, and mixed-parity ones, which take
+the full path, are held to it too, with gains of 0.0 and -0.0, with
+coefficients that overflow, and with gain-free terms computed for another
+gain.  The dispersive phase and transfer are held to the reference over all
+five orders and signed coefficients, up to grid spacings whose powers
+overflow.
 """
 
 import math
 from dataclasses import astuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
@@ -27,10 +33,12 @@ from spdcsim.errors import SpdcSimError
 from spdcsim.grid import FrequencyGrid
 from spdcsim.source import (
     _SERIES_CUTOFF,
+    PhaseMismatch,
     SourceSpec,
     _cosh_and_sinhc,
     evaluate_analytic,
     evaluate_uv,
+    gain_free_terms,
     gamma_of,
 )
 
@@ -162,6 +170,116 @@ def test_branch_point_on_a_sample_matches_reference(data, log_n, log_spacing, lo
     gl = gamma_of(gain, spec.mismatch.phase(grid.omegas))
     assert gl[n // 2 + offset] == 0.0
     _check_physical(data.draw, spec, grid)
+
+
+def _mismatch(draw, grid: FrequencyGrid, parity: str) -> list:
+    """One to six orders, each scaled so that it alone reaches a phase of at
+    most 8 at the band edge.  ``parity`` "odd" writes every even order as
+    0.0 or -0.0; "mixed" makes at least one even order nonzero."""
+    size = draw(st.integers(min_value=1 if parity == "odd" else 2, max_value=6))
+    coeffs = [
+        draw(st.floats(min_value=-8.0, max_value=8.0)) / grid.omega_max**k
+        for k in range(1, size + 1)
+    ]
+    if parity == "odd":
+        for i in range(1, size, 2):  # orders 2, 4 and 6
+            coeffs[i] = draw(st.sampled_from((0.0, -0.0)))
+    else:
+        i = draw(st.sampled_from(range(1, size, 2)))
+        coeffs[i] = coeffs[i] or 1.0 / grid.omega_max ** (i + 1)
+    return coeffs
+
+
+# Odd mismatches take the half-grid path, with a gain of -0.0 the full one.
+PATH_GAINS = st.one_of(st.sampled_from(SERIES_GAINS + (-0.0,)), GAINS)
+
+
+@PROPERTY
+@given(
+    data=st.data(),
+    n=GRID_POINTS,
+    spacing=GRID_SPACINGS,
+    gain=PATH_GAINS,
+    parity=st.sampled_from(("odd", "mixed")),
+)
+def test_odd_and_mixed_mismatches_match_reference(data, n, spacing, gain, parity):
+    grid = FrequencyGrid(n, spacing)
+    spec = SourceSpec.physical(gain, _mismatch(data.draw, grid, parity))
+    assert spec.mismatch.is_odd == (parity == "odd")
+    _check_physical(data.draw, spec, grid)
+
+
+@pytest.mark.parametrize("coeffs", [[0.5], [1.3, 0.0, 0.015], [0.47, -0.0]])
+@pytest.mark.parametrize("n, spacing", [(64, 0.3), (64, 0.5), (1024, 0.05)])
+def test_negative_zero_gain_matches_reference(n, spacing, coeffs):
+    """V is a signed zero everywhere; mirroring cosh(GL) and sinh(GL)/GL
+    would flip the sign of some of R's zeros."""
+    spec = SourceSpec.physical(-0.0, coeffs)
+    grid = FrequencyGrid(n, spacing)
+    _assert_same_source(evaluate_uv(spec, grid), ref.evaluate_uv(spec, grid))
+
+
+@PROPERTY
+@given(data=st.data(), n=GRID_POINTS, spacing=GRID_SPACINGS, gain=PATH_GAINS)
+def test_empty_mismatch_matches_reference(data, n, spacing, gain):
+    spec = SourceSpec.physical(gain)
+    assert spec.mismatch.is_odd
+    _check_physical(data.draw, spec, FrequencyGrid(n, spacing))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [1e300],
+        [1.0, 0.0, 1e300],
+        [0.0, -0.0, 0.0, 0.0, 1e300],
+        [1e300, 1e300],
+        [0.5, 0.0, 1e200, 0.0, 0.0, 1e300],
+    ],
+)
+@pytest.mark.parametrize("gain", [0.0, 0.5])
+def test_overflowing_mismatch_fails_the_reference_gate(coeffs, gain):
+    spec = SourceSpec.physical(gain, coeffs)
+    grid = FrequencyGrid(256, 0.5)
+    new, new_err = _outcome(evaluate_uv, spec, grid)
+    old, old_err = _outcome(ref.evaluate_uv, spec, grid)
+    assert new_err == old_err
+    assert new_err is not None and new_err[1].startswith("Bogoliubov unitarity violated by ")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=GRID_POINTS,
+    spacing=GRID_SPACINGS,
+    gains=st.lists(GAINS, min_size=2, max_size=4),
+    parity=st.sampled_from(("odd", "mixed")),
+    data=st.data(),
+)
+def test_terms_of_another_source_with_an_equal_mismatch_match_reference(
+    n, spacing, gains, parity, data
+):
+    """Gain-free terms computed once, for the first gain on a grid object,
+    serve every gain, also on an equal grid object built separately."""
+    grid = FrequencyGrid(n, spacing)
+    coeffs = _mismatch(data.draw, grid, parity)
+    terms = gain_free_terms(SourceSpec.physical(gains[0], coeffs).mismatch, grid)
+    for gain in gains[1:]:
+        spec = SourceSpec.physical(gain, coeffs)
+        for on in (grid, FrequencyGrid(n, spacing)):
+            new, new_err = _outcome(evaluate_uv, spec, on, terms)
+            old, old_err = _outcome(ref.evaluate_uv, spec, on)
+            assert new_err == old_err
+            if old is not None:
+                _assert_same_source(new, old)
+
+
+def test_terms_of_another_mismatch_or_grid_are_refused():
+    grid = FrequencyGrid(64, 0.1)
+    terms = gain_free_terms(PhaseMismatch((0.5,)), grid)
+    with pytest.raises(ValueError, match="another mismatch or grid"):
+        evaluate_uv(SourceSpec.physical(1.0, [0.5, 0.1]), grid, terms)
+    with pytest.raises(ValueError, match="another mismatch or grid"):
+        evaluate_uv(SourceSpec.physical(1.0, [0.5]), FrequencyGrid(128, 0.1), terms)
 
 
 @PROPERTY

@@ -15,6 +15,7 @@ import pytest
 import reference_kernels as ref
 from spdcsim import AliasRisk, DispersiveElement, FrequencyGrid, ScenarioError, dispersive_transfer
 from spdcsim import runner
+from spdcsim import source as source_module
 from spdcsim.scenario import parse_scenario, set_parameter
 
 
@@ -128,6 +129,83 @@ def test_gain_sweep_evaluates_source_and_baseline_per_point(workers, monkeypatch
         assert calls == {"evaluate_source": points, "baseline": points}, name
 
 
+def record_terms(monkeypatch):
+    """The ``terms`` argument of every ``evaluate_source`` call, and a count of
+    gain-free term computations, by the runner for sharing and by
+    ``evaluate_uv`` for itself."""
+    terms_passed, computed = [], {"shared": 0, "own": 0}
+    evaluate_source = runner.evaluate_source
+
+    def recording(spec, grid, terms=None):
+        terms_passed.append(terms)
+        return evaluate_source(spec, grid, terms)
+
+    def counted(key, original):
+        def wrapper(*args):
+            computed[key] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(runner, "evaluate_source", recording)
+    monkeypatch.setattr(runner, "gain_free_terms", counted("shared", runner.gain_free_terms))
+    own = counted("own", source_module.gain_free_terms)
+    monkeypatch.setattr(source_module, "gain_free_terms", own)
+    return terms_passed, computed
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_gain_sweep_computes_the_gain_free_terms_once(workers, monkeypatch, tmp_path):
+    # No value equals the base's gain, so every point reads the shared terms.
+    doc = {**SWEEPS["gain"], "sweep": {"parameter": "source.gain", "values": [0.2, 1.1, 1.4, 0.9]}}
+    terms_passed, computed = record_terms(monkeypatch)
+    runner.run_scenario(parse_scenario(doc), tmp_path, workers=workers)
+    assert computed == {"shared": 1, "own": 0}
+    assert len(terms_passed) == 4 and terms_passed[0] is not None
+    assert all(terms is terms_passed[0] for terms in terms_passed)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_gain_sweep_point_at_the_base_gain_shares_the_base_source(workers, monkeypatch, tmp_path):
+    # The 0.6 point is the base: it evaluates the base's source, which
+    # computes its own terms; the other two points share one set.
+    terms_passed, computed = record_terms(monkeypatch)
+    runner.run_scenario(parse_scenario(SWEEPS["gain"]), tmp_path, workers=workers)
+    assert computed == {"shared": 1, "own": 1}
+    shared = [terms for terms in terms_passed if terms is not None]
+    assert len(terms_passed) == 3 and len(shared) == 2 and shared[0] is shared[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "doc, sources",
+    [
+        (
+            sweep_doc(
+                "inter_time", PHYSICAL, [0.0, 1.5], [0.0, -0.5],
+                "source.mismatch_coeffs.0", [0.2, 0.7, 0.9],
+            ),
+            3,
+        ),
+        (
+            sweep_doc(
+                "inter_time", PHYSICAL, [0.0, 1.5], [0.0, -0.5], "grid.n_points", [256, 512],
+                n_points=128,
+            ),
+            2,
+        ),
+        (SWEEPS["intra_element"], 1),
+    ],
+    ids=["mismatch", "grid", "element"],
+)
+def test_sweeps_off_the_gain_axis_share_no_terms(doc, sources, workers, monkeypatch, tmp_path):
+    # Each source computes its own terms; the runner never asks for any.
+    terms_passed, computed = record_terms(monkeypatch)
+    runner.run_scenario(parse_scenario(doc), tmp_path, workers=workers)
+    assert terms_passed == [None] * sources
+    assert computed == {"shared": 0, "own": sources}
+
+
 @pytest.mark.parametrize("analyses", [["width_ratio"], ["rms_width", "s_over_b"]])
 def test_single_run_evaluates_source_once_and_baseline_for_width_ratio(
     analyses, monkeypatch, tmp_path
@@ -173,6 +251,25 @@ def test_shared_pieces_are_computed_once_under_thread_contention(monkeypatch, tm
     finally:
         sys.setswitchinterval(interval)
     assert calls == {"evaluate_source": 1, "baseline": 1}
+    runner.run_scenario(parse_scenario(doc), tmp_path / "one", workers=1)
+    names = sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert filecmp.cmpfiles(tmp_path / "one", tmp_path / "many", names, shallow=False)[0] == names
+
+
+def test_gain_free_terms_are_computed_once_under_thread_contention(monkeypatch, tmp_path):
+    # More workers than cores and a short switch interval: two gain points
+    # racing for the base's gain-free terms would each compute them.
+    doc = {**SWEEPS["gain"]}
+    doc["sweep"] = {"parameter": "source.gain", "values": [0.01 + 0.05 * k for k in range(24)]}
+    terms_passed, computed = record_terms(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.run_scenario(parse_scenario(doc), tmp_path / "many", workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert computed == {"shared": 1, "own": 0}
+    assert len(terms_passed) == 24 and all(terms is terms_passed[0] for terms in terms_passed)
     runner.run_scenario(parse_scenario(doc), tmp_path / "one", workers=1)
     names = sorted(p.name for p in (tmp_path / "one").iterdir())
     assert filecmp.cmpfiles(tmp_path / "one", tmp_path / "many", names, shallow=False)[0] == names

@@ -7,11 +7,10 @@ from spdcsim import GridIncommensurate, MismatchedDrive, ScenarioError
 from spdcsim import cli
 from spdcsim.correlators import estimate_peak_bytes
 from spdcsim.elements import build_comb
+from spdcsim.errors import ECHO_LIMIT, echo
 from spdcsim.runner import execute, run_scenario
 from spdcsim.scenario import (
-    ECHO_LIMIT,
     MEMORY_BUDGET_BYTES,
-    _echo,
     check_sweep_outputs,
     load_scenario,
     parse_scenario,
@@ -455,6 +454,24 @@ def test_peak_estimate_covers_a_five_order_run(n_points, delta_omega, tmp_path):
     assert peak <= estimate_peak_bytes(n_points)
 
 
+@pytest.mark.parametrize("n_points, delta_omega", [(4096, 0.01), (65536, 0.0025)])
+def test_peak_estimate_covers_a_gain_sweep(n_points, delta_omega, tmp_path):
+    """A gain sweep holds the gain-free terms its points share (16 bytes per
+    sample) besides one point's source, transfers, traces and trace text; on
+    one worker the estimate still covers the traced peak."""
+    doc = _with(
+        minimal_time_doc(),
+        (("grid",), {"n_points": n_points, "delta_omega": delta_omega}),
+        (("source",), {"mode": "physical", "gain": 0.5, "mismatch_coeffs": [0.5]}),
+        (("elements", 0, "phase_coeffs"), [0.0, 2.0]),
+        (("elements", 1, "phase_coeffs"), [0.0, -1.0]),
+        (("sweep",), {"parameter": "source.gain", "values": [0.2, 0.9, 1.5]}),
+    )
+    scenario = parse_scenario(doc)
+    peak = _traced_peak(lambda: run_scenario(scenario, tmp_path / "out", workers=1))
+    assert peak <= estimate_peak_bytes(n_points)
+
+
 @pytest.mark.parametrize("n_points", [2**30, 2**40])
 def test_oversized_grid_refused_before_allocation(n_points):
     doc = _with(minimal_time_doc(), (("grid", "n_points"), n_points))
@@ -500,17 +517,34 @@ def test_oversized_grid_exits_2_naming_its_path(argv_extra, sweep, tmp_path, cap
 
 
 def test_echo_keeps_short_values_and_cuts_long_ones():
-    assert _echo("fwhm") == "'fwhm'"
-    assert _echo([1.5, "x"]) == "[1.5, 'x']"
-    assert _echo(2**64) == "18446744073709551616"
+    assert echo("fwhm") == "'fwhm'"
+    assert echo([1.5, "x"]) == "[1.5, 'x']"
+    assert echo(2**64) == "18446744073709551616"
     exact = "z" * (ECHO_LIMIT - 2)
-    assert _echo(exact) == repr(exact)
-    assert _echo(exact + "z") == repr(exact + "z")[: ECHO_LIMIT - 3] + "..."
-    assert len(_echo(list(range(10**5)))) == ECHO_LIMIT
+    assert echo(exact) == repr(exact)
+    assert echo(exact + "z") == repr(exact + "z")[: ECHO_LIMIT - 3] + "..."
+    assert len(echo(list(range(10**5)))) == ECHO_LIMIT
+
+
+@pytest.mark.parametrize(
+    "n_points, expected",
+    [
+        (96, "scenario.grid: n_points must be a power of two, got 96"),
+        (
+            3 * 10**4000,
+            "scenario.grid: n_points must be a power of two, got 3" + "0" * (ECHO_LIMIT - 4) + "...",
+        ),
+    ],
+    ids=["short", "4001_digits"],
+)
+def test_grid_size_is_echoed_bounded_by_the_library(n_points, expected):
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(_with(minimal_time_doc(), (("grid", "n_points"), n_points)))
+    assert str(caught.value) == expected
 
 
 def test_echo_names_a_value_nested_beyond_repr():
     nested = []
     for _ in range(10**5):
         nested = [nested]
-    assert _echo(nested) == "a too deeply nested list"
+    assert echo(nested) == "a too deeply nested list"

@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Compare the benchmark's output files of this checkout with a git revision's.
 
-    python3 tools/diff_outputs.py --rev a5bec99 --seed 1401
+    python3 tools/diff_outputs.py --rev a5bec99 --seed 1401 1402
 
-Extracts the committed files of REV into a temporary directory, runs every
-workload once in that tree and in this checkout
-(``perfbench/run.py --seconds 1 --trace 0 --seed N``) and compares the two
-``perfbench/out/`` trees with ``diff -r``, leaving out the ``*-setup.json``
-files, which hold paths inside their own tree.  Prints every file that
-differs or exists on one side only and exits 1 if there is any, else 0.  The
-temporary tree is removed afterwards.
+Extracts the committed files of REV into a temporary directory once.  For
+each seed N in turn, runs every workload once in that tree and in this
+checkout (``perfbench/run.py --seconds 1 --trace 0 --seed N``) and compares
+the two ``perfbench/out/`` trees with ``diff -r``, leaving out the
+``*-setup.json`` files, which hold paths inside their own tree.  Prints every
+file that differs or exists on one side only, and a verdict per seed; exits
+1 if any seed differs, else 0.  The temporary tree is removed afterwards.
 
 This checkout's workloads run in place, so the run overwrites this
 checkout's ``perfbench/out/`` and ``perfbench/results/<workload>-trace0.json``;
@@ -69,19 +69,22 @@ def extract(rev: str, dest: Path) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", required=True, help="git revision to compare against")
-    parser.add_argument("--seed", type=int, required=True, help="workload seed")
+    parser.add_argument("--seed", type=int, nargs="+", required=True, help="workload seeds")
     args = parser.parse_args(argv)
+    differing = 0
     with tempfile.TemporaryDirectory(prefix="diff_outputs-") as tmp:
         other = Path(tmp)
         extract(args.rev, other)
-        run_workloads(other, args.seed)
-        run_workloads(ROOT, args.seed)
-        differences = compare_trees(other / OUT, ROOT / OUT)
-    for line in differences:
-        print(line)
-    verdict = f"{len(differences)} difference(s)" if differences else "identical"
-    print(f"perfbench/out at seed {args.seed} against {args.rev}: {verdict}")
-    return 1 if differences else 0
+        for seed in args.seed:
+            run_workloads(other, seed)
+            run_workloads(ROOT, seed)
+            differences = compare_trees(other / OUT, ROOT / OUT)
+            for line in differences:
+                print(line)
+            verdict = f"{len(differences)} difference(s)" if differences else "identical"
+            print(f"perfbench/out at seed {seed} against {args.rev}: {verdict}")
+            differing += bool(differences)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
