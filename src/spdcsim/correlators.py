@@ -60,10 +60,11 @@ ALIAS_WINDOW_FRACTION = 0.40
 NARROWBAND_MAX_RATIO = 0.05
 
 # Peak traced memory of one run_scenario point over temporal grids of 4096 to
-# 65536 samples was 211-352 bytes per sample, the most with two five-order
-# elements, whose four detuning powers the grid keeps (32 bytes per sample)
-# while the trace text is written (a gain sweep on one worker, whose points
-# share exp(i DL/2) at 16 bytes per sample: 336-341); exact joint spectra at
+# 65536 samples was 235-341 bytes per sample with a physical source, whose
+# gain-free factor exp(i DL/2) the grid keeps (16 bytes per sample); the most
+# with two five-order elements, whose four detuning powers the grid keeps too
+# (32 bytes per sample) while the trace text is written (295-337), and in a
+# gain sweep on one worker (337-341); exact joint spectra at
 # n = 4096 with 77 and 177 comb lines added 20-27 bytes per line per sample,
 # below the 32 of a complex amplitude and its squared modulus held at once.
 _PEAK_BYTES_PER_SAMPLE = 384

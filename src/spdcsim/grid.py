@@ -9,7 +9,8 @@ e^{+i*Omega*tau} transform used by the temporal correlators.
 A grid object computes its samples once: ``omegas``, ``taus`` and each power
 ``omega_power(k)`` are read-only arrays cached on the object, so everything
 handed the same grid object (every point of a sweep on its base's grid)
-shares them.
+shares them.  The source's gain-free phase factor is memoised on the grid
+object the same way (``source._half_phase``).
 """
 
 import math

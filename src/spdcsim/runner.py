@@ -12,13 +12,10 @@ equal element objects (on which ``dispersive_transfer`` memoises the
 transfer) and shares the base's when the point's source equals the base's.
 What hangs on those objects is then shared too: the grid's detuning samples
 and their powers (``FrequencyGrid.omega_power``), which every element phase
-on the grid reads, and the source's structure bandwidth per pairing, which
-the alias and narrowband gates read.  A point whose physical source differs
-from the base's in its gain alone (a ``source.gain`` sweep) computes its own
-source and baseline, but reads the base's gain-free phase factor exp(i DL/2)
-of the mismatch phase DL (``source.gain_free_terms``): the base computes it
-once, when the first such point asks, and it is dropped with the base's
-shared object when ``run_scenario`` returns.
+on the grid reads; the gain-free factor exp(i DL/2) of the source's mismatch
+phase DL (``source._half_phase``), which every point of a ``source.gain``
+sweep reads while it evaluates its own source; and the source's structure
+bandwidth per pairing, which the alias and narrowband gates read.
 
 The CSV writers format whole columns at once: a row template repeated over
 the rows is filled by a single %-operation (``_format_rows``), and
@@ -59,8 +56,8 @@ from .correlators import (
 )
 from .elements import build_comb
 from .errors import NonFiniteResult
-from .scenario import Scenario, sweep_columns, sweep_points
-from .source import PHYSICAL, evaluate_source, gain_free_terms
+from .scenario import Scenario, points_at_once, sweep_columns, sweep_points
+from .source import evaluate_source
 
 _JOINT_CHUNK_ROWS = 8192
 
@@ -161,31 +158,23 @@ class _SharedWithBase:
     """Source fields and baseline width of one scenario, each computed once.
 
     One per run: the base's for the sweep points that ``adopt`` shares it
-    with, else the point's own.  A point whose source differs from the
-    base's in its gain alone gets its own object that reads the base's
-    gain-free source terms (``source.gain_free_terms``, exp(i DL/2) on the
-    grid); the base computes them on the first such ask, so they live as
-    long as the sweep run, and only a sweep with such points holds them.
-    The first point to ask computes a piece while the others wait for it.
-    Computing the pieces in the main thread before the pool starts drops the
-    lock but cost compute-bound sweeps about 8% more wall and CPU time, with
-    twice the minor page faults.
+    with, else the run's own.  The first point to ask computes a piece while
+    the others wait for it.  Computing both in the main thread before the
+    pool starts drops the lock but cost compute-bound sweeps about 8% more
+    wall and CPU time, with twice the minor page faults.  What a point shares
+    with its base beyond these hangs on the base's grid and element objects.
     """
 
-    def __init__(self, base: Scenario, terms_from: "_SharedWithBase | None" = None):
+    def __init__(self, base: Scenario):
         self._base = base
-        self._terms_from = terms_from
         self._lock = threading.Lock()
         self._source = None
         self._reference_width = None
-        self._gain_free_terms = None
 
     def adopt(self, point: Scenario):
         """``(point, shared)``: ``point`` on the base's grid object and equal
-        element objects; ``shared`` this object when its source is the base's
-        too, a new one reading this object's gain-free terms when the source
-        is physical and differs from the base's in its gain alone, else None;
-        off the base's grid, ``point`` unchanged and None."""
+        element objects, ``shared`` this object when its source is the base's
+        too, else None; off the base's grid, ``point`` unchanged and None."""
         base = self._base
         if point.grid != base.grid:
             return point, None
@@ -193,19 +182,7 @@ class _SharedWithBase:
         if point.is_temporal:
             elements = tuple(b if p == b else p for p, b in zip(point.elements, base.elements))
         point = replace(point, grid=base.grid, elements=elements)
-        if point.source == base.source:
-            return point, self
-        gain_only = replace(point.source, gain=base.source.gain) == base.source
-        if gain_only and point.source.mode == PHYSICAL:
-            return point, _SharedWithBase(point, terms_from=self)
-        return point, None
-
-    def gain_free_terms(self):
-        """``source.gain_free_terms`` of the base's mismatch on its grid."""
-        with self._lock:
-            if self._gain_free_terms is None:
-                self._gain_free_terms = gain_free_terms(self._base.source.mismatch, self._base.grid)
-            return self._gain_free_terms
+        return point, (self if point.source == base.source else None)
 
     def source(self):
         """The source fields without U and V, which no correlator or analysis
@@ -213,8 +190,7 @@ class _SharedWithBase:
         of 3.5 MiB) while its traces are computed."""
         with self._lock:
             if self._source is None:
-                terms = None if self._terms_from is None else self._terms_from.gain_free_terms()
-                fields = evaluate_source(self._base.source, self._base.grid, terms)
+                fields = evaluate_source(self._base.source, self._base.grid)
                 self._source = replace(fields, U=None, V=None)
             return self._source
 
@@ -240,9 +216,8 @@ def _verdict_results(verdict: analysis.CancelationVerdict) -> dict:
 def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointOutcome:
     """Run the configured correlator and the requested analyses.
 
-    ``shared`` supplies the source fields and the baseline width, those of a
-    sweep's base scenario or the point's own (``_SharedWithBase.adopt``);
-    without it the scenario computes its own.
+    ``shared`` supplies the source fields and the baseline width when they are
+    those of a sweep's base scenario; without it the scenario computes its own.
     """
     shared = shared or _SharedWithBase(scenario)
     source = shared.source()
@@ -331,7 +306,9 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
 
     Returns the report dictionary; files land in ``out_dir``.  Every sweep
     point is parsed before the directory is made; a point's error names its
-    ``scenario.sweep.values[i]``.
+    ``scenario.sweep.values[i]``.  A sweep runs up to ``workers`` points at
+    once (default: the CPU count), but no more than fit the memory budget
+    together (``scenario.points_at_once``).
     """
     shared = _SharedWithBase(scenario)
     points = [shared.adopt(point) for point in sweep_points(scenario)]
@@ -346,7 +323,8 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
         files += _write_point_files(outcome, out_dir, "")
         report["results"] = outcome.analyses
     else:
-        max_workers = workers or os.cpu_count() or 1
+        at_once = points_at_once(point for point, _ in points)
+        max_workers = min(workers or os.cpu_count() or 1, at_once)
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             pending = pool.map(execute, *zip(*points))
             # The pool now holds the only reference to each point, so a point

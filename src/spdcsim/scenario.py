@@ -15,7 +15,8 @@ owns it (the grid, source and element constructors, ``check_modulator``,
 library error gets its JSON path; ``sweep_points`` parses a sweep's points
 through it too.  A scenario whose ``estimate_peak_bytes`` exceeds
 ``MEMORY_BUDGET_BYTES`` is refused at ``scenario.grid.n_points`` before
-anything of the grid's size is allocated.
+anything of the grid's size is allocated, and ``points_at_once`` tells the
+runner how many sweep points fit that budget together.
 """
 
 import copy
@@ -274,13 +275,19 @@ def _parse_sweep(doc, path: str, resolved: dict) -> SweepSpec:
     return SweepSpec(parameter=parameter, values=tuple(values))
 
 
-def _check_memory(grid: FrequencyGrid, exact_modulators: tuple | None) -> None:
-    """Refuse a grid whose estimated peak memory exceeds the budget, before
-    anything of its size is allocated."""
+def _peak_estimate(grid: FrequencyGrid, exact_modulators: tuple | None) -> int:
+    """``estimate_peak_bytes`` of one point on ``grid``, with the exact joint
+    spectrum of ``exact_modulators`` if given."""
     combs = None
     if exact_modulators is not None:
         combs = tuple(build_comb(freq, index) for freq, index in exact_modulators)
-    estimate = estimate_peak_bytes(grid.n_points, combs)
+    return estimate_peak_bytes(grid.n_points, combs)
+
+
+def _check_memory(grid: FrequencyGrid, exact_modulators: tuple | None) -> None:
+    """Refuse a grid whose estimated peak memory exceeds the budget, before
+    anything of its size is allocated."""
+    estimate = _peak_estimate(grid, exact_modulators)
     if estimate > MEMORY_BUDGET_BYTES:
         try:
             gib = estimate / 2**30
@@ -291,6 +298,16 @@ def _check_memory(grid: FrequencyGrid, exact_modulators: tuple | None) -> None:
             f"{echo(grid.n_points)} samples need an estimated {gib:.3g} GiB, "
             f"above the {MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget",
         )
+
+
+def points_at_once(points) -> int:
+    """How many of the parsed sweep ``points`` fit ``MEMORY_BUDGET_BYTES`` at
+    once, each at the estimate that ``_check_memory`` gates: at least one."""
+    largest = max(
+        _peak_estimate(point.grid, point.modulators if point.exact_grid else None)
+        for point in points
+    )
+    return max(1, MEMORY_BUDGET_BYTES // largest)
 
 
 def _parse_outputs(doc, path: str, configuration: str) -> OutputSpec:

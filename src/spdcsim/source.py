@@ -139,27 +139,25 @@ class SourceFields:
             raise ValueError(f"{what} requires a physical source, got {self.mode!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class GainFreeTerms:
-    """The gain-independent phase factor of ``evaluate_uv`` on one grid.
+def _half_phase(mismatch: PhaseMismatch, grid: FrequencyGrid) -> np.ndarray:
+    """exp(i DL/2) of the mismatch phase DL of ``mismatch`` on ``grid``, read-only.
 
-    ``half_phase`` is exp(i DL/2) of ``mismatch`` on ``grid``, read-only, so
-    that every source with this mismatch on this grid can share it, whatever
-    its gain.  DL is not kept: each source recomputes it (about 0.1 ms at
-    n = 65536) rather than a sweep holding 8 more bytes per sample.
+    It does not depend on the gain.  It is memoised on the grid object for
+    the last mismatch asked (compared by value), so the sources of a gain
+    sweep, all on their base's grid object, compute it once.  Equal
+    mismatches whose zero coefficients differ in sign give the same bits:
+    only DL's zeros can differ in sign, and exp(i DL/2) is 1 + 0j at either.
+    Threads racing on a first call may each compute the same samples; any
+    of them is kept.
     """
-
-    mismatch: PhaseMismatch
-    grid: FrequencyGrid
-    half_phase: np.ndarray
-
-
-def gain_free_terms(mismatch: PhaseMismatch, grid: FrequencyGrid) -> GainFreeTerms:
-    """exp(i DL/2) of ``mismatch`` on ``grid``."""
+    memo = grid.__dict__.get("_half_phase")
+    if memo is not None and memo[0] == mismatch:
+        return memo[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        half_phase = np.exp(0.5j * mismatch.phase(grid.omegas))
-    half_phase.setflags(write=False)
-    return GainFreeTerms(mismatch=mismatch, grid=grid, half_phase=half_phase)
+        out = np.exp(0.5j * mismatch.phase(grid.omegas))
+    out.setflags(write=False)
+    grid.__dict__["_half_phase"] = (mismatch, out)
+    return out
 
 
 def gamma_of(gain, mismatch_phase):
@@ -205,14 +203,11 @@ def _even_from_half(half: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate_uv(
-    spec: SourceSpec, grid: FrequencyGrid, terms: GainFreeTerms | None = None
-) -> SourceFields:
+def evaluate_uv(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
     """Sample U, V and the derived spectra of a physical source on a grid.
 
-    ``terms`` are the gain-free terms of ``spec.mismatch`` on ``grid``
-    (``gain_free_terms``), computed here when not given; a sweep over the
-    gain passes the same terms to every point.
+    The gain-free factor exp(i DL/2) is read from the grid object's memo
+    (``_half_phase``), which the sources of a gain sweep share.
 
     When the mismatch is odd (``PhaseMismatch.is_odd``) and the gain's sign
     bit is clear, GL and with it cosh(GL) and sinh(GL)/GL are evaluated on
@@ -226,11 +221,7 @@ def evaluate_uv(
     """
     if spec.mode != PHYSICAL:
         raise ValueError("evaluate_uv requires a physical-mode source")
-    if terms is None:
-        terms = gain_free_terms(spec.mismatch, grid)
-    elif terms.mismatch != spec.mismatch or terms.grid != grid:
-        raise ValueError("gain-free terms belong to another mismatch or grid")
-    half_phase = terms.half_phase
+    half_phase = _half_phase(spec.mismatch, grid)
     # An extreme gain or mismatch overflows U and V; the gate below refuses
     # the non-finite deviation that results.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -274,11 +265,8 @@ def evaluate_analytic(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
     return SourceFields(grid=grid, R=r.astype(complex), S=s, flux_n=flux, mode=ANALYTIC)
 
 
-def evaluate_source(
-    spec: SourceSpec, grid: FrequencyGrid, terms: GainFreeTerms | None = None
-) -> SourceFields:
-    """Dispatch to the physical or analytic evaluator; ``terms`` as for
-    ``evaluate_uv``, physical sources only."""
+def evaluate_source(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
+    """Dispatch to the physical or analytic evaluator."""
     if spec.mode == PHYSICAL:
-        return evaluate_uv(spec, grid, terms)
+        return evaluate_uv(spec, grid)
     return evaluate_analytic(spec, grid)

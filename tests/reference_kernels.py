@@ -2,10 +2,9 @@
 
 The library builds the temporal integrand straight into FFT order, evaluates
 the small-|GL| series only where it is used, squares |V| once, evaluates
-cosh(GL) and sinh(GL)/GL on half the grid when the mismatch is odd, takes
-exp(i DL/2) from gain-free terms that a gain sweep shares, raises each
-detuning power once per grid object and gates each source's bandwidth once
-per pairing.  Each of those is meant to change no output bit, so the tests
+cosh(GL) and sinh(GL)/GL on half the grid when the mismatch is odd,
+memoises exp(i DL/2) and raises each detuning power once per grid object,
+and gates each source's bandwidth once per pairing.  Each of those is meant to change no output bit, so the tests
 compare the library with the straightforward forms kept here:
 ``evaluate_uv`` and ``_cosh_and_sinhc`` with the series and ``np.where`` over
 the whole array, ``phase`` and ``dispersive_transfer`` raising ``omegas**k``

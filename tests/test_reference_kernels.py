@@ -12,10 +12,10 @@ bandwidth gated on the same source.  Odd mismatches of one to six orders
 (even orders written as 0.0 or -0.0, and the empty mismatch), which take
 the half-grid path of ``evaluate_uv``, and mixed-parity ones, which take
 the full path, are held to it too, with gains of 0.0 and -0.0, with
-coefficients that overflow, and with gain-free terms computed for another
-gain.  The dispersive phase and transfer are held to the reference over all
-five orders and signed coefficients, up to grid spacings whose powers
-overflow.
+coefficients that overflow, and in drawn sequences of sources on one grid
+object, which hit and miss its memo of exp(i DL/2).  The dispersive phase
+and transfer are held to the reference over all five orders and signed
+coefficients, up to grid spacings whose powers overflow.
 """
 
 import math
@@ -33,12 +33,10 @@ from spdcsim.errors import SpdcSimError
 from spdcsim.grid import FrequencyGrid
 from spdcsim.source import (
     _SERIES_CUTOFF,
-    PhaseMismatch,
     SourceSpec,
     _cosh_and_sinhc,
     evaluate_analytic,
     evaluate_uv,
-    gain_free_terms,
     gamma_of,
 )
 
@@ -247,39 +245,38 @@ def test_overflowing_mismatch_fails_the_reference_gate(coeffs, gain):
     assert new_err is not None and new_err[1].startswith("Bogoliubov unitarity violated by ")
 
 
+def _next_mismatch(draw, grid: FrequencyGrid, previous: list) -> list:
+    """A mismatch after ``previous`` on one grid: a repeat of the last, the
+    last with the sign of each zero coefficient flipped (an equal value), or
+    a fresh odd, mixed-parity or empty one."""
+    kinds = ("odd", "mixed", "empty") + (("repeat", "flip") if previous else ())
+    kind = draw(st.sampled_from(kinds))
+    if kind == "repeat":
+        return previous[-1]
+    if kind == "flip":
+        return [-c if c == 0.0 else c for c in previous[-1]]
+    if kind == "empty":
+        return []
+    return _mismatch(draw, grid, kind)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    n=GRID_POINTS,
-    spacing=GRID_SPACINGS,
-    gains=st.lists(GAINS, min_size=2, max_size=4),
-    parity=st.sampled_from(("odd", "mixed")),
-    data=st.data(),
-)
-def test_terms_of_another_source_with_an_equal_mismatch_match_reference(
-    n, spacing, gains, parity, data
-):
-    """Gain-free terms computed once, for the first gain on a grid object,
-    serve every gain, also on an equal grid object built separately."""
+@given(n=GRID_POINTS, spacing=GRID_SPACINGS, calls=st.integers(2, 6), data=st.data())
+def test_one_grid_serves_a_sequence_of_sources_like_the_reference(n, spacing, calls, data):
+    """One grid object memoises exp(i DL/2) for the last mismatch asked.
+    Every source of a drawn sequence on it, whether it hits the memo (a
+    repeated or equal mismatch, at any gain) or misses it, gives the
+    reference's bytes or fails its gate with the same message."""
     grid = FrequencyGrid(n, spacing)
-    coeffs = _mismatch(data.draw, grid, parity)
-    terms = gain_free_terms(SourceSpec.physical(gains[0], coeffs).mismatch, grid)
-    for gain in gains[1:]:
-        spec = SourceSpec.physical(gain, coeffs)
-        for on in (grid, FrequencyGrid(n, spacing)):
-            new, new_err = _outcome(evaluate_uv, spec, on, terms)
-            old, old_err = _outcome(ref.evaluate_uv, spec, on)
-            assert new_err == old_err
-            if old is not None:
-                _assert_same_source(new, old)
-
-
-def test_terms_of_another_mismatch_or_grid_are_refused():
-    grid = FrequencyGrid(64, 0.1)
-    terms = gain_free_terms(PhaseMismatch((0.5,)), grid)
-    with pytest.raises(ValueError, match="another mismatch or grid"):
-        evaluate_uv(SourceSpec.physical(1.0, [0.5, 0.1]), grid, terms)
-    with pytest.raises(ValueError, match="another mismatch or grid"):
-        evaluate_uv(SourceSpec.physical(1.0, [0.5]), FrequencyGrid(128, 0.1), terms)
+    mismatches = []
+    for _ in range(calls):
+        mismatches.append(_next_mismatch(data.draw, grid, mismatches))
+        spec = SourceSpec.physical(data.draw(PATH_GAINS), mismatches[-1])
+        new, new_err = _outcome(evaluate_uv, spec, grid)
+        old, old_err = _outcome(ref.evaluate_uv, spec, grid)
+        assert new_err == old_err
+        if old is not None:
+            _assert_same_source(new, old)
 
 
 @PROPERTY

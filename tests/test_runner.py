@@ -15,8 +15,11 @@ import pytest
 import reference_kernels as ref
 from spdcsim import AliasRisk, DispersiveElement, FrequencyGrid, ScenarioError, dispersive_transfer
 from spdcsim import runner
+from spdcsim import scenario as scenario_module
 from spdcsim import source as source_module
+from spdcsim.correlators import estimate_peak_bytes
 from spdcsim.scenario import parse_scenario, set_parameter
+from spdcsim.source import PhaseMismatch
 
 
 def sweep_doc(config, source, e0, e1, parameter, values, n_points=256):
@@ -129,51 +132,45 @@ def test_gain_sweep_evaluates_source_and_baseline_per_point(workers, monkeypatch
         assert calls == {"evaluate_source": points, "baseline": points}, name
 
 
-def record_terms(monkeypatch):
-    """The ``terms`` argument of every ``evaluate_source`` call, and a count of
-    gain-free term computations, by the runner for sharing and by
-    ``evaluate_uv`` for itself."""
-    terms_passed, computed = [], {"shared": 0, "own": 0}
-    evaluate_source = runner.evaluate_source
+def record_half_phases(monkeypatch):
+    """Every exp(i DL/2) array that ``evaluate_uv`` reads, in call order; each
+    distinct array is one computation of the factor."""
+    read = []
+    half_phase = source_module._half_phase
 
-    def recording(spec, grid, terms=None):
-        terms_passed.append(terms)
-        return evaluate_source(spec, grid, terms)
+    def recording(mismatch, grid):
+        read.append(half_phase(mismatch, grid))
+        return read[-1]
 
-    def counted(key, original):
-        def wrapper(*args):
-            computed[key] += 1
-            return original(*args)
+    monkeypatch.setattr(source_module, "_half_phase", recording)
+    return read
 
-        return wrapper
 
-    monkeypatch.setattr(runner, "evaluate_source", recording)
-    monkeypatch.setattr(runner, "gain_free_terms", counted("shared", runner.gain_free_terms))
-    own = counted("own", source_module.gain_free_terms)
-    monkeypatch.setattr(source_module, "gain_free_terms", own)
-    return terms_passed, computed
+def computed(read: list) -> int:
+    return len({id(array) for array in read})
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_gain_sweep_computes_the_gain_free_terms_once(workers, monkeypatch, tmp_path):
-    # No value equals the base's gain, so every point reads the shared terms.
+    # No value equals the base's gain, so every point evaluates its own
+    # source on the base's grid object and reads the factor memoised there.
+    # Two workers racing on the first call may each compute it.
     doc = {**SWEEPS["gain"], "sweep": {"parameter": "source.gain", "values": [0.2, 1.1, 1.4, 0.9]}}
-    terms_passed, computed = record_terms(monkeypatch)
+    read = record_half_phases(monkeypatch)
     runner.run_scenario(parse_scenario(doc), tmp_path, workers=workers)
-    assert computed == {"shared": 1, "own": 0}
-    assert len(terms_passed) == 4 and terms_passed[0] is not None
-    assert all(terms is terms_passed[0] for terms in terms_passed)
+    assert len(read) == 4
+    assert 1 <= computed(read) <= workers
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_gain_sweep_point_at_the_base_gain_shares_the_base_source(workers, monkeypatch, tmp_path):
-    # The 0.6 point is the base: it evaluates the base's source, which
-    # computes its own terms; the other two points share one set.
-    terms_passed, computed = record_terms(monkeypatch)
+    # The 0.6 point is the base: it takes the base's source fields, whose
+    # factor the other two points read too.
+    calls = count_calls(monkeypatch)
+    read = record_half_phases(monkeypatch)
     runner.run_scenario(parse_scenario(SWEEPS["gain"]), tmp_path, workers=workers)
-    assert computed == {"shared": 1, "own": 1}
-    shared = [terms for terms in terms_passed if terms is not None]
-    assert len(terms_passed) == 3 and len(shared) == 2 and shared[0] is shared[1]
+    assert calls["evaluate_source"] == len(read) == 3
+    assert 1 <= computed(read) <= workers
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -199,11 +196,11 @@ def test_gain_sweep_point_at_the_base_gain_shares_the_base_source(workers, monke
     ids=["mismatch", "grid", "element"],
 )
 def test_sweeps_off_the_gain_axis_share_no_terms(doc, sources, workers, monkeypatch, tmp_path):
-    # Each source computes its own terms; the runner never asks for any.
-    terms_passed, computed = record_terms(monkeypatch)
+    # Each source computes its own factor: its mismatch or its grid object
+    # differs from every other point's.  An element sweep has one source.
+    read = record_half_phases(monkeypatch)
     runner.run_scenario(parse_scenario(doc), tmp_path, workers=workers)
-    assert terms_passed == [None] * sources
-    assert computed == {"shared": 0, "own": sources}
+    assert len(read) == computed(read) == sources
 
 
 @pytest.mark.parametrize("analyses", [["width_ratio"], ["rms_width", "s_over_b"]])
@@ -256,25 +253,6 @@ def test_shared_pieces_are_computed_once_under_thread_contention(monkeypatch, tm
     assert filecmp.cmpfiles(tmp_path / "one", tmp_path / "many", names, shallow=False)[0] == names
 
 
-def test_gain_free_terms_are_computed_once_under_thread_contention(monkeypatch, tmp_path):
-    # More workers than cores and a short switch interval: two gain points
-    # racing for the base's gain-free terms would each compute them.
-    doc = {**SWEEPS["gain"]}
-    doc["sweep"] = {"parameter": "source.gain", "values": [0.01 + 0.05 * k for k in range(24)]}
-    terms_passed, computed = record_terms(monkeypatch)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runner.run_scenario(parse_scenario(doc), tmp_path / "many", workers=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert computed == {"shared": 1, "own": 0}
-    assert len(terms_passed) == 24 and all(terms is terms_passed[0] for terms in terms_passed)
-    runner.run_scenario(parse_scenario(doc), tmp_path / "one", workers=1)
-    names = sorted(p.name for p in (tmp_path / "one").iterdir())
-    assert filecmp.cmpfiles(tmp_path / "one", tmp_path / "many", names, shallow=False)[0] == names
-
-
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_worker_count_does_not_change_the_output(name, tmp_path):
     scenario = parse_scenario(SWEEPS[name])
@@ -285,6 +263,30 @@ def test_worker_count_does_not_change_the_output(name, tmp_path):
     )
     assert (mismatch, errors) == ([], [])
     assert sorted(p.name for p in (tmp_path / "two").iterdir()) == sorted(report["files"])
+
+
+@pytest.mark.parametrize("budget_points, pool", [(2.5, 2), (1.5, 1)])
+def test_sweep_pool_fits_the_memory_budget(budget_points, pool, monkeypatch, tmp_path):
+    # The budget admits each point alone; the pool runs no more of them at
+    # once than fit it together, and writes the same bytes.
+    scenario = parse_scenario(SWEEPS["inter_element"])
+    report = runner.run_scenario(scenario, tmp_path / "free", workers=8)
+    sizes = []
+    executor = runner.ThreadPoolExecutor
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        return executor(max_workers=max_workers)
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", recording)
+    estimate = estimate_peak_bytes(scenario.grid.n_points)
+    monkeypatch.setattr(scenario_module, "MEMORY_BUDGET_BYTES", int(budget_points * estimate))
+    runner.run_scenario(scenario, tmp_path / "capped", workers=8)
+    assert sizes == [pool]
+    match, mismatch, errors = filecmp.cmpfiles(
+        tmp_path / "free", tmp_path / "capped", report["files"], shallow=False
+    )
+    assert (mismatch, errors) == ([], [])
 
 
 def test_points_without_trace_files_keep_only_their_analyses(monkeypatch, tmp_path):
@@ -322,6 +324,26 @@ def test_dispersive_transfer_is_memoised_read_only():
     )
     identity = dispersive_transfer(DispersiveElement.identity(), grid)
     assert not identity.flags.writeable and np.array_equal(identity, np.ones(128))
+
+
+def test_half_phase_is_memoised_read_only():
+    grid = FrequencyGrid(128, 0.1)
+    mismatch = PhaseMismatch((0.5, 0.0, 0.02))
+    first = source_module._half_phase(mismatch, grid)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+    assert first.tobytes() == np.exp(0.5j * mismatch.phase(grid.omegas)).tobytes()
+    # An equal mismatch reads the memo; an equal grid built separately has its own.
+    assert source_module._half_phase(PhaseMismatch((0.5, -0.0, 0.02)), grid) is first
+    other = source_module._half_phase(mismatch, FrequencyGrid(128, 0.1))
+    assert other is not first and other.tobytes() == first.tobytes()
+    # Another mismatch replaces the memo with its own factor.
+    linear = PhaseMismatch((0.5,))
+    replaced = source_module._half_phase(linear, grid)
+    assert replaced.tobytes() == np.exp(0.5j * linear.phase(grid.omegas)).tobytes()
+    assert source_module._half_phase(linear, grid) is replaced
+    assert source_module._half_phase(mismatch, grid) is not first
 
 
 @pytest.mark.parametrize("workers", [1, 2])

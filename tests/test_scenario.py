@@ -456,9 +456,10 @@ def test_peak_estimate_covers_a_five_order_run(n_points, delta_omega, tmp_path):
 
 @pytest.mark.parametrize("n_points, delta_omega", [(4096, 0.01), (65536, 0.0025)])
 def test_peak_estimate_covers_a_gain_sweep(n_points, delta_omega, tmp_path):
-    """A gain sweep holds the gain-free terms its points share (16 bytes per
-    sample) besides one point's source, transfers, traces and trace text; on
-    one worker the estimate still covers the traced peak."""
+    """The grid keeps the gain-free factor exp(i DL/2) that a gain sweep's
+    points share (16 bytes per sample) besides one point's source,
+    transfers, traces and trace text; on one worker the estimate still
+    covers the traced peak (337-341 bytes per sample)."""
     doc = _with(
         minimal_time_doc(),
         (("grid",), {"n_points": n_points, "delta_omega": delta_omega}),
