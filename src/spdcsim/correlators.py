@@ -60,13 +60,16 @@ ALIAS_WINDOW_FRACTION = 0.40
 NARROWBAND_MAX_RATIO = 0.05
 
 # Peak traced memory of one run_scenario point over temporal grids of 4096 to
-# 65536 samples was 235-341 bytes per sample with a physical source, whose
-# gain-free factor exp(i DL/2) the grid keeps (16 bytes per sample); the most
-# with two five-order elements, whose four detuning powers the grid keeps too
-# (32 bytes per sample) while the trace text is written (295-337), and in a
-# gain sweep on one worker (337-341); exact joint spectra at
-# n = 4096 with 77 and 177 comb lines added 20-27 bytes per line per sample,
-# below the 32 of a complex amplitude and its squared modulus held at once.
+# 65536 samples, each run in a fresh process, was 208-290 bytes per sample
+# with a physical source, whose gain-free factor exp(i DL/2) the grid keeps
+# (16 bytes per sample); the most with two five-order elements, whose four
+# detuning powers the grid keeps too (32 bytes per sample) while the trace
+# text is written (255-363), and in a gain sweep on one worker (300-363).
+# The trace writer's share is its cached delay cells (about 85 bytes per
+# sample) and one chunk of text (about 35 bytes per sample at n = 4096).
+# Exact joint spectra at n = 4096 with 77 and 177 comb lines added 20-27
+# bytes per line per sample, below the 32 of a complex amplitude and its
+# squared modulus held at once.
 _PEAK_BYTES_PER_SAMPLE = 384
 _PEAK_BYTES_PER_LINE_SAMPLE = 32
 

@@ -20,11 +20,13 @@ bandwidth per pairing, which the alias and narrowband gates read.
 The CSV writers format whole columns at once: a row template repeated over
 the rows is filled by a single %-operation (``_format_rows``), and
 ``"%.17g" % x`` runs the same C routine as ``format(x, ".17g")``, so the text
-is that of formatting each value on its own.  ``trace.csv`` formats each
-distinct bit pattern of its G2 column once and places the text through the
-inverse index of ``np.unique``; most of a trace equals its background bit
-for bit.  Writers yield text in chunks that ``_atomic_write`` streams to
-disk.
+is that of formatting each value on its own.  ``trace.csv`` builds no row
+template: its rows are ``"<tau>,"`` delay cells, cached per bit pattern of
+the delay axis that a sweep's points share, joined with ``"<g2>,<bg>\n"``
+row ends.  Each distinct bit pattern of the G2 column gets one row end,
+placed through the inverse index of ``np.unique``; most of a trace equals
+its background bit for bit.  Writers yield text in chunks that
+``_atomic_write`` streams to disk.
 """
 
 import json
@@ -60,6 +62,7 @@ from .scenario import Scenario, points_at_once, sweep_columns, sweep_points
 from .source import evaluate_source
 
 _JOINT_CHUNK_ROWS = 8192
+_TRACE_CHUNK_ROWS = 1024
 
 
 def _format_rows(row_template: str, *columns) -> str:
@@ -76,13 +79,17 @@ def _format_rows(row_template: str, *columns) -> str:
 
 
 @lru_cache(maxsize=1)
-def _column_lines(raw: bytes) -> str:
-    """17-digit text of a float64 column given as its raw bytes, one value per line.
+def _delay_cells(raw: bytes) -> np.ndarray:
+    """``"%.17g,"`` cells of a float64 delay axis given as its raw bytes, as a
+    read-only object array.
 
-    Cached by the exact bits of the column, so the delay axis that the points
-    of a sweep share is formatted once.
+    Cached by the exact bits of the axis, so the delay column that the points
+    of a sweep share is formatted once.  One entry: four raised the peak
+    memory of a benchmark round by 1.3-1.5 MiB and saved no measurable time.
     """
-    return _format_rows("%.17g\n", np.frombuffer(raw))
+    cells = np.array(_format_rows("%.17g,\n", np.frombuffer(raw)).split("\n")[:-1], dtype=object)
+    cells.setflags(write=False)
+    return cells
 
 
 def _atomic_write(path: Path, chunks) -> None:
@@ -100,23 +107,31 @@ def _atomic_write(path: Path, chunks) -> None:
 
 def _trace_csv(corr: Correlation1D):
     yield "tau_ps,g2,background\n"
-    delays = _column_lines(np.asarray(corr.tau_grid, dtype=np.float64).tobytes())
-    # Each delay line becomes a row template for its G2 text; the 17-digit
-    # text of a float never holds a "%".
-    template = delays.replace("\n", ",%s," + "%.17g" % float(corr.background) + "\n")
+    cells = _delay_cells(np.asarray(corr.tau_grid, dtype=np.float64).tobytes())
     # Most G2 values repeat (the background far from the peak), so each
-    # distinct value is formatted once.  The key is the bit pattern, not the
-    # value: 0.0 and -0.0 print differently, and NaNs never compare equal.
+    # distinct value is formatted once, as the end of its rows.  The key is
+    # the bit pattern, not the value: 0.0 and -0.0 print differently, and
+    # NaNs never compare equal.  17-digit text holds no line break, so
+    # ``splitlines`` cuts exactly one row end per value.
     values = np.ascontiguousarray(corr.values, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    text = _format_rows("%.17g\n", bits.view(np.float64)).split("\n")
-    rows = tuple(np.array(text, dtype=object)[inverse].tolist())
-    del inverse
-    out = template % rows
-    # The row template is nearly as long as the text: drop it before the
-    # text is encoded and written, which holds a second copy of it.
-    del template, rows
-    yield out
+    distinct = bits.view(np.float64)
+    end = "%.17g," + "%.17g" % float(corr.background) + "\n"
+    # Row ends and rows are both made a chunk at a time, so that no text of
+    # the whole trace is held beside its cells: joining the whole trace at
+    # once raised the peak memory of a benchmark round by about 2 MiB.
+    ends = np.empty(distinct.size, dtype=object)
+    for start in range(0, distinct.size, _TRACE_CHUNK_ROWS):
+        stop = start + _TRACE_CHUNK_ROWS
+        ends[start:stop] = _format_rows(end, distinct[start:stop]).splitlines(True)
+    del bits, distinct
+    row = np.empty(2 * _TRACE_CHUNK_ROWS, dtype=object)
+    for start in range(0, values.size, _TRACE_CHUNK_ROWS):
+        stop = min(start + _TRACE_CHUNK_ROWS, values.size)
+        chunk = row[: 2 * (stop - start)]
+        chunk[0::2] = cells[start:stop]
+        chunk[1::2] = ends[inverse[start:stop]]
+        yield "".join(chunk.tolist())
 
 
 def _comb_csv(comb: JointComb):
@@ -309,19 +324,23 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
     ``scenario.sweep.values[i]``.  A sweep runs up to ``workers`` points at
     once (default: the CPU count), but no more than fit the memory budget
     together (``scenario.points_at_once``).
+
+    ``report.json`` marks a finished run: an earlier run's is removed before
+    anything is computed or written, every result is checked to be finite
+    before the first CSV file is written, and the report is written last.
     """
     shared = _SharedWithBase(scenario)
     points = [shared.adopt(point) for point in sweep_points(scenario)]
     sweep = scenario.sweep
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.json").unlink(missing_ok=True)
     report: dict = {"schema_version": 1, "scenario": scenario.resolved()}
-    files: list = []
 
     if sweep is None:
-        outcome = execute(scenario)
-        files += _write_point_files(outcome, out_dir, "")
-        report["results"] = outcome.analyses
+        outcomes = [execute(scenario)]
+        prefixes = [""]
+        report["results"] = outcomes[0].analyses
     else:
         at_once = points_at_once(point for point, _ in points)
         max_workers = min(workers or os.cpu_count() or 1, at_once)
@@ -332,11 +351,7 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
             del points
             outcomes = list(pending)
         digits = max(4, len(str(len(outcomes))))
-        for i, outcome in enumerate(outcomes):
-            files += _write_point_files(outcome, out_dir, f"point_{i:0{digits}d}_")
-        name = "sweep.csv"
-        _atomic_write(out_dir / name, _sweep_csv(scenario, sweep.values, outcomes))
-        files.append(name)
+        prefixes = [f"point_{i:0{digits}d}_" for i in range(len(outcomes))]
         report["results"] = {
             "sweep_parameter": sweep.parameter,
             "points": [
@@ -344,9 +359,16 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
                 for value, outcome in zip(sweep.values, outcomes)
             ],
         }
-
-    report["files"] = sorted(files) + ["report.json"]
     _require_finite(report, "")
+
+    files: list = []
+    for outcome, prefix in zip(outcomes, prefixes):
+        files += _write_point_files(outcome, out_dir, prefix)
+    if sweep is not None:
+        name = "sweep.csv"
+        _atomic_write(out_dir / name, _sweep_csv(scenario, sweep.values, outcomes))
+        files.append(name)
+    report["files"] = sorted(files) + ["report.json"]
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     _atomic_write(out_dir / "report.json", [text, "\n"])
     return report

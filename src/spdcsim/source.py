@@ -139,22 +139,22 @@ class SourceFields:
             raise ValueError(f"{what} requires a physical source, got {self.mode!r}")
 
 
-def _half_phase(mismatch: PhaseMismatch, grid: FrequencyGrid) -> np.ndarray:
+def _half_phase(mismatch: PhaseMismatch, grid: FrequencyGrid, dl: np.ndarray) -> np.ndarray:
     """exp(i DL/2) of the mismatch phase DL of ``mismatch`` on ``grid``, read-only.
 
-    It does not depend on the gain.  It is memoised on the grid object for
-    the last mismatch asked (compared by value), so the sources of a gain
-    sweep, all on their base's grid object, compute it once.  Equal
-    mismatches whose zero coefficients differ in sign give the same bits:
-    only DL's zeros can differ in sign, and exp(i DL/2) is 1 + 0j at either.
-    Threads racing on a first call may each compute the same samples; any
-    of them is kept.
+    ``dl`` is that phase, ``mismatch.phase(grid.omegas)``, which the caller
+    computes anyway; it is read on a miss and never held.  The factor does
+    not depend on the gain.  It is memoised on the grid object for the last
+    mismatch asked (compared by value), so the sources of a gain sweep, all
+    on their base's grid object, compute it once.  Equal mismatches whose
+    zero coefficients differ in sign give the same bits: only DL's zeros can
+    differ in sign, and exp(i DL/2) is 1 + 0j at either.  Threads racing on
+    a first call may each compute the same samples; any of them is kept.
     """
     memo = grid.__dict__.get("_half_phase")
     if memo is not None and memo[0] == mismatch:
         return memo[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(0.5j * mismatch.phase(grid.omegas))
+    out = np.exp(0.5j * dl)
     out.setflags(write=False)
     grid.__dict__["_half_phase"] = (mismatch, out)
     return out
@@ -221,11 +221,11 @@ def evaluate_uv(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
     """
     if spec.mode != PHYSICAL:
         raise ValueError("evaluate_uv requires a physical-mode source")
-    half_phase = _half_phase(spec.mismatch, grid)
     # An extreme gain or mismatch overflows U and V; the gate below refuses
     # the non-finite deviation that results.
     with np.errstate(over="ignore", invalid="ignore"):
         dl = spec.mismatch.phase(grid.omegas)
+        half_phase = _half_phase(spec.mismatch, grid, dl)
         if spec.mismatch.is_odd and not math.copysign(1.0, spec.gain) < 0.0:
             m = grid.n_points // 2
             half = np.concatenate((dl[:1], dl[m:]))

@@ -7,13 +7,21 @@ own.  Every point must still write the bytes of the same point run alone.
 
 import filecmp
 import json
+import re
 import sys
 
 import numpy as np
 import pytest
 
 import reference_kernels as ref
-from spdcsim import AliasRisk, DispersiveElement, FrequencyGrid, ScenarioError, dispersive_transfer
+from spdcsim import (
+    AliasRisk,
+    DispersiveElement,
+    FrequencyGrid,
+    NonFiniteResult,
+    ScenarioError,
+    dispersive_transfer,
+)
 from spdcsim import runner
 from spdcsim import scenario as scenario_module
 from spdcsim import source as source_module
@@ -138,8 +146,8 @@ def record_half_phases(monkeypatch):
     read = []
     half_phase = source_module._half_phase
 
-    def recording(mismatch, grid):
-        read.append(half_phase(mismatch, grid))
+    def recording(mismatch, grid, dl):
+        read.append(half_phase(mismatch, grid, dl))
         return read[-1]
 
     monkeypatch.setattr(source_module, "_half_phase", recording)
@@ -328,22 +336,49 @@ def test_dispersive_transfer_is_memoised_read_only():
 
 def test_half_phase_is_memoised_read_only():
     grid = FrequencyGrid(128, 0.1)
+
+    def half_phase(mismatch, grid):
+        return source_module._half_phase(mismatch, grid, mismatch.phase(grid.omegas))
+
     mismatch = PhaseMismatch((0.5, 0.0, 0.02))
-    first = source_module._half_phase(mismatch, grid)
+    first = half_phase(mismatch, grid)
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0] = 1.0
     assert first.tobytes() == np.exp(0.5j * mismatch.phase(grid.omegas)).tobytes()
     # An equal mismatch reads the memo; an equal grid built separately has its own.
-    assert source_module._half_phase(PhaseMismatch((0.5, -0.0, 0.02)), grid) is first
-    other = source_module._half_phase(mismatch, FrequencyGrid(128, 0.1))
+    assert half_phase(PhaseMismatch((0.5, -0.0, 0.02)), grid) is first
+    other = half_phase(mismatch, FrequencyGrid(128, 0.1))
     assert other is not first and other.tobytes() == first.tobytes()
     # Another mismatch replaces the memo with its own factor.
     linear = PhaseMismatch((0.5,))
-    replaced = source_module._half_phase(linear, grid)
+    replaced = half_phase(linear, grid)
     assert replaced.tobytes() == np.exp(0.5j * linear.phase(grid.omegas)).tobytes()
-    assert source_module._half_phase(linear, grid) is replaced
-    assert source_module._half_phase(mismatch, grid) is not first
+    assert half_phase(linear, grid) is replaced
+    assert half_phase(mismatch, grid) is not first
+
+
+@pytest.mark.parametrize("coeffs", [(0.5,), (0.5, 0.3, 0.02)], ids=["odd", "even"])
+def test_evaluate_uv_computes_the_mismatch_phase_once(coeffs, monkeypatch):
+    # On a miss of the grid's memo the factor is built from the phase that
+    # evaluate_uv computes for GL anyway; on a hit only that one is computed.
+    calls = []
+    phase = PhaseMismatch.phase
+
+    def counting(self, omegas):
+        calls.append(self)
+        return phase(self, omegas)
+
+    monkeypatch.setattr(PhaseMismatch, "phase", counting)
+    grid = FrequencyGrid(128, 0.1)
+    for gain in (0.6, 1.2):  # a miss, then a hit
+        spec = source_module.SourceSpec.physical(gain, coeffs)
+        fields = source_module.evaluate_uv(spec, grid)
+        assert len(calls) == 1
+        expected = ref.evaluate_uv(spec, grid)
+        assert fields.U.tobytes() == expected.U.tobytes()
+        assert fields.R.tobytes() == expected.R.tobytes()
+        calls.clear()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -356,6 +391,46 @@ def test_sweep_failing_on_its_last_point_writes_no_point_file(workers, tmp_path)
     )
     with pytest.raises(AliasRisk):
         runner.run_scenario(parse_scenario(doc), tmp_path / "out", workers=workers)
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_failing_run_removes_an_earlier_report(tmp_path):
+    # report.json marks a finished run: a run that fails into a directory
+    # holding an earlier run's report must not leave that report behind.
+    out = tmp_path / "out"
+    good = sweep_doc(
+        "inter_time", ANALYTIC, [0.0, 2.0], [0.0, 0.0], "elements.1.phase_coeffs.1", [-1.0, 1.0]
+    )
+    runner.run_scenario(parse_scenario(good), out)
+    assert (out / "report.json").exists()
+    failing = {**good, "sweep": {"parameter": "elements.1.phase_coeffs.1", "values": [1.0, 30.0]}}
+    with pytest.raises(AliasRisk):
+        runner.run_scenario(parse_scenario(failing), out)
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("sweep", [None, [-1.0, 2.0, 0.0]], ids=["single", "sweep"])
+def test_non_finite_result_writes_no_file(sweep, monkeypatch, tmp_path):
+    # The results are checked before the first CSV file: an infinite width at
+    # the base scenario, the last sweep point, leaves neither trace.csv nor
+    # any point file.
+    doc = sweep_doc(
+        "inter_time", ANALYTIC, [0.0, 2.0], [0.0, 0.0], "elements.1.phase_coeffs.1", sweep
+    )
+    if sweep is None:
+        del doc["sweep"]
+    real_execute = runner.execute
+
+    def inf_at_last_point(scenario, shared=None):
+        outcome = real_execute(scenario, shared)
+        if scenario.elements[1].phase_coeffs[1] == 0.0:
+            outcome.analyses["fwhm_ps"] = float("inf")
+        return outcome
+
+    monkeypatch.setattr(runner, "execute", inf_at_last_point)
+    key = "results.fwhm_ps" if sweep is None else "results.points[2].fwhm_ps"
+    with pytest.raises(NonFiniteResult, match=f"^{re.escape(key)} is inf;"):
+        runner.run_scenario(parse_scenario(doc), tmp_path / "out")
     assert list((tmp_path / "out").iterdir()) == []
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dense_joint import reference_joint_text, scatter
 from spdcsim import runner
@@ -230,6 +231,61 @@ def test_trace_of_all_distinct_values():
     assert np.unique(values.view(np.uint64)).size == values.size
     corr = _trace(values, 1.0 / 7.0)
     assert written(runner._trace_csv(corr)) == reference_trace(corr)
+
+
+TRACE_CHUNK = runner._TRACE_CHUNK_ROWS
+
+# Signed zeros, the smallest and largest subnormals, signed infinities and
+# NaNs of several signs and payloads (the last one signalling).
+ODD_BITS = [
+    0x0000000000000000,
+    0x8000000000000000,
+    0x0000000000000001,
+    0x800FFFFFFFFFFFFF,
+    0x7FF0000000000000,
+    0xFFF0000000000000,
+    0x7FF8000000000001,
+    0xFFF8000000000000,
+    0x7FF0000000000001,
+]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([TRACE_CHUNK - 1, TRACE_CHUNK, TRACE_CHUNK + 1, 3 * TRACE_CHUNK + 5])
+    | st.integers(1, 3 * TRACE_CHUNK),
+    patterns=st.lists(st.floats(width=64), min_size=1, max_size=4),
+    background=st.floats(width=64),
+    share=st.floats(0.0, 1.0),
+    fresh_share=st.sampled_from([0.0, 0.5, 1.0]),
+    span=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_across_chunks_matches_reference(
+    n, patterns, background, share, fresh_share, span, seed
+):
+    # A few repeated bit patterns, the first one filling the rest of the
+    # trace as a background would, mixed with odd doubles at a drawn share
+    # of the rows, and then with random bit patterns, nearly all distinct,
+    # at a drawn share; lengths at and around the chunk boundaries.
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([np.array(patterns).view(np.uint64), np.array(ODD_BITS, dtype=np.uint64)])
+    bits = np.full(n, pool[0])
+    mixed = rng.random(n) < share
+    bits[mixed] = pool[rng.integers(0, pool.size, np.count_nonzero(mixed))]
+    fresh = rng.random(n) < fresh_share
+    bits[fresh] = rng.integers(0, 2**64, np.count_nonzero(fresh), dtype=np.uint64)
+    tau = np.linspace(-span, span, n, endpoint=False)
+    corr = Correlation1D(tau, bits.view(np.float64), background, 0.0)
+    assert written(runner._trace_csv(corr)) == reference_trace(corr)
+
+
+def test_traces_on_axes_of_different_lengths_written_in_turn():
+    # The cached delay cells switch between the two axes at every trace.
+    longer = _trace(_special_column(2 * TRACE_CHUNK + 1, 9), 0.25)
+    shorter = _trace(_special_column(TRACE_CHUNK - 3, 10), -0.0)
+    for corr in (longer, shorter, longer, shorter):
+        assert written(runner._trace_csv(corr)) == reference_trace(corr)
 
 
 def test_comb_special_values():
