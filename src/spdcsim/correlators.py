@@ -44,7 +44,7 @@ from .errors import (
     NarrowbandInvalid,
     PreconditionError,
 )
-from .grid import FrequencyGrid
+from .grid import FrequencyGrid, memo
 from .source import SourceFields
 
 INTER_TIME = "inter_time"
@@ -235,16 +235,14 @@ def _structure_bandwidth(source: SourceFields, inter: bool) -> tuple:
 
     Memoised on the source object for each pairing, as two scalars rather
     than the weight: the points of an element sweep share one source, and a
-    point's baseline and trace gate the same one.  Threads racing on a first
-    call may each compute the same pair; either is kept.
+    point's baseline and trace gate the same one.
     """
-    name = "_inter_bandwidth" if inter else "_intra_bandwidth"
-    memo = source.__dict__.get(name)
-    if memo is None:
+
+    def bandwidth():
         weight = _structure_weight(source, inter)
-        memo = (float(np.sum(weight)) == 0.0, _rms_bandwidth(weight, source.grid.omegas))
-        source.__dict__[name] = memo
-    return memo
+        return float(np.sum(weight)) == 0.0, _rms_bandwidth(weight, source.grid.omegas)
+
+    return memo(source, "_inter_bandwidth" if inter else "_intra_bandwidth", None, bandwidth)
 
 
 def _check_alias(source: SourceFields, inter: bool, combined_coeffs) -> None:

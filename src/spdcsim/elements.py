@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import FrequencyGrid
+from .grid import FrequencyGrid, memo
 
 MAX_PHASE_ORDER = 5
 BESSEL_MAX_ORDER = 200
@@ -72,28 +72,22 @@ def dispersive_transfer(element: DispersiveElement, grid: FrequencyGrid) -> np.n
 
     The result is read-only and memoised on the element for the last grid it
     was asked for, so the points of a sweep that share one element object
-    evaluate its phase once.  The detuning powers of the phase are cached on
-    the grid object (``FrequencyGrid.omega_power``), so the points of a sweep
-    on one grid raise each of them once, whatever their elements.  Threads
-    racing on a first call may each compute the same samples; any of them is
-    kept.
+    evaluate its phase once.
     """
-    memo = element.__dict__.get("_transfer")
-    if memo is not None and memo[0] == grid:
-        return memo[1]
+    return memo(element, "_transfer", grid, lambda: _transfer(element, grid))
+
+
+def _transfer(element: DispersiveElement, grid: FrequencyGrid) -> np.ndarray:
     if not element.phase_coeffs:
-        out = np.ones(grid.n_points, dtype=complex)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.exp(1j * element.phase(grid))
-        # exp(i * phase) is finite exactly where the phase is.
-        if not np.all(np.isfinite(out)):
-            raise PreconditionError(
-                "dispersive phase is not finite on the grid; reduce the phase "
-                "coefficients or the grid span"
-            )
-    out.setflags(write=False)
-    object.__setattr__(element, "_transfer", (grid, out))
+        return np.ones(grid.n_points, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(1j * element.phase(grid))
+    # exp(i * phase) is finite exactly where the phase is.
+    if not np.all(np.isfinite(out)):
+        raise PreconditionError(
+            "dispersive phase is not finite on the grid; reduce the phase "
+            "coefficients or the grid span"
+        )
     return out
 
 

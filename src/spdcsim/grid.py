@@ -6,11 +6,12 @@ endpoint at k = 0.  The paired delay grid tau_j = (j - n/2) * delta_tau with
 delta_tau = 2*pi / (n * delta_omega) makes a plain FFT implement the
 e^{+i*Omega*tau} transform used by the temporal correlators.
 
-A grid object computes its samples once: ``omegas``, ``taus`` and each power
-``omega_power(k)`` are read-only arrays cached on the object, so everything
-handed the same grid object (every point of a sweep on its base's grid)
-shares them.  The source's gain-free phase factor is memoised on the grid
-object the same way (``source._half_phase``).
+A grid object computes its samples once: ``omegas`` and ``taus`` are
+read-only arrays cached on the object, so everything handed the same grid
+object (every point of a sweep on its base's grid) shares them.  ``memo``
+keeps the rest of what a sweep shares, read-only, on an object: the powers
+``omega_power(k)`` and the source's exp(i DL/2) on the grid, the transfer on
+an element and the structure bandwidths on the source fields.
 """
 
 import math
@@ -20,6 +21,25 @@ from functools import cached_property
 import numpy as np
 
 from .errors import echo
+
+
+def memo(owner, name: str, key, compute):
+    """The value kept on ``owner`` under ``name`` for ``key``, computed once.
+
+    The entry ``(key, value)`` lives in ``owner.__dict__`` as long as the
+    owner, outside a frozen dataclass's ``==`` and ``hash``.  An equal key
+    returns the kept value; another calls ``compute()``, makes an array
+    result read-only and replaces the entry, unless ``compute`` raises.
+    Threads racing on a first call may each compute; any result is kept.
+    """
+    entry = owner.__dict__.get(name)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    value = compute()
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    owner.__dict__[name] = (key, value)
+    return value
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -88,19 +108,13 @@ class FrequencyGrid:
         Computed once per grid object, as ``omegas**k``; ``k == 1`` is
         ``omegas`` itself, which has the same bits.  A power that overflows
         is left infinite without a warning, for the caller's finite check to
-        refuse.  Threads racing on a first call may each compute the same
-        samples; any of them is kept.
+        refuse.  Each order has its own entry: two five-order elements read
+        powers 2-5 in turn.
         """
         if k == 1:
             return self.omegas
-        name = f"_omega_power_{k}"
-        out = self.__dict__.get(name)
-        if out is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = self.omegas**k
-            out.setflags(write=False)
-            self.__dict__[name] = out
-        return out
+        with np.errstate(over="ignore", invalid="ignore"):
+            return memo(self, f"_omega_power_{k}", None, lambda: self.omegas**k)
 
     def reflect(self, samples: np.ndarray) -> np.ndarray:
         """Resample an on-grid function at -Omega by index reflection.

@@ -6,15 +6,14 @@ fully resolved scenario, and sweep rows are ordered by sweep index no matter
 which worker finishes first.
 
 A run reads its source fields and baseline width through a
-``_SharedWithBase``, its own or its sweep's base scenario's:
-``_SharedWithBase.adopt`` puts a sweep point on the base's grid object and
-equal element objects (on which ``dispersive_transfer`` memoises the
-transfer) and shares the base's when the point's source equals the base's.
-What hangs on those objects is then shared too: the grid's detuning samples
-and their powers (``FrequencyGrid.omega_power``), which every element phase
-on the grid reads; the gain-free factor exp(i DL/2) of the source's mismatch
-phase DL (``source._half_phase``), which every point of a ``source.gain``
-sweep reads while it evaluates its own source; and the source's structure
+``_SharedWithBase``, its own or its sweep's base scenario's, which computes
+each once under a lock.  ``_SharedWithBase.adopt`` puts a sweep point on the
+base's grid object and equal element objects, and shares the base's when the
+point's source equals the base's.  What ``grid.memo`` keeps on those objects
+is then shared too, without a lock: the detuning powers, which every element
+phase reads; each element's transfer; the gain-free factor exp(i DL/2) of
+the source's mismatch phase DL, which every point of a ``source.gain`` sweep
+reads while it evaluates its own source; and the source's structure
 bandwidth per pairing, which the alias and narrowband gates read.
 
 The CSV writers format whole columns at once: a row template repeated over
@@ -176,8 +175,12 @@ class _SharedWithBase:
     with, else the run's own.  The first point to ask computes a piece while
     the others wait for it.  Computing both in the main thread before the
     pool starts drops the lock but cost compute-bound sweeps about 8% more
-    wall and CPU time, with twice the minor page faults.  What a point shares
-    with its base beyond these hangs on the base's grid and element objects.
+    wall and CPU time, with twice the minor page faults.  Not a ``grid.memo``:
+    a lock inside ``memo`` made the workers wait for each other's transfers
+    at a sweep's start.  And the fields die with the run, a single run's
+    before its files are written and a sweep base's when ``run_scenario``
+    returns; memoised on the caller's ``SourceSpec``, R and S outlived the
+    run and lifted a single run's traced peak by 24 bytes per sample.
     """
 
     def __init__(self, base: Scenario):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import FrequencyGrid
+from .grid import FrequencyGrid, memo
 
 _SERIES_CUTOFF = 1e-6
 _UNITARITY_TOL = 1e-10
@@ -148,16 +148,9 @@ def _half_phase(mismatch: PhaseMismatch, grid: FrequencyGrid, dl: np.ndarray) ->
     mismatch asked (compared by value), so the sources of a gain sweep, all
     on their base's grid object, compute it once.  Equal mismatches whose
     zero coefficients differ in sign give the same bits: only DL's zeros can
-    differ in sign, and exp(i DL/2) is 1 + 0j at either.  Threads racing on
-    a first call may each compute the same samples; any of them is kept.
+    differ in sign, and exp(i DL/2) is 1 + 0j at either.
     """
-    memo = grid.__dict__.get("_half_phase")
-    if memo is not None and memo[0] == mismatch:
-        return memo[1]
-    out = np.exp(0.5j * dl)
-    out.setflags(write=False)
-    grid.__dict__["_half_phase"] = (mismatch, out)
-    return out
+    return memo(grid, "_half_phase", mismatch, lambda: np.exp(0.5j * dl))
 
 
 def gamma_of(gain, mismatch_phase):
@@ -205,9 +198,6 @@ def _even_from_half(half: np.ndarray) -> np.ndarray:
 
 def evaluate_uv(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
     """Sample U, V and the derived spectra of a physical source on a grid.
-
-    The gain-free factor exp(i DL/2) is read from the grid object's memo
-    (``_half_phase``), which the sources of a gain sweep share.
 
     When the mismatch is odd (``PhaseMismatch.is_odd``) and the gain's sign
     bit is clear, GL and with it cosh(GL) and sinh(GL)/GL are evaluated on

@@ -1,9 +1,11 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spdcsim import DispersiveElement, FrequencyGrid, PreconditionError, dispersive_transfer
+from spdcsim.grid import memo
 
 
 def test_omega_samples_symmetric_convention():
@@ -97,3 +99,65 @@ def test_overflowing_power_is_refused_by_the_transfer_without_warning():
             dispersive_transfer(element, g)
         assert np.isinf(g.omega_power(5)[0])
         assert np.all(np.isfinite(g.omega_power(2)))
+
+
+def recomputed():
+    pytest.fail("memo computed again for an equal key")
+
+
+def test_memo_makes_an_array_read_only_and_stores_other_values_as_they_are():
+    owner = SimpleNamespace()
+    array = memo(owner, "_array", None, lambda: np.arange(4.0))
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0] = 1.0
+    assert memo(owner, "_array", None, recomputed) is array
+    values = [0.5, False]
+    assert memo(owner, "_values", None, lambda: values) is values
+    values.append(1.0)  # not frozen
+    assert memo(owner, "_values", None, recomputed) == [0.5, False, 1.0]
+
+
+def test_memo_hits_an_equal_key_held_by_another_object():
+    owner = SimpleNamespace()
+    first = memo(owner, "_value", FrequencyGrid(64, 0.1), object)
+    assert memo(owner, "_value", FrequencyGrid(64, 0.1), recomputed) is first
+
+
+def test_memo_recomputes_and_replaces_the_entry_for_another_key():
+    owner = SimpleNamespace()
+    assert memo(owner, "_value", FrequencyGrid(64, 0.1), lambda: "fine") == "fine"
+    assert memo(owner, "_value", FrequencyGrid(64, 0.2), lambda: "coarse") == "coarse"
+    assert vars(owner) == {"_value": (FrequencyGrid(64, 0.2), "coarse")}
+    assert memo(owner, "_value", FrequencyGrid(64, 0.1), lambda: "again") == "again"
+
+
+def test_memo_stores_nothing_when_compute_raises():
+    def refused():
+        raise PreconditionError("refused")
+
+    owner = SimpleNamespace()
+    with pytest.raises(PreconditionError):
+        memo(owner, "_value", 1, refused)
+    assert vars(owner) == {}
+    assert memo(owner, "_value", 1, lambda: "one") == "one"
+    with pytest.raises(PreconditionError):
+        memo(owner, "_value", 2, refused)
+    assert memo(owner, "_value", 1, recomputed) == "one"
+    # An overflowing transfer is refused on every call, not only the first.
+    g = FrequencyGrid(64, 1e61)
+    element = DispersiveElement((0.0, 0.0, 0.0, 0.0, 1.0))
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="dispersive phase is not finite"):
+            dispersive_transfer(element, g)
+    assert "_transfer" not in vars(element)
+
+
+def test_memo_entry_takes_no_part_in_equality_or_hash():
+    grid = FrequencyGrid(256, 0.0025)
+    element = DispersiveElement((0.0, 2.0))
+    dispersive_transfer(element, grid)
+    assert {"_transfer"} <= set(vars(element)) and {"_omega_power_2"} <= set(vars(grid))
+    fresh = (FrequencyGrid(256, 0.0025), DispersiveElement((0.0, 2.0)))
+    for memoised, other in zip((grid, element), fresh):
+        assert memoised == other and hash(memoised) == hash(other)

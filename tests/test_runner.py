@@ -6,6 +6,7 @@ own.  Every point must still write the bytes of the same point run alone.
 """
 
 import filecmp
+import gc
 import json
 import re
 import sys
@@ -27,7 +28,7 @@ from spdcsim import scenario as scenario_module
 from spdcsim import source as source_module
 from spdcsim.correlators import estimate_peak_bytes
 from spdcsim.scenario import parse_scenario, set_parameter
-from spdcsim.source import PhaseMismatch
+from spdcsim.source import PhaseMismatch, SourceFields
 
 
 def sweep_doc(config, source, e0, e1, parameter, values, n_points=256):
@@ -310,6 +311,32 @@ def test_points_without_trace_files_keep_only_their_analyses(monkeypatch, tmp_pa
     report = runner.run_scenario(parse_scenario(doc), tmp_path)
     assert kept == [None] * 4
     assert report["files"] == ["sweep.csv", "report.json"]
+
+
+@pytest.mark.parametrize("sweep, writing", [(False, 0), (True, 1)], ids=["single", "gain"])
+def test_source_fields_live_no_longer_than_the_run(sweep, writing, monkeypatch, tmp_path):
+    # A single run's fields die when execute returns, before its files are
+    # written; a sweep base's, which the 0.6 point shares, when the run returns.
+    scenario = parse_scenario(SWEEPS["gain"] if sweep else {**SWEEPS["gain"], "sweep": None})
+
+    def held():
+        gc.collect()
+        return sum(
+            isinstance(o, SourceFields) and o.grid is scenario.grid for o in gc.get_objects()
+        )
+
+    counts = []
+    write_point_files = runner._write_point_files
+
+    def counting(*args):
+        counts.append(held())
+        return write_point_files(*args)
+
+    monkeypatch.setattr(runner, "_write_point_files", counting)
+    runner.run_scenario(scenario, tmp_path)
+    points = len(scenario.sweep.values) if scenario.sweep else 1
+    assert counts == [writing] * points
+    assert held() == 0
 
 
 def test_dispersive_transfer_is_memoised_read_only():

@@ -8,7 +8,7 @@ from spdcsim import cli
 from spdcsim.correlators import estimate_peak_bytes
 from spdcsim.elements import build_comb
 from spdcsim.errors import ECHO_LIMIT, echo
-from spdcsim.runner import execute, run_scenario
+from spdcsim.runner import _delay_cells, execute, run_scenario
 from spdcsim.scenario import (
     MEMORY_BUDGET_BYTES,
     check_sweep_outputs,
@@ -383,6 +383,7 @@ def _exact_doc(n_points, index1, index2):
 
 
 def _traced_peak(fn):
+    _delay_cells.cache_clear()  # measure what a cold run needs
     tracemalloc.start()
     try:
         fn()

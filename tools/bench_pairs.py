@@ -16,6 +16,11 @@ checkout did better (a tie counts for neither side), then each side's
 failed operations.  Exits 1 as soon as a run exits non-zero or reports
 ``correct: false``, else 0.
 
+For an A/A control, run ``--rev HEAD`` from a copy of the checkout with no
+uncommitted change: both sides then hold the same code, so what differs is
+noise and the bias between an extracted tree and the checkout (a few tenths
+of a MiB of ``peak_rss_mib``).  Compare a paired change with that spread.
+
 This checkout's runs overwrite its ``perfbench/out/`` and
 ``perfbench/results/<workload>-trace0.json``; keep a longer benchmark result
 elsewhere before running it.  The temporary tree is removed afterwards.
