@@ -112,13 +112,13 @@ def signal_to_background(corr: Correlation1D) -> float:
 def broadening_fit(phi_pairs, widths, config: str) -> BroadeningFit:
     """Fit width^2 = a + b*(Phi1 +/- Phi2)^2 over dispersion samples.
 
-    ``config`` selects the combination: "inter" uses Phi1 + Phi2 (the sum is
-    what survives in the signal-idler trace), "intra" uses Phi1 - Phi2.  When
-    every sample sits at the same combination value the slope is pinned to
-    zero and only the intercept is fitted.
+    ``config`` selects the combination: ``INTER_TIME`` uses Phi1 + Phi2 (the
+    sum is what survives in the signal-idler trace), ``INTRA_TIME`` uses
+    Phi1 - Phi2.  When every sample sits at the same combination value the
+    slope is pinned to zero and only the intercept is fitted.
     """
-    if config not in ("inter", "intra"):
-        raise ValueError(f"config must be 'inter' or 'intra', got {config!r}")
+    if config not in (INTER_TIME, INTRA_TIME):
+        raise ValueError(f"config must be {INTER_TIME!r} or {INTRA_TIME!r}, got {config!r}")
     phi_pairs = [(float(a), float(b)) for a, b in phi_pairs]
     widths = np.asarray(widths, dtype=float)
     if len(phi_pairs) != len(widths):
@@ -126,9 +126,9 @@ def broadening_fit(phi_pairs, widths, config: str) -> BroadeningFit:
     if len(widths) < 5:
         raise ValueError("at least 5 width samples are required")
 
-    sign = 1.0 if config == "inter" else -1.0
+    sign = 1.0 if config == INTER_TIME else -1.0
     x = np.array([a + sign * b for a, b in phi_pairs])
-    combination = "phi1+phi2" if config == "inter" else "phi1-phi2"
+    combination = "phi1+phi2" if config == INTER_TIME else "phi1-phi2"
     y = widths**2
 
     x2 = x**2

@@ -53,25 +53,8 @@ INTER_FREQ = "inter_freq"
 INTRA_FREQ = "intra_freq"
 CONFIGURATIONS = (INTER_TIME, INTRA_TIME, INTER_FREQ, INTRA_FREQ)
 
-OMEGA_PLUS = "omega_plus"
-OMEGA_MINUS = "omega_minus"
-
 ALIAS_WINDOW_FRACTION = 0.40
 NARROWBAND_MAX_RATIO = 0.05
-
-# Peak traced memory of one run_scenario point over temporal grids of 4096 to
-# 65536 samples, each run in a fresh process, was 208-290 bytes per sample
-# with a physical source, whose gain-free factor exp(i DL/2) the grid keeps
-# (16 bytes per sample); the most with two five-order elements, whose four
-# detuning powers the grid keeps too (32 bytes per sample) while the trace
-# text is written (255-363), and in a gain sweep on one worker (300-363).
-# The trace writer's share is its cached delay cells (about 85 bytes per
-# sample) and one chunk of text (about 35 bytes per sample at n = 4096).
-# Exact joint spectra at n = 4096 with 77 and 177 comb lines added 20-27
-# bytes per line per sample, below the 32 of a complex amplitude and its
-# squared modulus held at once.
-_PEAK_BYTES_PER_SAMPLE = 384
-_PEAK_BYTES_PER_LINE_SAMPLE = 32
 
 
 @dataclass(frozen=True)
@@ -97,16 +80,18 @@ class JointComb:
     """Narrowband joint-spectral correlation: delta comb on one frequency
     combination, smooth envelope along the other.
 
-    ``coefficients[k]`` is J_{orders[k]}(combined_index)^2.  ``envelope`` is
-    the squared-modulus envelope of the structured term sampled at
-    ``envelope_axis`` (the free combination, spanning twice the grid):
-    |R(Omega_-/2)|^2 for the interbeam comb, S(Omega_+/2)^2 for the intrabeam
-    one.  The background is the separable product of the per-frequency flux
-    densities ``background_factor_1/2`` (units photons/ps per rad/ps).
+    ``configuration`` is ``INTER_FREQ`` (lines on Omega1+Omega2) or
+    ``INTRA_FREQ`` (lines on Omega1-Omega2).  ``coefficients[k]`` is
+    J_{orders[k]}(combined_index)^2.  ``envelope`` is the squared-modulus
+    envelope of the structured term sampled at ``envelope_axis`` (the free
+    combination, spanning twice the grid): |R(Omega_-/2)|^2 for the interbeam
+    comb, S(Omega_+/2)^2 for the intrabeam one.  The background is the
+    separable product of the per-frequency flux densities
+    ``background_factor_1/2`` (units photons/ps per rad/ps).
     """
 
     grid: FrequencyGrid
-    ridge_axis: str
+    configuration: str
     mod_freq: float
     combined_index: float
     orders: np.ndarray
@@ -137,8 +122,8 @@ class JointGrid:
     """Exact joint-spectral correlation on the (Omega1, Omega2) grid, stored
     as its comb-line ridges.
 
-    Line L holds the cells i + j = n + L*m_ratio (interbeam) or
-    i - j = L*m_ratio (intrabeam), so each cell lies on at most one line;
+    Line L holds the cells i + j = n + L*m_ratio (``INTER_FREQ``) or
+    i - j = L*m_ratio (``INTRA_FREQ``), so each cell lies on at most one line;
     every cell on no line is zero.  ``profiles[k, i]`` is |T|^2 at row i on
     line ``orders[k]``, with each spectral delta line carried as
     1/delta_omega on its sample, and zero where the line leaves the grid.
@@ -147,7 +132,7 @@ class JointGrid:
     """
 
     grid: FrequencyGrid
-    ridge_axis: str
+    configuration: str
     mod_freq: float
     m_ratio: int
     orders: np.ndarray
@@ -159,7 +144,7 @@ class JointGrid:
         """Column of row i on comb line L: n + L*m_ratio - i interbeam,
         i - L*m_ratio intrabeam (elementwise over arrays of rows and lines)."""
         shift = line * self.m_ratio
-        if self.ridge_axis == OMEGA_PLUS:
+        if self.configuration == INTER_FREQ:
             return self.grid.n_points + shift - row
         return row - shift
 
@@ -176,7 +161,7 @@ class JointGrid:
         and by ascending column within a row (the order of ``np.nonzero`` on
         the dense n x n grid)."""
         # Along a row the column rises with the line interbeam, falls intrabeam.
-        step = 1 if self.ridge_axis == OMEGA_PLUS else -1
+        step = 1 if self.configuration == INTER_FREQ else -1
         profiles, orders = self.profiles[::step], self.orders[::step]
         i, k = np.nonzero(profiles.T)
         return i, self._column(i, orders[k]), profiles[k, i]
@@ -409,7 +394,7 @@ def _g2_freq_narrowband(
     density = _flux_density(source)
     return JointComb(
         grid=grid,
-        ridge_axis=OMEGA_PLUS if inter else OMEGA_MINUS,
+        configuration=INTER_FREQ if inter else INTRA_FREQ,
         mod_freq=m1.mod_freq,
         combined_index=combined_index,
         orders=combined.orders.copy(),
@@ -472,22 +457,6 @@ def _exact_orders(m1: ModulatorComb, m2: ModulatorComb, inter: bool) -> np.ndarr
     return np.arange(first, last + 1)
 
 
-def estimate_peak_bytes(n_points: int, exact_combs: tuple | None = None) -> int:
-    """Estimated peak memory in bytes of computing and writing one point.
-
-    About _PEAK_BYTES_PER_SAMPLE per grid sample (source fields, transfers,
-    FFT buffers, trace text), plus, for an exact joint spectrum of the two
-    modulator combs ``exact_combs``, _PEAK_BYTES_PER_LINE_SAMPLE per comb
-    line per sample (the complex ridge amplitudes and their profiles).  Pure
-    arithmetic: nothing of that size is allocated.
-    """
-    per_sample = _PEAK_BYTES_PER_SAMPLE
-    if exact_combs is not None:
-        lines = _exact_orders(*exact_combs, inter=True).size  # same count either pairing
-        per_sample += _PEAK_BYTES_PER_LINE_SAMPLE * lines
-    return n_points * per_sample
-
-
 def g2_freq_exact(
     source: SourceFields, m1: ModulatorComb, m2: ModulatorComb, config: str
 ) -> JointGrid:
@@ -544,7 +513,7 @@ def g2_freq_exact(
 
     return JointGrid(
         grid=grid,
-        ridge_axis=OMEGA_PLUS if inter else OMEGA_MINUS,
+        configuration=config,
         mod_freq=m1.mod_freq,
         m_ratio=m_ratio,
         orders=orders,

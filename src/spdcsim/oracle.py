@@ -9,6 +9,7 @@ fine; independent is the point.
 
 import numpy as np
 
+from .correlators import INTER_TIME, INTRA_TIME
 from .elements import DispersiveElement, dispersive_transfer
 from .grid import FrequencyGrid
 from .source import PhaseMismatch, SourceFields
@@ -51,8 +52,8 @@ def quadrature_g2(
     F(W) e^{iW tau}|^2 at the requested delays, with the interbeam integrand
     R(W) H1(W) H2(-W) or the intrabeam integrand S(W) H1*(W) H2(W).
     """
-    if config not in ("inter", "intra"):
-        raise ValueError(f"config must be 'inter' or 'intra', got {config!r}")
+    if config not in (INTER_TIME, INTRA_TIME):
+        raise ValueError(f"config must be {INTER_TIME!r} or {INTRA_TIME!r}, got {config!r}")
     taus = np.asarray(tau_list, dtype=float)
     if taus.size > MAX_TAU_SAMPLES:
         raise ValueError(f"tau_list longer than {MAX_TAU_SAMPLES}")
@@ -60,7 +61,7 @@ def quadrature_g2(
     grid = source.grid
     t1 = dispersive_transfer(h1, grid)
     t2 = dispersive_transfer(h2, grid)
-    if config == "inter":
+    if config == INTER_TIME:
         integrand = source.R * t1 * grid.reflect(t2)
     else:
         integrand = source.S * np.conj(t1) * t2

@@ -45,7 +45,6 @@ from .correlators import (
     Correlation1D,
     INTER_FREQ,
     INTER_TIME,
-    INTRA_FREQ,
     JointComb,
     JointGrid,
     baseline,

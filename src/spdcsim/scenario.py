@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .correlators import CONFIGURATIONS, check_drive, estimate_peak_bytes, mod_steps
+from .correlators import CONFIGURATIONS, check_drive, mod_steps
 from .elements import DispersiveElement, build_comb, check_modulator
 from .errors import PreconditionError, ScenarioError, echo
 from .grid import FrequencyGrid
@@ -37,6 +37,20 @@ SCHEMA_VERSION = 1
 # Largest estimated peak memory of one point (``estimate_peak_bytes``) that
 # parses; the shipped and benchmark scenarios estimate at most about 24 MiB.
 MEMORY_BUDGET_BYTES = 4 * 2**30
+
+# Peak traced memory of one run_scenario point over temporal grids of 4096 to
+# 65536 samples, each run in a fresh process, was 208-290 bytes per sample
+# with a physical source, whose gain-free factor exp(i DL/2) the grid keeps
+# (16 bytes per sample); the most with two five-order elements, whose four
+# detuning powers the grid keeps too (32 bytes per sample) while the trace
+# text is written (255-363), and in a gain sweep on one worker (300-363).
+# The trace writer's share is its cached delay cells (about 85 bytes per
+# sample) and one chunk of text (about 35 bytes per sample at n = 4096).
+# Exact joint spectra at n = 4096 with 77 and 177 comb lines added 20-27
+# bytes per line per sample, below the 32 of a complex amplitude and its
+# squared modulus held at once.
+_PEAK_BYTES_PER_SAMPLE = 384
+_PEAK_BYTES_PER_LINE_SAMPLE = 32
 
 TIME_ANALYSES = ("rms_width", "fwhm", "s_over_b", "width_ratio")
 FREQ_ANALYSES = ("comb_leakage",)
@@ -275,19 +289,28 @@ def _parse_sweep(doc, path: str, resolved: dict) -> SweepSpec:
     return SweepSpec(parameter=parameter, values=tuple(values))
 
 
-def _peak_estimate(grid: FrequencyGrid, exact_modulators: tuple | None) -> int:
-    """``estimate_peak_bytes`` of one point on ``grid``, with the exact joint
-    spectrum of ``exact_modulators`` if given."""
-    combs = None
+def estimate_peak_bytes(n_points: int, exact_modulators: tuple | None = None) -> int:
+    """Estimated peak memory in bytes of computing and writing one point.
+
+    About _PEAK_BYTES_PER_SAMPLE per grid sample (source fields, transfers,
+    FFT buffers, trace text), plus, for an exact joint spectrum of the two
+    ``(mod_freq, index)`` modulators ``exact_modulators``,
+    _PEAK_BYTES_PER_LINE_SAMPLE per comb line per sample (the complex ridge
+    amplitudes and their profiles).  Pure arithmetic: nothing of that size is
+    allocated.
+    """
+    per_sample = _PEAK_BYTES_PER_SAMPLE
     if exact_modulators is not None:
-        combs = tuple(build_comb(freq, index) for freq, index in exact_modulators)
-    return estimate_peak_bytes(grid.n_points, combs)
+        m1, m2 = (build_comb(freq, index) for freq, index in exact_modulators)
+        lines = 2 * (m1.n_max + m2.n_max) + 1  # orders -(n1 + n2)..n1 + n2, either pairing
+        per_sample += _PEAK_BYTES_PER_LINE_SAMPLE * lines
+    return n_points * per_sample
 
 
 def _check_memory(grid: FrequencyGrid, exact_modulators: tuple | None) -> None:
     """Refuse a grid whose estimated peak memory exceeds the budget, before
     anything of its size is allocated."""
-    estimate = _peak_estimate(grid, exact_modulators)
+    estimate = estimate_peak_bytes(grid.n_points, exact_modulators)
     if estimate > MEMORY_BUDGET_BYTES:
         try:
             gib = estimate / 2**30
@@ -304,7 +327,7 @@ def points_at_once(points) -> int:
     """How many of the parsed sweep ``points`` fit ``MEMORY_BUDGET_BYTES`` at
     once, each at the estimate that ``_check_memory`` gates: at least one."""
     largest = max(
-        _peak_estimate(point.grid, point.modulators if point.exact_grid else None)
+        estimate_peak_bytes(point.grid.n_points, point.modulators if point.exact_grid else None)
         for point in points
     )
     return max(1, MEMORY_BUDGET_BYTES // largest)

@@ -2,8 +2,9 @@
 
 Each check pins its own grid and source parameters, computes the relevant
 observable, and compares against an analytic law or an independent oracle at
-a fixed tolerance.  ``run_checks`` returns one result per check; the CLI
-prints them as a pass/fail table.
+a fixed tolerance, and returns ``(passed, detail)``.  A check is named by its
+function (``check_name``); ``run_checks`` returns one result per check, and
+the CLI prints them as a pass/fail table.
 """
 
 import filecmp
@@ -40,16 +41,12 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, passed, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
 def _analytic_source(bandwidth: float, n_points: int, delta_omega: float):
     grid = FrequencyGrid(n_points, delta_omega)
     return evaluate_analytic(SourceSpec.analytic(bandwidth), grid)
 
 
-def check_unitarity() -> CheckResult:
+def check_unitarity() -> tuple:
     """|U|^2 - |V|^2 = 1 across gains and mismatches on a 4096-point grid."""
     grid = FrequencyGrid(4096, 0.01)
     worst = 0.0
@@ -58,12 +55,10 @@ def check_unitarity() -> CheckResult:
             src = evaluate_uv(SourceSpec.physical(gain, [d1]), grid)
             dev = float(np.max(np.abs(np.abs(src.U) ** 2 - np.abs(src.V) ** 2 - 1.0)))
             worst = max(worst, dev)
-    return _result(
-        "unitarity", worst < 1e-10, f"max | |U|^2-|V|^2-1 | = {worst:.3e} (tol 1e-10)"
-    )
+    return worst < 1e-10, f"max | |U|^2-|V|^2-1 | = {worst:.3e} (tol 1e-10)"
 
 
-def check_inter_dispersion_cancelation() -> CheckResult:
+def check_inter_dispersion_cancelation() -> tuple:
     """Opposite-sign GDD restores the baseline width; the sum obeys the
     chirped-Gaussian broadening law."""
     src = _analytic_source(1.0, 2048, 0.015)
@@ -82,7 +77,7 @@ def check_inter_dispersion_cancelation() -> CheckResult:
         ).rms_width
         for a, b in pairs
     ]
-    fit = analysis.broadening_fit(pairs, widths, "inter")
+    fit = analysis.broadening_fit(pairs, widths, INTER_TIME)
     a_law, b_law = tau0**2, 1.0 / (2.0 * tau0) ** 2
     ok = (
         abs(ratio - 1.0) < 1e-6
@@ -90,8 +85,7 @@ def check_inter_dispersion_cancelation() -> CheckResult:
         and abs(fit.intercept - a_law) < 0.01 * a_law
         and abs(fit.slope - b_law) < 0.01 * b_law
     )
-    return _result(
-        "inter_dispersion_cancelation",
+    return (
         ok,
         f"width ratio(+5,-5) - 1 = {ratio - 1:.3e} (tol 1e-6); fit a={fit.intercept:.6f} "
         f"(law {a_law:.6f}), b={fit.slope:.6f} (law {b_law:.6f}), "
@@ -99,7 +93,7 @@ def check_inter_dispersion_cancelation() -> CheckResult:
     )
 
 
-def check_inter_odd_order() -> CheckResult:
+def check_inter_odd_order() -> tuple:
     """Opposite-sign third-order dispersion adds in the signal-idler trace;
     equal-sign cancels."""
     src = _analytic_source(1.0, 2048, 0.01)
@@ -113,15 +107,14 @@ def check_inter_odd_order() -> CheckResult:
     r_opp = analysis.rms_width(opposite).rms_width / tau0
     r_eq = analysis.rms_width(equal).rms_width / tau0
     ok = r_opp > 1.05 and abs(r_eq - 1.0) < 1e-6
-    return _result(
-        "inter_odd_order",
+    return (
         ok,
         f"opposite-sign ratio = {r_opp:.4f} (> 1.05); equal-sign ratio - 1 = "
         f"{r_eq - 1:.3e} (tol 1e-6)",
     )
 
 
-def check_intra_all_order() -> CheckResult:
+def check_intra_all_order() -> tuple:
     """Identical elements leave the split-beam trace untouched at all orders."""
     grid = FrequencyGrid(1024, 0.05)
     src = evaluate_uv(SourceSpec.physical(0.5, [0.5]), grid)
@@ -129,12 +122,10 @@ def check_intra_all_order() -> CheckResult:
     trace = g2_intra_time(src, element, element)
     reference = baseline(src, INTRA_TIME)
     dev = float(np.max(np.abs(trace.values - reference.values)) / np.max(reference.values))
-    return _result(
-        "intra_all_order", dev < 1e-9, f"relative Linf vs baseline = {dev:.3e} (tol 1e-9)"
-    )
+    return dev < 1e-9, f"relative Linf vs baseline = {dev:.3e} (tol 1e-9)"
 
 
-def check_thermal_bound() -> CheckResult:
+def check_thermal_bound() -> tuple:
     """Split-beam zero-delay peak sits at twice the background for any gain."""
     grid = FrequencyGrid(1024, 0.05)
     worst = 0.0
@@ -142,12 +133,10 @@ def check_thermal_bound() -> CheckResult:
         src = evaluate_uv(SourceSpec.physical(gain, [0.5]), grid)
         corr = baseline(src, INTRA_TIME)
         worst = max(worst, abs(float(np.max(corr.values)) / corr.background - 2.0))
-    return _result(
-        "thermal_bound", worst < 1e-9, f"max |peak/background - 2| = {worst:.3e} (tol 1e-9)"
-    )
+    return worst < 1e-9, f"max |peak/background - 2| = {worst:.3e} (tol 1e-9)"
 
 
-def check_sb_scaling() -> CheckResult:
+def check_sb_scaling() -> tuple:
     """Interbeam signal-to-background falls off as 1/flux."""
     grid = FrequencyGrid(1024, 0.05)
     fluxes = []
@@ -157,12 +146,10 @@ def check_sb_scaling() -> CheckResult:
         fluxes.append(src.flux_n)
         ratios.append(analysis.signal_to_background(baseline(src, INTER_TIME)))
     slope = float(np.polyfit(np.log(fluxes), np.log(ratios), 1)[0])
-    return _result(
-        "sb_scaling", abs(slope + 1.0) <= 0.05, f"log-log slope = {slope:.4f} (-1 +/- 0.05)"
-    )
+    return abs(slope + 1.0) <= 0.05, f"log-log slope = {slope:.4f} (-1 +/- 0.05)"
 
 
-def _modulation_cancelation(name, correlator, canceling, composing, combined) -> CheckResult:
+def _modulation_cancelation(correlator, canceling, composing, combined) -> tuple:
     """The ``canceling`` drive indexes leave no comb leakage; the ``composing``
     ones give squared Bessel lines of the ``combined`` index."""
     src = _analytic_source(60.0, 2048, 0.4)
@@ -175,28 +162,23 @@ def _modulation_cancelation(name, correlator, canceling, composing, combined) ->
         expected = oracle.bessel_quadrature(n, combined) ** 2
         worst = max(worst, abs(modulated.coefficient(n) - expected))
     ok = leakage < 1e-12 and worst < 1e-10
-    return _result(
-        name,
+    return (
         ok,
         f"canceled leakage = {leakage:.3e} (tol 1e-12); max |coeff - J_n({combined})^2| = "
         f"{worst:.3e} for |n|<=6 (tol 1e-10)",
     )
 
 
-def check_inter_modulation_cancelation() -> CheckResult:
+def check_inter_modulation_cancelation() -> tuple:
     """Opposite drive indexes cancel the interbeam comb; equal indexes give
     squared Bessel lines of the summed index."""
-    return _modulation_cancelation(
-        "inter_modulation_cancelation", g2_inter_freq_narrowband, (0.8, -0.8), (0.6, 0.6), 1.2
-    )
+    return _modulation_cancelation(g2_inter_freq_narrowband, (0.8, -0.8), (0.6, 0.6), 1.2)
 
 
-def check_intra_modulation_cancelation() -> CheckResult:
+def check_intra_modulation_cancelation() -> tuple:
     """Equal drive indexes cancel the intrabeam comb; an index difference of
     one gives squared Bessel lines of that difference."""
-    return _modulation_cancelation(
-        "intra_modulation_cancelation", g2_intra_freq_narrowband, (1.3, 1.3), (1.0, 0.0), 1.0
-    )
+    return _modulation_cancelation(g2_intra_freq_narrowband, (1.3, 1.3), (1.0, 0.0), 1.0)
 
 
 def _flat_reduction_dev(src, config, theta1, theta2, mod_freq) -> float:
@@ -226,7 +208,7 @@ def _flat_reduction_dev(src, config, theta1, theta2, mod_freq) -> float:
     return worst
 
 
-def check_exact_narrowband() -> CheckResult:
+def check_exact_narrowband() -> tuple:
     """The exact double-comb sum reduces to the narrowband comb for a flat
     envelope (Bessel addition theorem) and departs when the source bandwidth
     is comparable to the modulation frequency."""
@@ -250,15 +232,14 @@ def check_exact_narrowband() -> CheckResult:
         dev_narrow = max(dev_narrow, abs(w_exact - w_nb))
 
     ok = dev_inter < 1e-10 and dev_intra < 1e-10 and dev_narrow > 1e-3
-    return _result(
-        "exact_narrowband",
+    return (
         ok,
         f"flat-envelope per-cell dev: inter {dev_inter:.3e}, intra {dev_intra:.3e} "
         f"(tol 1e-10); bandwidth=2*mod_freq dev {dev_narrow:.3e} (must exceed 1e-3)",
     )
 
 
-def check_oracle_equivalence() -> CheckResult:
+def check_oracle_equivalence() -> tuple:
     """FFT correlators match the Simpson quadrature oracle pointwise."""
     src = _analytic_source(1.0, 512, 0.04)
     taus = src.grid.taus
@@ -270,19 +251,18 @@ def check_oracle_equivalence() -> CheckResult:
     ]
     worst = 0.0
     for h1, h2 in configs:
-        for config, correlator in (("inter", g2_inter_time), ("intra", g2_intra_time)):
+        for config, correlator in ((INTER_TIME, g2_inter_time), (INTRA_TIME, g2_intra_time)):
             corr = correlator(src, h1, h2)
             ref = oracle.quadrature_g2(src, h1, h2, config, taus[central])
             dev = float(np.max(np.abs(corr.values[central] - ref)) / np.max(ref))
             worst = max(worst, dev)
-    return _result(
-        "oracle_equivalence",
+    return (
         worst < 1e-8,
         f"max relative Linf over 3 element configs x {{inter,intra}} = {worst:.3e} (tol 1e-8)",
     )
 
 
-def check_cauchy_schwarz() -> CheckResult:
+def check_cauchy_schwarz() -> tuple:
     """Nonclassicality ratio decreases monotonically with gain and stays
     above the classical bound."""
     grid = FrequencyGrid(1024, 0.05)
@@ -292,8 +272,7 @@ def check_cauchy_schwarz() -> CheckResult:
     ]
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
     ok = decreasing and ratios[0] / ratios[-1] > 100.0 and ratios[-1] >= 1.0
-    return _result(
-        "cauchy_schwarz",
+    return (
         ok,
         f"ratios over gains {gains} = {[f'{r:.4g}' for r in ratios]}; "
         f"decreasing={decreasing}, ratio(0.05)/ratio(3) = {ratios[0] / ratios[-1]:.4g} (> 100), "
@@ -301,7 +280,7 @@ def check_cauchy_schwarz() -> CheckResult:
     )
 
 
-def check_parseval() -> CheckResult:
+def check_parseval() -> tuple:
     """Interbeam trace tau-integral equals the joint-comb ridge energy / 2pi."""
     src = _analytic_source(1.0, 2048, 0.015)
     trace = baseline(src, INTER_TIME)
@@ -309,7 +288,7 @@ def check_parseval() -> CheckResult:
     tau_integral = float(np.sum(trace.subtracted())) * trace.delta_tau
     ridge = comb.ridge_energy() / (2.0 * np.pi)
     dev = abs(tau_integral - ridge) / ridge
-    return _result("parseval", dev < 1e-8, f"relative mismatch = {dev:.3e} (tol 1e-8)")
+    return dev < 1e-8, f"relative mismatch = {dev:.3e} (tol 1e-8)"
 
 
 _DETERMINISM_SCENARIO = {
@@ -322,7 +301,7 @@ _DETERMINISM_SCENARIO = {
 }
 
 
-def check_run_determinism() -> CheckResult:
+def check_run_determinism() -> tuple:
     """Two executions of one scenario produce byte-identical output files."""
     scenario = parse_scenario(_DETERMINISM_SCENARIO)
     with tempfile.TemporaryDirectory() as tmp:
@@ -336,35 +315,42 @@ def check_run_determinism() -> CheckResult:
             name for name in names if not filecmp.cmp(dir_a / name, dir_b / name, shallow=False)
         ]
     ok = same_names and not mismatched
-    return _result(
-        "run_determinism",
+    return (
         ok,
         f"{len(names)} files compared byte-for-byte; mismatches: {mismatched or 'none'}",
     )
 
 
 CHECKS = (
-    ("unitarity", check_unitarity),
-    ("inter_dispersion_cancelation", check_inter_dispersion_cancelation),
-    ("inter_odd_order", check_inter_odd_order),
-    ("intra_all_order", check_intra_all_order),
-    ("thermal_bound", check_thermal_bound),
-    ("sb_scaling", check_sb_scaling),
-    ("inter_modulation_cancelation", check_inter_modulation_cancelation),
-    ("intra_modulation_cancelation", check_intra_modulation_cancelation),
-    ("exact_narrowband", check_exact_narrowband),
-    ("oracle_equivalence", check_oracle_equivalence),
-    ("cauchy_schwarz", check_cauchy_schwarz),
-    ("parseval", check_parseval),
-    ("run_determinism", check_run_determinism),
+    check_unitarity,
+    check_inter_dispersion_cancelation,
+    check_inter_odd_order,
+    check_intra_all_order,
+    check_thermal_bound,
+    check_sb_scaling,
+    check_inter_modulation_cancelation,
+    check_intra_modulation_cancelation,
+    check_exact_narrowband,
+    check_oracle_equivalence,
+    check_cauchy_schwarz,
+    check_parseval,
+    check_run_determinism,
 )
 
 
+def check_name(check) -> str:
+    """Name of a check in ``CHECKS``: its function name without ``check_``."""
+    return check.__name__.removeprefix("check_")
+
+
 def run_checks(name_filter: str | None = None) -> list:
-    """Run all checks (optionally filtered by substring) and collect results."""
+    """Run all checks (optionally filtered by substring of their
+    ``check_name``) and collect results."""
     results = []
-    for name, func in CHECKS:
+    for check in CHECKS:
+        name = check_name(check)
         if name_filter and name_filter not in name:
             continue
-        results.append(func())
+        passed, detail = check()
+        results.append(CheckResult(name=name, passed=bool(passed), detail=detail))
     return results

@@ -6,11 +6,11 @@ Run with ``pytest tests/test_acceptance.py -v`` or, equivalently, via the
 
 import pytest
 
-from spdcsim.selftest import CHECKS
+from spdcsim.selftest import CHECKS, check_name
 
 
-@pytest.mark.parametrize("name,check", CHECKS, ids=[name for name, _ in CHECKS])
-def test_acceptance(name, check):
-    result = check()
-    print(f"{'PASS' if result.passed else 'FAIL'}  {name}: {result.detail}")
-    assert result.passed, f"{name}: {result.detail}"
+@pytest.mark.parametrize("check", CHECKS, ids=check_name)
+def test_acceptance(check):
+    passed, detail = check()
+    print(f"{'PASS' if passed else 'FAIL'}  {check_name(check)}: {detail}")
+    assert passed, f"{check_name(check)}: {detail}"

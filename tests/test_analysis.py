@@ -123,7 +123,7 @@ class TestBroadeningFit:
         a, b = 0.37, 2.9
         pairs = [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (2.0, 1.0), (1.5, 2.5)]
         widths = [np.sqrt(a + b * (p1 + p2) ** 2) for p1, p2 in pairs]
-        fit = broadening_fit(pairs, widths, "inter")
+        fit = broadening_fit(pairs, widths, "inter_time")
         assert fit.intercept == pytest.approx(a, abs=1e-10)
         assert fit.slope == pytest.approx(b, abs=1e-10)
         assert fit.max_rel_residual < 1e-10
@@ -132,7 +132,7 @@ class TestBroadeningFit:
         a, b = 0.2, 1.4
         pairs = [(0.0, 0.0), (1.0, 0.5), (2.0, 1.0), (3.0, 1.0), (0.5, 3.0)]
         widths = [np.sqrt(a + b * (p1 - p2) ** 2) for p1, p2 in pairs]
-        fit = broadening_fit(pairs, widths, "intra")
+        fit = broadening_fit(pairs, widths, "intra_time")
         assert fit.combination == "phi1-phi2"
         assert fit.slope == pytest.approx(b, abs=1e-10)
 
@@ -140,13 +140,19 @@ class TestBroadeningFit:
         # all samples share Phi1+Phi2: only the intercept is identifiable
         pairs = [(x, 4.0 - x) for x in (0.0, 1.0, 2.0, 3.0, 4.0)]
         widths = [1.3] * 5
-        fit = broadening_fit(pairs, widths, "inter")
+        fit = broadening_fit(pairs, widths, "inter_time")
         assert fit.slope == 0.0
         assert fit.intercept == pytest.approx(1.3**2, rel=1e-12)
 
+    @pytest.mark.parametrize("config", ["both", "inter", "intra_freq"])
+    def test_config_validation(self, config):
+        pairs = [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (2.0, 1.0), (1.5, 2.5)]
+        with pytest.raises(ValueError, match="config"):
+            broadening_fit(pairs, [1.0] * 5, config)
+
     def test_requires_five_samples(self):
         with pytest.raises(ValueError):
-            broadening_fit([(0, 0)] * 4, [1.0] * 4, "inter")
+            broadening_fit([(0, 0)] * 4, [1.0] * 4, "inter_time")
 
     def test_measured_widths_follow_inter_law(self):
         src = evaluate_analytic(SourceSpec.analytic(1.0), FrequencyGrid(2048, 0.015))
@@ -160,7 +166,7 @@ class TestBroadeningFit:
             ).rms_width
             for a, b in pairs
         ]
-        fit = broadening_fit(pairs, widths, "inter")
+        fit = broadening_fit(pairs, widths, "inter_time")
         assert fit.max_rel_residual < 1e-3
         assert fit.intercept == pytest.approx(tau0**2, rel=1e-2)
         assert fit.slope == pytest.approx(1.0 / (2 * tau0) ** 2, rel=1e-2)

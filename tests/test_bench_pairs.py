@@ -3,23 +3,11 @@
 Canned result lines only: nothing here runs the benchmark.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
-TOOL_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+from script_module import load_script
 
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-bench_pairs = _load_tool()
+bench_pairs = load_script("bench_pairs", "tools/bench_pairs.py")
 
 METRICS = [
     {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24},

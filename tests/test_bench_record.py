@@ -5,24 +5,11 @@ reported for the same run, and its quartiles must come from the same scaled
 samples.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-RECORD_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+from script_module import load_script
 
-
-def _load_record():
-    spec = importlib.util.spec_from_file_location("bench_record", RECORD_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-bench_record = _load_record()
+bench_record = load_script("bench_record", "tools/bench_record.py")
 machine = bench_record.machine
 
 

@@ -155,7 +155,7 @@ class TestNarrowbandCombs:
         comb = g2_inter_freq_narrowband(self.src, build_comb(0.01, 0.8), build_comb(0.01, -0.8))
         assert list(comb.orders) == [0]
         assert comb.coefficient(0) == 1.0
-        assert comb.ridge_axis == "omega_plus"
+        assert comb.configuration == "inter_freq"
 
     @pytest.mark.parametrize("config", ["inter", "intra"])
     def test_combined_index_beyond_one_modulator_bound(self, config):
@@ -177,7 +177,7 @@ class TestNarrowbandCombs:
     def test_intra_equal_indexes_cancel(self):
         comb = g2_intra_freq_narrowband(self.src, build_comb(0.01, 1.3), build_comb(0.01, 1.3))
         assert list(comb.orders) == [0]
-        assert comb.ridge_axis == "omega_minus"
+        assert comb.configuration == "intra_freq"
 
     def test_intra_difference_composes(self):
         comb = g2_intra_freq_narrowband(self.src, build_comb(0.01, 1.0), build_comb(0.01, 0.0))
@@ -188,7 +188,7 @@ class TestNarrowbandCombs:
         assert list(inter.orders) == [0]
         assert np.allclose(inter.envelope, np.abs(self.src.R) ** 2, atol=1e-300)
         intra = baseline(self.src, "intra_freq")
-        assert intra.ridge_axis == "omega_minus"
+        assert intra.configuration == "intra_freq"
         assert np.allclose(intra.envelope, self.src.S**2, atol=1e-300)
 
     def test_background_factors_are_source_spectra(self):

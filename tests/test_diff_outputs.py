@@ -3,25 +3,14 @@
 Synthetic trees only: nothing here runs the benchmark.
 """
 
-import importlib.util
 import shutil
-import sys
 from pathlib import Path
 
 import pytest
 
-TOOL_PATH = Path(__file__).resolve().parent.parent / "tools" / "diff_outputs.py"
+from script_module import load_script
 
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("diff_outputs", TOOL_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-diff_outputs = _load_tool()
+diff_outputs = load_script("diff_outputs", "tools/diff_outputs.py")
 
 FILES = {
     "trace_sweeps-setup.json": b'[{"path": "/one/tree/scenarios/a.json"}]',

@@ -60,7 +60,7 @@ class TestQuadratureG2:
         d = 3.0
         h1 = DispersiveElement((0.0, d))
         taus = np.linspace(-8.0, 8.0, 161)
-        values = quadrature_g2(src, h1, DispersiveElement.identity(), "inter", taus)
+        values = quadrature_g2(src, h1, DispersiveElement.identity(), "inter_time", taus)
         a = 0.25 - 0.5j * d  # 1/(4B^2) - i D/2 with B = 1
         amps = np.sqrt(np.pi / a) * np.exp(-(taus**2) / (4.0 * a)) / (2.0 * np.pi)
         expected = src.flux_n**2 + np.abs(amps) ** 2
@@ -71,9 +71,9 @@ class TestQuadratureG2:
         src = evaluate_analytic(SourceSpec.analytic(1.0), grid)
         cubic = DispersiveElement((0.0, 0.0, 1.5))
         taus = np.linspace(-5.0, 5.0, 101)
-        with_elements = quadrature_g2(src, cubic, cubic, "intra", taus)
+        with_elements = quadrature_g2(src, cubic, cubic, "intra_time", taus)
         bare = quadrature_g2(
-            src, DispersiveElement.identity(), DispersiveElement.identity(), "intra", taus
+            src, DispersiveElement.identity(), DispersiveElement.identity(), "intra_time", taus
         )
         assert np.max(np.abs(with_elements - bare)) < 1e-12 * np.max(bare)
 
@@ -85,15 +85,16 @@ class TestQuadratureG2:
                 src,
                 DispersiveElement.identity(),
                 DispersiveElement.identity(),
-                "inter",
+                "inter_time",
                 np.zeros(4097),
             )
 
-    def test_config_validation(self):
+    @pytest.mark.parametrize("config", ["both", "inter", "intra_freq"])
+    def test_config_validation(self, config):
         grid = FrequencyGrid(64, 0.1)
         src = evaluate_analytic(SourceSpec.analytic(1.0), grid)
         with pytest.raises(ValueError):
             quadrature_g2(
-                src, DispersiveElement.identity(), DispersiveElement.identity(), "both", [0.0]
+                src, DispersiveElement.identity(), DispersiveElement.identity(), config, [0.0]
             )
 

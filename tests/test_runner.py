@@ -26,8 +26,7 @@ from spdcsim import (
 from spdcsim import runner
 from spdcsim import scenario as scenario_module
 from spdcsim import source as source_module
-from spdcsim.correlators import estimate_peak_bytes
-from spdcsim.scenario import parse_scenario, set_parameter
+from spdcsim.scenario import estimate_peak_bytes, parse_scenario, set_parameter
 from spdcsim.source import PhaseMismatch, SourceFields
 
 

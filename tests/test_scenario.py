@@ -5,13 +5,13 @@ import pytest
 
 from spdcsim import GridIncommensurate, MismatchedDrive, ScenarioError
 from spdcsim import cli
-from spdcsim.correlators import estimate_peak_bytes
 from spdcsim.elements import build_comb
 from spdcsim.errors import ECHO_LIMIT, echo
 from spdcsim.runner import _delay_cells, execute, run_scenario
 from spdcsim.scenario import (
     MEMORY_BUDGET_BYTES,
     check_sweep_outputs,
+    estimate_peak_bytes,
     load_scenario,
     parse_scenario,
     resolve_parameter,
@@ -393,18 +393,18 @@ def _traced_peak(fn):
 
 
 def test_peak_estimate_scales_with_samples_and_exact_comb_lines():
-    combs = (build_comb(0.01, 20.0), build_comb(0.01, -20.0))
-    assert [c.orders.size for c in combs] == [89, 89]  # 177 joint lines
+    modulators = ((0.01, 20.0), (0.01, -20.0))
+    assert [build_comb(*m).orders.size for m in modulators] == [89, 89]  # 177 joint lines
     per_sample = estimate_peak_bytes(1)
     assert estimate_peak_bytes(4096) == 4096 * per_sample
     assert estimate_peak_bytes(2**40) == 2**40 * per_sample
-    per_line = (estimate_peak_bytes(1, combs) - per_sample) / 177
+    per_line = (estimate_peak_bytes(1, modulators) - per_sample) / 177
     assert per_line >= 16  # at least the complex amplitude of each ridge sample
-    single = (build_comb(0.01, 0.0), build_comb(0.01, 0.0))
+    single = ((0.01, 0.0), (0.01, 0.0))
     assert estimate_peak_bytes(1, single) == per_sample + per_line
     # The largest shipped and benchmark shapes sit far below the budget.
     assert 100 * estimate_peak_bytes(65536) < MEMORY_BUDGET_BYTES
-    assert 100 * estimate_peak_bytes(4096, combs) < MEMORY_BUDGET_BYTES
+    assert 100 * estimate_peak_bytes(4096, modulators) < MEMORY_BUDGET_BYTES
 
 
 @pytest.mark.parametrize(
@@ -426,10 +426,8 @@ def test_peak_estimate_scales_with_samples_and_exact_comb_lines():
 )
 def test_peak_estimate_covers_a_traced_run(doc, run, tmp_path):
     scenario = parse_scenario(doc)
-    combs = None
-    if scenario.exact_grid:
-        combs = tuple(build_comb(freq, index) for freq, index in scenario.modulators)
-    estimate = estimate_peak_bytes(scenario.grid.n_points, combs)
+    modulators = scenario.modulators if scenario.exact_grid else None
+    estimate = estimate_peak_bytes(scenario.grid.n_points, modulators)
     if run == "execute":
         peak = _traced_peak(lambda: execute(scenario))
     else:

@@ -292,7 +292,7 @@ def test_comb_special_values():
     m = 48
     comb = JointComb(
         grid=FrequencyGrid(64, 0.5),
-        ridge_axis="omega_minus",
+        configuration="intra_freq",
         mod_freq=0.1,
         combined_index=1.0 / 3.0,
         orders=np.array([-3, -1, 0, 2, 7], dtype=np.int64),
@@ -310,10 +310,10 @@ def test_joint_special_values_across_chunks():
     # them nonzero: more rows than one formatting chunk.
     n = 128
     orders = np.arange(-(n - 1), n)
-    for axis in ("omega_plus", "omega_minus"):
+    for configuration in ("inter_freq", "intra_freq"):
         joint = JointGrid(
             grid=FrequencyGrid(n, 0.1),
-            ridge_axis=axis,
+            configuration=configuration,
             mod_freq=0.1,
             m_ratio=1,
             orders=orders,

@@ -8,26 +8,12 @@ and must report every per-layer metric with the call counts of the layers
 it goes through.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
+from script_module import load_script
 from spdcsim import analysis, runner, scenario
 
-TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-tracing = _load_tracing()
+tracing = load_script("perfbench_tracing", "perfbench/tracing.py")
 
 TIMED = (
     "analysis.total_s",

@@ -29,7 +29,6 @@ elsewhere before running it.  The temporary tree is removed afterwards.
 import argparse
 import json
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -39,19 +38,13 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 sys.path.insert(0, str(ROOT / "tools"))
 sys.path.insert(0, str(ROOT / "perfbench"))
-from diff_outputs import extract  # noqa: E402
+from diff_outputs import extract, run_benchmark  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402  (the benchmark's workload names)
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result line of one untraced run of ``workload`` in ``tree``."""
-    command = [
-        sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
-    ]
-    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{workload} failed in {tree}:\n{proc.stderr}")
+    proc = run_benchmark(tree, workload, seed, seconds)
     result = json.loads(proc.stdout.splitlines()[-1])
     if not result["correct"]:
         raise RuntimeError(f"{workload} in {tree} reports correct: false:\n{proc.stderr}")

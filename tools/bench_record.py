@@ -37,8 +37,10 @@ BENCH_DIR = ROOT / "perfbench"
 RESULTS_DIR = BENCH_DIR / "results"
 WARMUP_ROUNDS = 1  # perfbench/run.py leaves its first round out of the timings
 
+sys.path.insert(0, str(ROOT / "tools"))
 sys.path.insert(0, str(BENCH_DIR))
 import machine  # noqa: E402  (reference speeds of perfbench/run.py)
+from diff_outputs import run_benchmark  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402  (the benchmark's workload names)
 
 
@@ -73,13 +75,7 @@ def end_to_end(detail: dict) -> dict:
 
 
 def _run(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    command = [
-        sys.executable, str(BENCH_DIR / "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
-    ]
-    proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(command)} failed:\n{proc.stderr}")
+    run_benchmark(ROOT, workload, seed, seconds, trace)
     return json.loads((RESULTS_DIR / f"{workload}-trace{trace}.json").read_text(encoding="utf-8"))
 
 

@@ -46,16 +46,24 @@ def compare_trees(left: Path, right: Path) -> list:
     return proc.stdout.splitlines()
 
 
+def run_benchmark(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0):
+    """The finished ``perfbench/run.py`` process of one run of ``workload`` in
+    ``tree``, with its captured output; raises ``RuntimeError`` if it exits
+    non-zero."""
+    command = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{workload} failed in {tree}:\n{proc.stderr}")
+    return proc
+
+
 def run_workloads(tree: Path, seed: int) -> None:
     """One short run of every workload in ``tree``, writing ``tree/perfbench/out``."""
     for workload in WORKLOADS:
-        command = [
-            sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", "1", "--trace", "0",
-        ]
-        proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise RuntimeError(f"{workload} failed in {tree}:\n{proc.stderr}")
+        run_benchmark(tree, workload, seed, 1)
 
 
 def extract(rev: str, dest: Path) -> None:
