@@ -78,11 +78,22 @@ def dispersive_transfer(element: DispersiveElement, grid: FrequencyGrid) -> np.n
 
 
 def _transfer(element: DispersiveElement, grid: FrequencyGrid) -> np.ndarray:
+    """cos(phase) + i sin(phase), written into the parts of one array.
+
+    These are the bits of ``np.exp(1j * phase)`` (matched on 15 M draws of
+    magnitude 1e-300 to 1e300), without its complex temporaries, except at
+    a phase of -0.0, where ``sin`` keeps the sign that ``1j * phase`` drops.
+    ``DispersiveElement.phase`` never returns -0.0: it adds terms to +0.0
+    zeros, and a sum is -0.0 only when every term is.
+    """
     if not element.phase_coeffs:
         return np.ones(grid.n_points, dtype=complex)
+    out = np.empty(grid.n_points, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(1j * element.phase(grid))
-    # exp(i * phase) is finite exactly where the phase is.
+        phase = element.phase(grid)
+        np.cos(phase, out=out.real)
+        np.sin(phase, out=out.imag)
+    # cos and sin are finite exactly where the phase is.
     if not np.all(np.isfinite(out)):
         raise PreconditionError(
             "dispersive phase is not finite on the grid; reduce the phase "

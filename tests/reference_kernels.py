@@ -4,13 +4,15 @@ The library builds the temporal integrand straight into FFT order, evaluates
 the small-|GL| series only where it is used, squares |V| once, evaluates
 cosh(GL) and sinh(GL)/GL on half the grid when the mismatch is odd,
 memoises exp(i DL/2) and raises each detuning power once per grid object,
-and gates each source's bandwidth once per pairing.  Each of those is meant to change no output bit, so the tests
-compare the library with the straightforward forms kept here:
-``evaluate_uv`` and ``_cosh_and_sinhc`` with the series and ``np.where`` over
-the whole array, ``phase`` and ``dispersive_transfer`` raising ``omegas**k``
-on every call, ``check_alias`` building the weight and its bandwidth on every
-call, ``g2_time`` with explicit ``ifftshift``/``fftshift`` around the FFT,
-and ``rms_width`` summing the subtracted trace twice.
+gates each source's bandwidth once per pairing, and writes cos and sin of
+an element's phase into the parts of its transfer.  Each of those is meant
+to change no output bit, so the tests compare the library with the
+straightforward forms kept here: ``evaluate_uv`` and ``_cosh_and_sinhc``
+with the series and ``np.where`` over the whole array, ``phase`` and
+``dispersive_transfer`` raising ``omegas**k`` on every call, the transfer
+as ``np.exp(1j * phase)``, ``check_alias`` building the weight and its
+bandwidth on every call, ``g2_time`` with explicit ``ifftshift``/``fftshift``
+around the FFT, and ``rms_width`` summing the subtracted trace twice.
 """
 
 import math

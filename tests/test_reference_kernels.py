@@ -15,7 +15,9 @@ the full path, are held to it too, with gains of 0.0 and -0.0, with
 coefficients that overflow, and in drawn sequences of sources on one grid
 object, which hit and miss its memo of exp(i DL/2).  The dispersive phase
 and transfer are held to the reference over all five orders and signed
-coefficients, up to grid spacings whose powers overflow.
+coefficients, up to grid spacings whose powers overflow, and the transfer's
+cos and sin to the reference's exp(1j * phase) over coefficients of every
+decimal exponent from -300 to 300.
 """
 
 import math
@@ -344,3 +346,39 @@ def test_dispersive_phase_and_transfer_match_reference(n, spacing, coeffs, other
         assert new_err == old_err
         if old is not None:
             _assert_same_arrays(new, old)
+
+
+def _log_uniform(low: int, high: int):
+    """Signed floats whose decimal exponent is drawn uniformly in [low, high]."""
+    return st.tuples(
+        st.sampled_from((1.0, -1.0)),
+        st.floats(min_value=1.0, max_value=10.0, exclude_max=True),
+        st.integers(min_value=low, max_value=high),
+    ).map(lambda t: t[0] * t[1] * 10.0 ** t[2])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=GRID_POINTS,
+    spacing=_log_uniform(-8, 70).map(abs),
+    coeffs=st.lists(
+        st.one_of(st.just(0.0), st.just(-0.0), _log_uniform(-300, 300)),
+        min_size=1,
+        max_size=MAX_PHASE_ORDER,
+    ),
+)
+def test_transfer_of_wide_coefficients_matches_the_exponential(n, spacing, coeffs):
+    """cos and sin of the phase give the bits of exp(1j * phase) for phases
+    of any magnitude, or the same refusal where the phase overflows.  The
+    one phase where they differ, -0.0, never occurs: zero coefficients, and
+    terms that round to -0.0, still leave +0.0."""
+    grid = FrequencyGrid(n, spacing)
+    element = DispersiveElement(tuple(coeffs))
+    with np.errstate(all="ignore"):
+        phase = element.phase(grid)
+    assert not np.any((phase == 0.0) & np.signbit(phase))
+    new, new_err = _outcome(dispersive_transfer, element, grid)
+    old, old_err = _outcome(ref.dispersive_transfer, element, grid)
+    assert new_err == old_err
+    if old is not None:
+        _assert_same_arrays(new, old)

@@ -8,8 +8,11 @@ own.  Every point must still write the bytes of the same point run alone.
 import filecmp
 import gc
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,17 +425,106 @@ def test_sweep_failing_on_its_last_point_writes_no_point_file(workers, tmp_path)
 
 def test_failing_run_removes_an_earlier_report(tmp_path):
     # report.json marks a finished run: a run that fails into a directory
-    # holding an earlier run's report must not leave that report behind.
+    # holding an earlier run's report must not leave that report behind, nor
+    # any other file of that run.  Files spdcsim does not name stay.
     out = tmp_path / "out"
     good = sweep_doc(
         "inter_time", ANALYTIC, [0.0, 2.0], [0.0, 0.0], "elements.1.phase_coeffs.1", [-1.0, 1.0]
     )
-    runner.run_scenario(parse_scenario(good), out)
-    assert (out / "report.json").exists()
+    report = runner.run_scenario(parse_scenario(good), out)
+    assert sorted(p.name for p in out.iterdir()) == sorted(report["files"])
+    foreign = _add_foreign_files(out)
     failing = {**good, "sweep": {"parameter": "elements.1.phase_coeffs.1", "values": [1.0, 30.0]}}
     with pytest.raises(AliasRisk):
         runner.run_scenario(parse_scenario(failing), out)
-    assert not (out / "report.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == foreign
+
+
+SHIPPED_SWEEP = Path(__file__).resolve().parent.parent / "scenarios" / "inter_time_gdd_sweep.json"
+
+# Names spdcsim never writes: they must survive a run into their directory.
+FOREIGN_FILES = ("notes.txt", "trace.csv.bak", "point_x_trace.csv", "notes.txt.abcd1234.tmp")
+FOREIGN_DIR = "kept"
+
+
+def _add_foreign_files(out: Path) -> list:
+    """Put files and a directory that spdcsim does not name into ``out``;
+    returns their sorted names."""
+    for name in FOREIGN_FILES:
+        (out / name).write_text("not spdcsim's\n", encoding="utf-8")
+    (out / FOREIGN_DIR).mkdir()
+    (out / FOREIGN_DIR / "trace.csv").write_text("in a subdirectory\n", encoding="utf-8")
+    return sorted(FOREIGN_FILES + (FOREIGN_DIR,))
+
+
+def _shipped_sweep(values=None):
+    doc = json.loads(SHIPPED_SWEEP.read_text(encoding="utf-8"))
+    if values is not None:
+        doc["sweep"]["values"] = values
+    return parse_scenario(doc)
+
+
+def test_rerun_into_a_used_directory_leaves_only_its_own_files(tmp_path):
+    out = tmp_path / "out"
+    first = runner.run_scenario(_shipped_sweep(), out)
+    assert len(first["files"]) == 13
+    foreign = _add_foreign_files(out)
+    # What a single run and a killed write would have left.
+    (out / "trace.csv").write_text("stale\n", encoding="utf-8")
+    (out / "point_0007_trace.csv.k2x_9q0z.tmp").write_text("partial\n", encoding="utf-8")
+    (out / "report.json.a1b2c3d4.tmp").write_text("{\n", encoding="utf-8")
+
+    report = runner.run_scenario(_shipped_sweep([-1.0, 0.0, 1.0]), out)
+    assert len(report["files"]) == 5
+    assert sorted(p.name for p in out.iterdir()) == sorted(report["files"] + foreign)
+    for name in FOREIGN_FILES:
+        assert (out / name).read_text(encoding="utf-8") == "not spdcsim's\n"
+    assert (out / FOREIGN_DIR / "trace.csv").exists()
+    # Point 1 of the rerun (value 0.0) is point 5 of the shipped sweep.
+    fresh = runner.run_scenario(_shipped_sweep([-1.0, 0.0, 1.0]), tmp_path / "fresh")
+    assert report == fresh
+    for name in report["files"]:
+        assert filecmp.cmp(out / name, tmp_path / "fresh" / name, shallow=False)
+
+
+def test_a_directory_under_an_output_name_is_an_io_error(tmp_path):
+    out = tmp_path / "out"
+    runner.run_scenario(_shipped_sweep([-1.0, 1.0]), out)
+    (out / "trace.csv").mkdir()
+    doc = json.loads(SHIPPED_SWEEP.read_text(encoding="utf-8"))
+    doc["sweep"] = None
+    scenario = tmp_path / "single.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "spdcsim.cli", "run", "--scenario", str(scenario), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("i/o error: ") and "Traceback" not in proc.stderr
+    # The earlier sweep's files are gone; the directory and nothing else stays.
+    assert [p.name for p in out.iterdir()] == ["trace.csv"]
+    assert list((out / "trace.csv").iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rerun_renames_onto_free_names_only(workers, monkeypatch, tmp_path):
+    """Every write of a rerun into a used directory renames its temp file
+    onto a name that no file holds."""
+    out = tmp_path / "out"
+    scenario = _shipped_sweep([-2.0, 0.0, 2.0])
+    runner.run_scenario(scenario, out, workers=workers)
+    real_replace = os.replace
+    taken = []
+
+    def replace_onto_free_name(src, dst):
+        taken.append((Path(dst).name, os.path.lexists(dst)))
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_onto_free_name)
+    report = runner.run_scenario(scenario, out, workers=workers)
+    assert sorted(name for name, _ in taken) == sorted(report["files"])
+    assert [name for name, exists in taken if exists] == []
 
 
 @pytest.mark.parametrize("sweep", [None, [-1.0, 2.0, 0.0]], ids=["single", "sweep"])

@@ -13,7 +13,12 @@ checkout in odd ones, so neither side always meets a warmer machine.
 For each workload and each end-to-end metric of ``BENCHMARK.json``, prints
 each side's median and quartiles over the pairs and in how many pairs this
 checkout did better (a tie counts for neither side), then each side's
-failed operations.  Exits 1 as soon as a run exits non-zero or reports
+failed operations.  Then, per metric, whether the gain rule holds (this
+checkout better in at least 9/10 of the pairs, and its median better than
+the revision's by more than the revision's interquartile range), and
+whether this checkout's median is worse than the revision's by more than
+the metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the revision's
+median).  Exits 1 as soon as a run exits non-zero or reports
 ``correct: false``, else 0.
 
 For an A/A control, run ``--rev HEAD`` from a copy of the checkout with no
@@ -28,6 +33,7 @@ elsewhere before running it.  The temporary tree is removed afterwards.
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import tempfile
@@ -58,6 +64,17 @@ def _spread(values: list) -> str:
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def _sides(pairs: list, metric: dict):
+    """The revision's and this checkout's values of ``metric`` over the pairs,
+    and this checkout's wins (a tie counts for neither side)."""
+    name = metric["name"]
+    before = [old["metrics"][name]["value"] for old, _ in pairs]
+    after = [new["metrics"][name]["value"] for _, new in pairs]
+    sign = 1 if metric["better"] == "lower" else -1
+    wins = sum(sign * (old - new) > 0 for old, new in zip(before, after))
+    return before, after, wins
+
+
 def summarize(pairs: list, metrics: list, rev: str) -> list:
     """Summary lines of one workload's ``(rev result, this result)`` pairs:
     per metric of ``metrics`` (``BENCHMARK.json``'s ``end_to_end``), each
@@ -66,10 +83,7 @@ def summarize(pairs: list, metrics: list, rev: str) -> list:
     lines = []
     for metric in metrics:
         name = metric["name"]
-        before = [old["metrics"][name]["value"] for old, _ in pairs]
-        after = [new["metrics"][name]["value"] for _, new in pairs]
-        sign = 1 if metric["better"] == "lower" else -1
-        wins = sum(sign * (old - new) > 0 for old, new in zip(before, after))
+        before, after, wins = _sides(pairs, metric)
         lines.append(
             f"  {name:<13} {rev}: {_spread(before)}  this: {_spread(after)}  "
             f"this better in {wins}/{len(pairs)} {metric['unit']}"
@@ -79,6 +93,33 @@ def summarize(pairs: list, metrics: list, rev: str) -> list:
         for side in zip(*pairs)
     ]
     lines.append(f"  failed ops    {rev}: {failed[0]}  this: {failed[1]}")
+    return lines
+
+
+def judge(pairs: list, metrics: list) -> list:
+    """Per metric of ``metrics``, a line with two verdicts on one workload's
+    pairs.  The gain rule holds when this checkout is better in at least
+    9/10 of the pairs and its median better than the revision's by more
+    than the revision's interquartile range.  The bound is exceeded when
+    this checkout's median is worse than the revision's by more than the
+    metric's ``bound``, a fraction of the revision's median."""
+    lines = []
+    for metric in metrics:
+        before, after, wins = _sides(pairs, metric)
+        q1, base, q3 = (
+            statistics.quantiles(before, n=4, method="inclusive") if len(before) > 1 else before * 3
+        )
+        sign = 1 if metric["better"] == "lower" else -1
+        gap = sign * (base - statistics.median(after))
+        holds = 10 * wins >= 9 * len(pairs) and gap > q3 - q1
+        worse = -gap / abs(base) if base else (math.inf if gap < 0 else 0.0)
+        beyond = worse > metric["bound"]
+        lines.append(
+            f"  {metric['name']:<13} gain rule {'holds' if holds else 'fails'} "
+            f"({wins}/{len(pairs)} better, median gap {gap:.4g} against IQR {q3 - q1:.4g})  "
+            f"{'BEYOND' if beyond else 'within'} bound {metric['bound']:g} "
+            f"(this worse by {worse:+.2%})"
+        )
     return lines
 
 
@@ -108,6 +149,8 @@ def main(argv=None) -> int:
     for workload, workload_pairs in pairs.items():
         print(workload)
         for line in summarize(workload_pairs, BENCHMARK["end_to_end"], args.rev):
+            print(line)
+        for line in judge(workload_pairs, BENCHMARK["end_to_end"]):
             print(line)
     return 0
 
