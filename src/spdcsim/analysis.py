@@ -21,30 +21,29 @@ from .source import SourceFields
 
 DEGENERATE_MASS_FRACTION = 1e-15
 
-# Default verdict tolerances: |width ratio - 1| and comb leakage for "canceled".
+# Verdict tolerances: |width ratio - 1| and comb leakage for "canceled".
 WIDTH_RATIO_TOLERANCE = 1e-6
 LEAKAGE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
 class WidthReport:
-    """RMS and FWHM widths of a background-subtracted trace, in ps."""
+    """RMS and FWHM widths of a background-subtracted trace, in ps: the RMS
+    width from its second central moment, the FWHM by linear interpolation."""
 
     rms_width: float
     fwhm: float
     centroid: float
-    method: str = "background-subtracted second central moment; FWHM by linear interpolation"
 
 
 @dataclass(frozen=True)
 class CancelationVerdict:
-    """Outcome of a cancelation check at a stated tolerance.
+    """Outcome of a cancelation check at its kind's tolerance.
 
     ``metric`` is the width ratio to baseline for temporal configurations and
     the comb leakage for spectral ones.
     """
 
-    configuration: str
     kind: str  # "width_ratio" | "comb_leakage"
     metric: float
     tolerance: float
@@ -179,41 +178,23 @@ def cauchy_schwarz_ratio(source: SourceFields) -> float:
     return g2_si**2 / (g2_ss * g2_ss)
 
 
-def assess_time_cancelation(
-    corr: Correlation1D,
-    reference: Correlation1D,
-    configuration: str,
-    tolerance: float = WIDTH_RATIO_TOLERANCE,
-) -> CancelationVerdict:
-    """Verdict from the RMS width ratio of a trace to its no-element baseline."""
-    return _width_ratio_verdict(
-        rms_width(corr).rms_width, rms_width(reference).rms_width, configuration, tolerance
-    )
-
-
-def _width_ratio_verdict(
-    width: float, reference_width: float, configuration: str, tolerance=WIDTH_RATIO_TOLERANCE
-) -> CancelationVerdict:
-    """Verdict from an RMS width and the RMS width of its baseline."""
+def assess_time_cancelation(width: float, reference_width: float) -> CancelationVerdict:
+    """Verdict from an RMS width and the RMS width of its no-element baseline."""
     ratio = width / reference_width
     return CancelationVerdict(
-        configuration=configuration,
         kind="width_ratio",
         metric=float(ratio),
-        tolerance=tolerance,
-        canceled=bool(abs(ratio - 1.0) <= tolerance),
+        tolerance=WIDTH_RATIO_TOLERANCE,
+        canceled=bool(abs(ratio - 1.0) <= WIDTH_RATIO_TOLERANCE),
     )
 
 
-def assess_comb_cancelation(
-    comb: JointComb, configuration: str, tolerance: float = LEAKAGE_TOLERANCE
-) -> CancelationVerdict:
+def assess_comb_cancelation(comb: JointComb) -> CancelationVerdict:
     """Verdict from the off-ridge leakage of a narrowband joint comb."""
     leakage = comb_leakage(comb)
     return CancelationVerdict(
-        configuration=configuration,
         kind="comb_leakage",
         metric=leakage,
-        tolerance=tolerance,
-        canceled=bool(leakage <= tolerance),
+        tolerance=LEAKAGE_TOLERANCE,
+        canceled=bool(leakage <= LEAKAGE_TOLERANCE),
     )

@@ -20,7 +20,7 @@ import sys
 
 from .errors import PreconditionError, ScenarioError
 from .runner import run_scenario
-from .scenario import load_scenario
+from .scenario import load_scenario, parse_scenario
 from .selftest import run_checks
 
 EXIT_OK = 0
@@ -78,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _with_grid_overrides(scenario, args):
     if args.grid_points is None and args.grid_domega is None:
         return scenario
-    from .scenario import parse_scenario
-
     doc = scenario.resolved()
     if args.grid_points is not None:
         doc["grid"]["n_points"] = args.grid_points

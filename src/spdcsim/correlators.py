@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import (
-    _FACTORIALS,
     MAX_MOD_INDEX,
     DispersiveElement,
     ModulatorComb,
@@ -251,7 +250,7 @@ def _check_alias(source: SourceFields, inter: bool, combined_coeffs) -> None:
     for k, c in enumerate(combined_coeffs, start=1):
         if c != 0.0:
             try:
-                spread += abs(c) * grid.omega_max ** (k - 1) / _FACTORIALS[k - 1]
+                spread += abs(c) * grid.omega_max ** (k - 1) / math.factorial(k - 1)
             except OverflowError:
                 spread = math.inf
     budget = ALIAS_WINDOW_FRACTION * grid.tau_window

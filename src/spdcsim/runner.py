@@ -266,9 +266,8 @@ def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointO
         if "s_over_b" in wanted:
             results["s_over_b"] = analysis.signal_to_background(corr)
         if "width_ratio" in wanted:
-            results |= _verdict_results(
-                analysis._width_ratio_verdict(report.rms_width, shared.reference_width(), config)
-            )
+            verdict = analysis.assess_time_cancelation(report.rms_width, shared.reference_width())
+            results |= _verdict_results(verdict)
         return PointOutcome(result=corr if scenario.outputs.write_trace else None, analyses=results)
 
     (freq, idx1), (_, idx2) = scenario.modulators
@@ -289,7 +288,7 @@ def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointO
         "n0_coefficient": comb.coefficient(0),
     }
     if "comb_leakage" in scenario.outputs.analyses:
-        results |= _verdict_results(analysis.assess_comb_cancelation(comb, config))
+        results |= _verdict_results(analysis.assess_comb_cancelation(comb))
     return PointOutcome(result=comb if scenario.outputs.write_comb else None, analyses=results)
 
 

@@ -475,14 +475,15 @@ def parse_scenario(document: dict) -> Scenario:
 
 
 def sweep_points(scenario: Scenario) -> list:
-    """The parsed points of a sweep (none for a single run), after
-    ``check_sweep_outputs``; a point's error names its
-    ``scenario.sweep.values[i]``."""
+    """The parsed points of a sweep (none for a single run), each a single
+    run without a sweep, after ``check_sweep_outputs``; a point's error names
+    its ``scenario.sweep.values[i]``."""
     sweep = scenario.sweep
     if sweep is None:
         return []
     check_sweep_outputs(scenario)
     resolved = scenario.resolved()
+    resolved["sweep"] = None  # a point is a single run; its sweep is not parsed again
     points = []
     for i, value in enumerate(sweep.values):
         with at_path(f"scenario.sweep.values[{i}]"):

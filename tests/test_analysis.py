@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from spdcsim import (
+    CancelationVerdict,
     Correlation1D,
     DegenerateTrace,
     DispersiveElement,
@@ -21,6 +24,7 @@ from spdcsim import (
     rms_width,
     signal_to_background,
 )
+from spdcsim.analysis import LEAKAGE_TOLERANCE, WIDTH_RATIO_TOLERANCE
 
 
 def synthetic_gaussian_trace(tau0=0.5, background=2.0, n=2048, dt=0.01, center=0.0):
@@ -221,24 +225,52 @@ class TestCauchySchwarz:
 
 
 class TestVerdicts:
-    def test_time_verdict_canceled(self):
+    @staticmethod
+    def _time_verdict(phi2):
         src = evaluate_analytic(SourceSpec.analytic(1.0), FrequencyGrid(1024, 0.02))
-        corr = g2_inter_time(src, DispersiveElement((0.0, 5.0)), DispersiveElement((0.0, -5.0)))
-        verdict = assess_time_cancelation(corr, baseline(src, "inter_time"), "inter_time")
+        corr = g2_inter_time(src, DispersiveElement((0.0, 5.0)), DispersiveElement((0.0, phi2)))
+        reference = rms_width(baseline(src, "inter_time")).rms_width
+        return assess_time_cancelation(rms_width(corr).rms_width, reference)
+
+    def test_time_verdict_canceled(self):
+        verdict = self._time_verdict(-5.0)
         assert verdict.canceled
         assert verdict.kind == "width_ratio"
+        assert verdict.tolerance == WIDTH_RATIO_TOLERANCE
         assert abs(verdict.metric - 1.0) <= verdict.tolerance
 
     def test_time_verdict_not_canceled(self):
-        src = evaluate_analytic(SourceSpec.analytic(1.0), FrequencyGrid(1024, 0.02))
-        corr = g2_inter_time(src, DispersiveElement((0.0, 5.0)), DispersiveElement((0.0, 0.0)))
-        verdict = assess_time_cancelation(corr, baseline(src, "inter_time"), "inter_time")
-        assert not verdict.canceled
+        assert not self._time_verdict(0.0).canceled
+
+    @pytest.mark.parametrize(
+        "width, canceled",
+        [(1.0 + 5e-7, True), (1.0 - 5e-7, True), (1.0 + 2e-6, False), (1.0 - 2e-6, False)],
+    )
+    def test_time_verdict_at_its_tolerance(self, width, canceled):
+        verdict = assess_time_cancelation(width, 1.0)
+        assert verdict.metric == width
+        assert verdict.canceled is canceled
 
     def test_comb_verdict(self):
         src = evaluate_analytic(SourceSpec.analytic(60.0), FrequencyGrid(2048, 0.4))
         canceled = g2_inter_freq_narrowband(src, build_comb(0.01, 0.3), build_comb(0.01, -0.3))
-        verdict = assess_comb_cancelation(canceled, "inter_freq")
+        verdict = assess_comb_cancelation(canceled)
         assert verdict.canceled and verdict.metric == 0.0
+        assert verdict.kind == "comb_leakage"
+        assert verdict.tolerance == LEAKAGE_TOLERANCE
         leaking = g2_inter_freq_narrowband(src, build_comb(0.01, 0.3), build_comb(0.01, 0.3))
-        assert not assess_comb_cancelation(leaking, "inter_freq").canceled
+        assert not assess_comb_cancelation(leaking).canceled
+
+    @pytest.mark.parametrize("index, canceled", [(1e-6, True), (2e-6, False)])
+    def test_comb_verdict_at_its_tolerance(self, index, canceled):
+        # The leakage 1 - J_0(index)^2 is about index^2 / 2: 5e-13, then 2e-12.
+        src = evaluate_analytic(SourceSpec.analytic(60.0), FrequencyGrid(2048, 0.4))
+        comb = g2_inter_freq_narrowband(src, build_comb(0.01, index), build_comb(0.01, 0.0))
+        assert comb.combined_index == index
+        verdict = assess_comb_cancelation(comb)
+        assert verdict.metric == pytest.approx(index**2 / 2, rel=1e-3)
+        assert verdict.canceled is canceled
+
+    def test_a_verdict_holds_its_kind_metric_tolerance_and_outcome(self):
+        names = [field.name for field in fields(CancelationVerdict)]
+        assert names == ["kind", "metric", "tolerance", "canceled"]

@@ -1,4 +1,5 @@
-"""No module of the package or of ``tools/`` imports a name it never uses.
+"""No module of the package or of ``tools/`` imports a name it never uses,
+and no module of the package reaches into another one's private names.
 
 A name listed in the module's ``__all__`` counts as used: the package
 re-exports what it imports there.
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "spdcsim").glob("*.py"), *(ROOT / "tools").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "spdcsim").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tools").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -36,6 +38,53 @@ def test_scanner_flags_an_unused_import_and_counts_exports_as_used():
     assert unused_imports(source + "__all__ = ['d', 'js', 'os']\n") == []
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reaches(source: str) -> list:
+    """The other modules' private names that ``source`` uses, sorted: what
+    it imports by ``from .m import _x``, and ``m._x`` of a module ``m`` that
+    came in through ``from . import m``."""
+    tree = ast.parse(source)
+    modules = set()
+    reached = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:
+                reached.update(
+                    f"{node.module}.{alias.name}" for alias in node.names if _private(alias.name)
+                )
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ):
+            reached.add(f"{node.value.id}.{node.attr}")
+    return sorted(reached)
+
+
+def test_scanner_flags_private_names_of_sibling_modules():
+    source = (
+        "from . import a, b as c\n"
+        "from .d import _e, f\n"
+        "from os import _g\n"
+        "x = a._h + a.i + a.__name__ + c._j\n"
+        "def k(self):\n    return self._l, z._m\n"
+    )
+    assert private_reaches(source) == ["a._h", "c._j", "d._e"]
+    assert private_reaches("from . import a\nfrom .d import e, __version__\na.f(a.__doc__)\n") == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_module_reaches_into_another_modules_private_names(path):
+    assert private_reaches(path.read_text(encoding="utf-8")) == []

@@ -117,7 +117,6 @@ def _assert_same_traces(draw, new_src, old_src):
         old_width, old_width_err = _outcome(ref.rms_width, old)
         assert width_err == old_width_err
         if old_width is not None:
-            assert width.method == old_width.method
             assert np.array(astuple(width)[:3]).tobytes() == np.array(astuple(old_width)[:3]).tobytes()
 
 

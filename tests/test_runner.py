@@ -24,9 +24,13 @@ from spdcsim import (
     FrequencyGrid,
     NonFiniteResult,
     ScenarioError,
+    baseline,
+    build_comb,
     dispersive_transfer,
+    evaluate_source,
+    g2_inter_freq_narrowband,
 )
-from spdcsim import runner
+from spdcsim import analysis, runner
 from spdcsim import scenario as scenario_module
 from spdcsim import source as source_module
 from spdcsim.scenario import estimate_peak_bytes, parse_scenario, set_parameter
@@ -593,3 +597,39 @@ def test_narrowband_without_comb_files_keeps_its_results(base, sweep, tmp_path):
         assert (tmp_path / "without" / "sweep.csv").read_bytes() == (
             tmp_path / "with" / "sweep.csv"
         ).read_bytes()
+
+
+@pytest.mark.parametrize("phi2, canceled", [(-2.0, True), (2.0, False)])
+def test_width_ratio_entries_follow_the_time_verdict(phi2, canceled, tmp_path):
+    doc = {
+        **SWEEPS["inter_element"],
+        "elements": [{"phase_coeffs": [0.0, 2.0]}, {"phase_coeffs": [0.0, phi2]}],
+        "sweep": None,
+        "outputs": {"analyses": ["rms_width", "width_ratio"]},
+    }
+    scenario = parse_scenario(doc)
+    results = runner.run_scenario(scenario, tmp_path)["results"]
+    source = evaluate_source(scenario.source, scenario.grid)
+    reference = analysis.rms_width(baseline(source, scenario.configuration)).rms_width
+    verdict = analysis.assess_time_cancelation(results["rms_width_ps"], reference)
+    tolerance = analysis.WIDTH_RATIO_TOLERANCE
+    assert results["width_ratio"] == verdict.metric
+    assert results["cancel_tolerance"] == tolerance
+    assert results["canceled"] is (abs(results["width_ratio"] - 1.0) <= tolerance)
+    assert results["canceled"] is canceled
+
+
+@pytest.mark.parametrize("index, canceled", [(-1.2, True), (-0.4, False)])
+def test_comb_leakage_entries_follow_the_comb_verdict(index, canceled, tmp_path):
+    modulators = [NARROWBAND["modulators"][0], {"mod_freq": 0.01, "index": index}]
+    doc = {**NARROWBAND, "modulators": modulators}
+    scenario = parse_scenario(doc)
+    results = runner.run_scenario(scenario, tmp_path)["results"]
+    source = evaluate_source(scenario.source, scenario.grid)
+    (freq, idx1), (_, idx2) = scenario.modulators
+    comb = g2_inter_freq_narrowband(source, build_comb(freq, idx1), build_comb(freq, idx2))
+    tolerance = analysis.LEAKAGE_TOLERANCE
+    assert results["comb_leakage"] == analysis.assess_comb_cancelation(comb).metric
+    assert results["cancel_tolerance"] == tolerance
+    assert results["canceled"] is (results["comb_leakage"] <= tolerance)
+    assert results["canceled"] is canceled

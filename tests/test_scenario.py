@@ -5,6 +5,7 @@ import pytest
 
 from spdcsim import GridIncommensurate, MismatchedDrive, ScenarioError
 from spdcsim import cli
+from spdcsim import scenario as scenario_module
 from spdcsim.elements import build_comb
 from spdcsim.errors import ECHO_LIMIT, echo
 from spdcsim.runner import _delay_cells, execute, run_scenario
@@ -16,6 +17,7 @@ from spdcsim.scenario import (
     parse_scenario,
     resolve_parameter,
     set_parameter,
+    sweep_points,
 )
 
 
@@ -153,6 +155,27 @@ def test_sweep_values_validated():
     doc["sweep"] = {"parameter": "elements.1.phase_coeffs.1", "values": []}
     with pytest.raises(ScenarioError, match="at least one value"):
         parse_scenario(doc)
+
+
+def test_sweep_points_are_single_runs_that_parse_no_sweep(monkeypatch):
+    # Each point would otherwise re-parse all the sweep's values: O(P^2).
+    values = [-1.0, 0.0, 2.0]
+    doc = minimal_time_doc()
+    doc["elements"] = [{"phase_coeffs": [0.0, 1.0]}, {"phase_coeffs": [0.0, 1.0]}]
+    doc["sweep"] = {"parameter": "elements.1.phase_coeffs.1", "values": values}
+    scenario = parse_scenario(doc)
+    parsed = []
+    parse_sweep = scenario_module._parse_sweep
+
+    def counted(*args):
+        parsed.append(args)
+        return parse_sweep(*args)
+
+    monkeypatch.setattr(scenario_module, "_parse_sweep", counted)
+    points = sweep_points(scenario)
+    assert parsed == []
+    assert [point.sweep for point in points] == [None] * len(values)
+    assert [point.resolved()["elements"][1]["phase_coeffs"][1] for point in points] == values
 
 
 def test_unknown_analysis_rejected():
