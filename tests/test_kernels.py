@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dense_joint import dense_reference, reference_joint_text, scatter
-from spdcsim import runner
+from spdcsim import outputs
 from spdcsim.correlators import g2_freq_exact
 from spdcsim.elements import _bessel_row, build_comb
 from spdcsim.grid import FrequencyGrid
@@ -62,7 +62,7 @@ def test_intra_accumulators_agree():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_joint_csv_matches_dense_reference(name, config):
     joint, (structure, background) = _case(name, config)
-    text = "".join(runner._joint_csv(joint))
+    text = "".join(outputs.joint_csv(joint))
     assert text == reference_joint_text(joint.grid.omegas, structure, background)
 
 

@@ -30,7 +30,7 @@ from spdcsim import (
     evaluate_source,
     g2_inter_freq_narrowband,
 )
-from spdcsim import analysis, runner
+from spdcsim import analysis, outputs, runner
 from spdcsim import scenario as scenario_module
 from spdcsim import source as source_module
 from spdcsim.scenario import estimate_peak_bytes, parse_scenario, set_parameter
@@ -307,13 +307,13 @@ def test_sweep_pool_fits_the_memory_budget(budget_points, pool, monkeypatch, tmp
 def test_points_without_trace_files_keep_only_their_analyses(monkeypatch, tmp_path):
     doc = {**SWEEPS["inter_element"], "outputs": {"write_trace": False}}
     kept = []
-    write_point_files = runner._write_point_files
+    write_point_files = outputs.write_point_files
 
     def recording(outcome, *args):
         kept.append(outcome.result)
         return write_point_files(outcome, *args)
 
-    monkeypatch.setattr(runner, "_write_point_files", recording)
+    monkeypatch.setattr(outputs, "write_point_files", recording)
     report = runner.run_scenario(parse_scenario(doc), tmp_path)
     assert kept == [None] * 4
     assert report["files"] == ["sweep.csv", "report.json"]
@@ -332,13 +332,13 @@ def test_source_fields_live_no_longer_than_the_run(sweep, writing, monkeypatch, 
         )
 
     counts = []
-    write_point_files = runner._write_point_files
+    write_point_files = outputs.write_point_files
 
     def counting(*args):
         counts.append(held())
         return write_point_files(*args)
 
-    monkeypatch.setattr(runner, "_write_point_files", counting)
+    monkeypatch.setattr(outputs, "write_point_files", counting)
     runner.run_scenario(scenario, tmp_path)
     points = len(scenario.sweep.values) if scenario.sweep else 1
     assert counts == [writing] * points

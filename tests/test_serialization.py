@@ -1,7 +1,7 @@
 """Golden tests of the CSV writers against a row-by-row reference writer.
 
 The reference formats every value on its own with ``format(float(x), ".17g")``
-and builds each row with an f-string.  The runner's writers must produce the
+and builds each row with an f-string.  The writers of ``outputs`` must produce the
 same bytes: on small scenarios of every configuration, on the shipped
 scenarios, and on arrays of awkward doubles.
 """
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_joint import reference_joint_text, scatter
-from spdcsim import runner
+from spdcsim import outputs, runner
 from spdcsim.correlators import Correlation1D, JointComb, JointGrid
 from spdcsim.grid import FrequencyGrid
 from spdcsim.scenario import load_scenario, parse_scenario, set_parameter
@@ -181,7 +181,7 @@ def test_trace_special_values():
         background=5e-324,
         peak_tau=0.0,
     )
-    assert written(runner._trace_csv(corr)) == reference_trace(corr)
+    assert written(outputs.trace_csv(corr)) == reference_trace(corr)
 
 
 def test_trace_delay_text_follows_the_bits_of_the_axis():
@@ -190,7 +190,7 @@ def test_trace_delay_text_follows_the_bits_of_the_axis():
     values = np.array([1.0, 2.0, 3.0])
     for zero in (0.0, -0.0, 0.0):
         corr = Correlation1D(np.array([-1.0, zero, 1.0]), values, 1.0 / 3.0, 0.0)
-        assert written(runner._trace_csv(corr)) == reference_trace(corr)
+        assert written(outputs.trace_csv(corr)) == reference_trace(corr)
 
 
 def _trace(values: np.ndarray, background: float) -> Correlation1D:
@@ -217,23 +217,23 @@ def test_trace_mostly_background_with_zeros_and_nans():
     assert np.count_nonzero(bits == np.float64(background).view(np.uint64)) > 800
     assert len(set(bits[np.isnan(values)].tolist())) == 3
     corr = _trace(values, background)
-    assert written(runner._trace_csv(corr)) == reference_trace(corr)
+    assert written(outputs.trace_csv(corr)) == reference_trace(corr)
 
 
 def test_trace_of_one_distinct_value():
     for value in (2.0 / 3.0, -0.0, math.nan):
         corr = _trace(np.full(256, value), 2.0 / 3.0)
-        assert written(runner._trace_csv(corr)) == reference_trace(corr)
+        assert written(outputs.trace_csv(corr)) == reference_trace(corr)
 
 
 def test_trace_of_all_distinct_values():
     values = _special_column(512, 8)
     assert np.unique(values.view(np.uint64)).size == values.size
     corr = _trace(values, 1.0 / 7.0)
-    assert written(runner._trace_csv(corr)) == reference_trace(corr)
+    assert written(outputs.trace_csv(corr)) == reference_trace(corr)
 
 
-TRACE_CHUNK = runner._TRACE_CHUNK_ROWS
+TRACE_CHUNK = outputs.TRACE_CHUNK_ROWS
 
 # Signed zeros, the smallest and largest subnormals, signed infinities and
 # NaNs of several signs and payloads (the last one signalling).
@@ -277,7 +277,7 @@ def test_trace_across_chunks_matches_reference(
     bits[fresh] = rng.integers(0, 2**64, np.count_nonzero(fresh), dtype=np.uint64)
     tau = np.linspace(-span, span, n, endpoint=False)
     corr = Correlation1D(tau, bits.view(np.float64), background, 0.0)
-    assert written(runner._trace_csv(corr)) == reference_trace(corr)
+    assert written(outputs.trace_csv(corr)) == reference_trace(corr)
 
 
 def test_traces_on_axes_of_different_lengths_written_in_turn():
@@ -285,7 +285,7 @@ def test_traces_on_axes_of_different_lengths_written_in_turn():
     longer = _trace(_special_column(2 * TRACE_CHUNK + 1, 9), 0.25)
     shorter = _trace(_special_column(TRACE_CHUNK - 3, 10), -0.0)
     for corr in (longer, shorter, longer, shorter):
-        assert written(runner._trace_csv(corr)) == reference_trace(corr)
+        assert written(outputs.trace_csv(corr)) == reference_trace(corr)
 
 
 def test_comb_special_values():
@@ -302,7 +302,7 @@ def test_comb_special_values():
         background_factor_1=np.ones(64),
         background_factor_2=np.ones(64),
     )
-    assert written(runner._comb_csv(comb)) == reference_comb(comb)
+    assert written(outputs.comb_csv(comb)) == reference_comb(comb)
 
 
 def test_joint_special_values_across_chunks():
@@ -327,6 +327,6 @@ def test_joint_special_values_across_chunks():
             profile[off] = 0.0  # zero where the line leaves the grid
             profile[::3] = 0.0
         joint.profiles[n - 1, 7] = -0.0  # not a nonzero cell
-        assert np.count_nonzero(joint.profiles) > runner._JOINT_CHUNK_ROWS
+        assert np.count_nonzero(joint.profiles) > outputs.JOINT_CHUNK_ROWS
         with np.errstate(over="ignore", invalid="ignore"):  # background products
-            assert written(runner._joint_csv(joint)) == reference_joint(joint)
+            assert written(outputs.joint_csv(joint)) == reference_joint(joint)
