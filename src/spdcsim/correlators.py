@@ -447,9 +447,9 @@ def _modulated_flux_density(source: SourceFields, comb: ModulatorComb, m_ratio: 
     return out / (2.0 * np.pi)
 
 
-def _exact_orders(m1: ModulatorComb, m2: ModulatorComb, inter: bool) -> np.ndarray:
-    """Comb lines of the exact joint spectrum: every n1 + n2 (interbeam) or
-    n2 - n1 (intrabeam) from the lowest to the highest."""
+def exact_orders(m1: ModulatorComb, m2: ModulatorComb, inter: bool) -> np.ndarray:
+    """Comb lines of the exact joint spectrum, as the memory gate counts them:
+    every n1 + n2 (interbeam) or n2 - n1 (intrabeam), lowest to highest."""
     lo1, hi1 = int(np.min(m1.orders)), int(np.max(m1.orders))
     lo2, hi2 = int(np.min(m2.orders)), int(np.max(m2.orders))
     first, last = (lo1 + lo2, hi1 + hi2) if inter else (lo2 - hi1, hi2 - lo1)
@@ -492,7 +492,7 @@ def g2_freq_exact(
     # of line L sits in column n + L*m - i or i - L*m, on the grid for
     # L*m + offset <= i < n + L*m + offset.
     offset = 1 if inter else 0
-    orders = _exact_orders(m1, m2, inter)
+    orders = exact_orders(m1, m2, inter)
     first = int(orders[0])
     amp = np.zeros((orders.size, n), dtype=field.dtype)
     for n1, w1 in zip(m1.orders.tolist(), m1.weights):

@@ -22,8 +22,6 @@ BESSEL_MAX_ARG = 50.0
 MAX_MOD_INDEX = 20.0
 COMB_PRUNE = 1e-12
 
-_FACTORIALS = (1.0, 1.0, 2.0, 6.0, 24.0, 120.0)
-
 _RESCALE_LIMIT = 1e250
 _RESCALE = 1e-250
 
@@ -61,7 +59,7 @@ class DispersiveElement:
         out = np.zeros(grid.n_points)
         for k, phi in enumerate(self.phase_coeffs, start=1):
             if phi != 0.0:
-                out += (phi / _FACTORIALS[k]) * grid.omega_power(k)
+                out += (phi / math.factorial(k)) * grid.omega_power(k)
         return out
 
 
@@ -145,16 +143,16 @@ def bessel_j(n: int, x: float) -> float:
         raise ValueError(f"|n| <= {BESSEL_MAX_ORDER} required, got {n}")
     if abs(x) > BESSEL_MAX_ARG:
         raise ValueError(f"|x| <= {BESSEL_MAX_ARG} required, got {x}")
-    sign = 1.0
-    if n < 0:
-        n = -n
-        sign *= (-1.0) ** n
-    if x < 0:
-        x = -x
-        sign *= (-1.0) ** n
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
-    return sign * float(_bessel_row(x, n)[n])
+    value = float(_bessel_row(abs(x), abs(n))[abs(n)])
+    return -value if _bessel_negates(n, x) else value
+
+
+def _bessel_negates(orders, x: float):
+    """Where J_n(x) = -J_|n|(|x|), for an order or an array of orders n: at
+    odd n with exactly one of n and x negative (see ``bessel_j``)."""
+    return (orders % 2 == 1) & ((orders < 0) != (x < 0))
 
 
 @dataclass(frozen=True)
@@ -217,9 +215,7 @@ def build_comb(mod_freq: float, index: float, max_index: float = MAX_MOD_INDEX) 
         hard_cap = int(np.ceil(x + 12.0 * np.sqrt(x) + 20.0))
         orders = np.arange(-hard_cap, hard_cap + 1, dtype=np.int64)
         weights = _bessel_row(x, hard_cap)[np.abs(orders)]
-        # J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x)
-        flip = (orders % 2 == 1) & ((orders < 0) != (index < 0))
-        np.negative(weights, out=weights, where=flip)
+        np.negative(weights, out=weights, where=_bessel_negates(orders, index))
         keep = np.abs(weights) >= COMB_PRUNE
         orders, weights = orders[keep], weights[keep]
     return ModulatorComb(

@@ -1,9 +1,10 @@
 """Every file a run writes: point files (``POINT_FILES``), ``sweep.csv``, ``report.json``.
 
 Outputs are deterministic: floats are printed with 17 significant digits,
-files are written atomically (temp file + rename), report.json embeds the
-fully resolved scenario, and sweep rows are ordered by sweep index no matter
-which worker finishes first.
+files are written atomically (temp file + rename), ``write_run`` builds the
+whole report (its frame at ``REPORT_SCHEMA_VERSION``) around the fully
+resolved scenario, and sweep rows are ordered by sweep index no matter which
+worker finishes first.
 
 A run owns the names it writes in its output directory.  Before it computes
 anything, ``claim`` removes an earlier ``report.json``, then every other file
@@ -38,6 +39,7 @@ from .correlators import Correlation1D, JointComb, JointGrid
 from .errors import NonFiniteResult
 from .scenario import sweep_columns
 
+REPORT_SCHEMA_VERSION = 1  # of the report's frame; the input's is scenario.SCHEMA_VERSION
 JOINT_CHUNK_ROWS = 8192
 TRACE_CHUNK_ROWS = 1024
 
@@ -137,11 +139,11 @@ def joint_csv(joint: JointGrid):
         )
 
 
-def sweep_csv(scenario, values, outcomes):
+def sweep_csv(scenario, outcomes):
     keys = list(sweep_columns(scenario).values())
     yield ",".join(["param"] + keys) + "\n"
     columns = [[outcome.analyses[key] for outcome in outcomes] for key in keys]
-    yield _format_rows(",".join(["%.17g"] * (1 + len(keys))) + "\n", values, *columns)
+    yield _format_rows(",".join(["%.17g"] * (1 + len(keys))) + "\n", scenario.sweep.values, *columns)
 
 
 # The one table of output kinds: a result's exact type -> (point file, writer).
@@ -203,22 +205,29 @@ def _require_finite(value, key: str) -> None:
         raise NonFiniteResult(f"{key} is {float(value)!r}; report.json not written")
 
 
-def write_run(out_dir: Path, report: dict, scenario, outcomes) -> dict:
-    """Write a claimed run's files into ``out_dir`` and return ``report``
-    with their list under ``files``.
+def write_run(out_dir: Path, scenario, outcomes) -> dict:
+    """Write a claimed run's files and report into ``out_dir``; return the report.
 
+    ``outcomes`` holds one outcome per point, in the order of the sweep's values.
     Every result is checked to be finite before the first point file is
     written, and ``report.json``, which marks a finished run, is written last.
     """
-    _require_finite(report, "")
     sweep = scenario.sweep
-    digits = max(4, len(str(len(outcomes))))
-    prefixes = [""] if sweep is None else [f"point_{i:0{digits}d}_" for i in range(len(outcomes))]
+    report = {"schema_version": REPORT_SCHEMA_VERSION, "scenario": scenario.resolved()}
+    if sweep is None:
+        report["results"] = outcomes[0].analyses
+        prefixes = [""]
+    else:
+        points = [{"value": value, **o.analyses} for value, o in zip(sweep.values, outcomes)]
+        report["results"] = {"sweep_parameter": sweep.parameter, "points": points}
+        digits = max(4, len(str(len(outcomes))))
+        prefixes = [f"point_{i:0{digits}d}_" for i in range(len(outcomes))]
+    _require_finite(report, "")
     files: list = []
     for outcome, prefix in zip(outcomes, prefixes):
         files += write_point_files(outcome, out_dir, prefix)
     if sweep is not None:
-        _atomic_write(out_dir / "sweep.csv", sweep_csv(scenario, sweep.values, outcomes))
+        _atomic_write(out_dir / "sweep.csv", sweep_csv(scenario, outcomes))
         files.append("sweep.csv")
     report["files"] = sorted(files) + ["report.json"]
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)

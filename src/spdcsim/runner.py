@@ -1,5 +1,6 @@
 """Scenario execution: the configured correlator and analyses of each run
-or sweep point, and the order of a run; ``outputs`` writes its files.
+or sweep point, and the order of a run; ``outputs.write_run`` builds its
+report and writes its files.
 
 A run reads its source fields and baseline width through a
 ``_SharedWithBase``, its own or its sweep's base scenario's, which computes
@@ -164,11 +165,11 @@ def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointO
 def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dict:
     """Execute a scenario (sweeping if configured) and write its report.
 
-    Returns the report dictionary; files land in ``out_dir``.  Every sweep
-    point is parsed before the directory is made; a point's error names its
-    ``scenario.sweep.values[i]``.  A sweep runs up to ``workers`` points at
-    once (default: the CPU count), but no more than fit the memory budget
-    together (``scenario.points_at_once``).
+    Returns the report that ``outputs.write_run`` builds; files land in
+    ``out_dir``.  Every sweep point is parsed before the directory is made;
+    a point's error names its ``scenario.sweep.values[i]``.  A sweep runs up
+    to ``workers`` points at once (default: the CPU count), but no more than
+    fit the memory budget together (``scenario.points_at_once``).
 
     ``report.json`` marks a finished run: ``outputs.claim`` removes an
     earlier run's report and own files before anything is computed, and
@@ -176,14 +177,11 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
     """
     shared = _SharedWithBase(scenario)
     points = [shared.adopt(point) for point in sweep_points(scenario)]
-    sweep = scenario.sweep
     out_dir = Path(out_dir)
     outputs.claim(out_dir)
-    report: dict = {"schema_version": 1, "scenario": scenario.resolved()}
 
-    if sweep is None:
+    if scenario.sweep is None:
         outcomes = [execute(scenario)]
-        report["results"] = outcomes[0].analyses
     else:
         at_once = points_at_once(point for point, _ in points)
         max_workers = min(workers or os.cpu_count() or 1, at_once)
@@ -193,11 +191,4 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
             # and the transfers memoised on its own elements are freed once run.
             del points
             outcomes = list(pending)
-        report["results"] = {
-            "sweep_parameter": sweep.parameter,
-            "points": [
-                {"value": value, **outcome.analyses}
-                for value, outcome in zip(sweep.values, outcomes)
-            ],
-        }
-    return outputs.write_run(out_dir, report, scenario, outcomes)
+    return outputs.write_run(out_dir, scenario, outcomes)

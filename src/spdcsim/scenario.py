@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .correlators import CONFIGURATIONS, check_drive, mod_steps
+from .correlators import CONFIGURATIONS, check_drive, exact_orders, mod_steps
 from .elements import DispersiveElement, build_comb, check_modulator
 from .errors import PreconditionError, ScenarioError, echo
 from .grid import FrequencyGrid
@@ -295,14 +295,14 @@ def estimate_peak_bytes(n_points: int, exact_modulators: tuple | None = None) ->
     About _PEAK_BYTES_PER_SAMPLE per grid sample (source fields, transfers,
     FFT buffers, trace text), plus, for an exact joint spectrum of the two
     ``(mod_freq, index)`` modulators ``exact_modulators``,
-    _PEAK_BYTES_PER_LINE_SAMPLE per comb line per sample (the complex ridge
-    amplitudes and their profiles).  Pure arithmetic: nothing of that size is
-    allocated.
+    _PEAK_BYTES_PER_LINE_SAMPLE per sample per comb line of either pairing
+    (``correlators.exact_orders``: the complex ridge amplitudes and their
+    profiles).  Pure arithmetic: nothing of that size is allocated.
     """
     per_sample = _PEAK_BYTES_PER_SAMPLE
     if exact_modulators is not None:
         m1, m2 = (build_comb(freq, index) for freq, index in exact_modulators)
-        lines = 2 * (m1.n_max + m2.n_max) + 1  # orders -(n1 + n2)..n1 + n2, either pairing
+        lines = max(exact_orders(m1, m2, inter).size for inter in (True, False))
         per_sample += _PEAK_BYTES_PER_LINE_SAMPLE * lines
     return n_points * per_sample
 

@@ -345,12 +345,16 @@ def check_name(check) -> str:
 
 def run_checks(name_filter: str | None = None) -> list:
     """Run all checks (optionally filtered by substring of their
-    ``check_name``) and collect results."""
+    ``check_name``) and collect results; a check that raises fails with the
+    detail ``raised <Type>: <message>``, and the checks after it still run."""
     results = []
     for check in CHECKS:
         name = check_name(check)
         if name_filter and name_filter not in name:
             continue
-        passed, detail = check()
+        try:
+            passed, detail = check()
+        except Exception as exc:
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(CheckResult(name=name, passed=bool(passed), detail=detail))
     return results

@@ -3,12 +3,14 @@
 ``g2_freq_exact`` stores its result as comb-line ridges.  The helpers here
 rebuild the n x n grids the tests reason about: ``scatter`` spreads the
 ridges of a ``JointGrid`` over the grid, and ``dense_reference`` is the
-former dense double-comb accumulation, kept as the golden reference.
+former dense double-comb accumulation, kept as the golden reference.  Its
+background is a plain per-sample sideband sum, independent of the library's
+sliced accumulation.
 """
 
 import numpy as np
 
-from spdcsim.correlators import INTER_FREQ, _modulated_flux_density
+from spdcsim.correlators import INTER_FREQ
 
 
 def scatter(joint):
@@ -60,10 +62,24 @@ def dense_reference(source, m1, m2, config):
                 amp[i, i - d] += (w1 * w2) * field[i + shift]
     structure = np.abs(amp) ** 2 / grid.delta_omega**2
     background = np.outer(
-        _modulated_flux_density(source, m1, m_ratio),
-        _modulated_flux_density(source, m2, m_ratio),
+        _flux_density(source.S, m1, m_ratio), _flux_density(source.S, m2, m_ratio)
     )
     return structure, background
+
+
+def _flux_density(spectrum, comb, m_ratio):
+    """Per-sample sideband sum sum_n J_n^2 S(Omega + n*mod_freq) / 2pi, each
+    sample's terms added in the order of the comb's orders."""
+    n = len(spectrum)
+    out = np.zeros(n)
+    for i in range(n):
+        total = 0.0
+        for order, w in zip(comb.orders, comb.weights):
+            k = i + int(order) * m_ratio
+            if 0 <= k < n:
+                total += (w * w) * spectrum[k]
+        out[i] = total / (2.0 * np.pi)
+    return out
 
 
 def reference_joint_text(omegas, structure, background) -> str:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from spdcsim import NonFiniteResult, cli, runner
+from spdcsim import NonFiniteResult, PreconditionError, cli, runner, selftest
 from spdcsim.runner import run_scenario
 from spdcsim.scenario import parse_scenario
 
@@ -273,6 +273,32 @@ class TestSelftestCommand:
     def test_unknown_filter_fails(self):
         proc = run_cli("selftest", "--filter", "no_such_check")
         assert proc.returncode == 1
+
+    def test_a_check_that_raises_fails_on_its_own(self, monkeypatch, capsys):
+        def check_first():
+            return True, "ran"
+
+        def check_precondition():
+            raise PreconditionError("gate refused")
+
+        def check_division():
+            return 1 / 0
+
+        def check_last():
+            return True, "still ran"
+
+        checks = (check_first, check_precondition, check_division, check_last)
+        monkeypatch.setattr(selftest, "CHECKS", checks)
+        assert cli.main(["selftest"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            "PASS  first         ran",
+            "FAIL  precondition  raised PreconditionError: gate refused",
+            "FAIL  division      raised ZeroDivisionError: division by zero",
+            "PASS  last          still ran",
+            "2/4 checks passed",
+        ]
+        assert err == ""
 
 
 def test_runner_api_matches_cli_output(tmp_path):

@@ -1,11 +1,14 @@
-"""The names a run owns in its output directory, and their one table.
+"""The names a run owns in its output directory, their one table, and the
+frame of its report.
 
 ``outputs.claim`` removes every file under one of spdcsim's own names, the
 temp files of a killed write included, and keeps every other file.  Those
 names are derived from ``outputs.POINT_FILES``; README *Outputs* is the one
 other place that names a point file, so it must name each of them.
+``outputs.write_run`` builds the whole report that ``run_scenario`` returns.
 """
 
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -13,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from spdcsim import outputs
+from spdcsim.runner import run_scenario
+from spdcsim.scenario import parse_scenario
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -55,3 +60,28 @@ def test_readme_outputs_names_every_point_file(name):
     assert f"`{name}`" in own and f"`point_<digits>_{name}`" in own
     listed = [line for line in section.splitlines() if line.startswith("- ")]
     assert any(f"`{name}`" in line for line in listed)
+
+
+FRAME_DOC = {
+    "schema_version": 1,
+    "configuration": "inter_time",
+    "grid": {"n_points": 256, "delta_omega": 0.05},
+    "source": {"mode": "analytic", "envelope_bandwidth": 1.0},
+    "elements": [{"phase_coeffs": [0.0, 1.0]}, {"phase_coeffs": [0.0, -1.0]}],
+}
+FRAME_SWEEP = {"parameter": "elements.1.phase_coeffs.1", "values": [-1.0, 0.5]}
+
+
+@pytest.mark.parametrize("sweep", [None, FRAME_SWEEP], ids=["single", "sweep"])
+def test_report_frame(sweep, tmp_path):
+    scenario = parse_scenario({**FRAME_DOC, "sweep": sweep})
+    report = run_scenario(scenario, tmp_path)
+    assert list(report) == ["schema_version", "scenario", "results", "files"]
+    assert report["schema_version"] == outputs.REPORT_SCHEMA_VERSION
+    assert report["scenario"] == scenario.resolved()
+    if sweep is None:
+        assert "rms_width_ps" in report["results"]
+    else:
+        assert sorted(report["results"]) == ["points", "sweep_parameter"]
+        assert [point["value"] for point in report["results"]["points"]] == sweep["values"]
+    assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8")) == report

@@ -3,7 +3,15 @@ import tracemalloc
 
 import pytest
 
-from spdcsim import GridIncommensurate, MismatchedDrive, ScenarioError
+from spdcsim import (
+    FrequencyGrid,
+    GridIncommensurate,
+    MismatchedDrive,
+    ScenarioError,
+    SourceSpec,
+    evaluate_source,
+    g2_freq_exact,
+)
 from spdcsim import cli
 from spdcsim import scenario as scenario_module
 from spdcsim.elements import build_comb
@@ -429,6 +437,20 @@ def test_peak_estimate_scales_with_samples_and_exact_comb_lines():
     # The largest shipped and benchmark shapes sit far below the budget.
     assert 100 * estimate_peak_bytes(65536) < MEMORY_BUDGET_BYTES
     assert 100 * estimate_peak_bytes(4096, modulators) < MEMORY_BUDGET_BYTES
+
+
+@pytest.mark.parametrize("config", ["inter_freq", "intra_freq"])
+@pytest.mark.parametrize(
+    "index1, index2",
+    [(0.0, 0.0), (0.0, 2.5), (1.2, -1.2), (-0.7, 3.1), (20.0, -20.0), (-20.0, 20.0), (20.0, 0.0)],
+)
+def test_peak_estimate_counts_the_lines_of_the_exact_grid(config, index1, index2):
+    grid = FrequencyGrid(64, 0.1)
+    source = evaluate_source(SourceSpec.analytic(1.0), grid)
+    modulators = ((0.1, index1), (0.1, index2))
+    joint = g2_freq_exact(source, *(build_comb(*m) for m in modulators), config)
+    line_term = estimate_peak_bytes(1, modulators) - estimate_peak_bytes(1)
+    assert line_term == scenario_module._PEAK_BYTES_PER_LINE_SAMPLE * joint.orders.size
 
 
 @pytest.mark.parametrize(
