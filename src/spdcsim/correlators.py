@@ -132,7 +132,6 @@ class JointGrid:
 
     grid: FrequencyGrid
     configuration: str
-    mod_freq: float
     m_ratio: int
     orders: np.ndarray
     profiles: np.ndarray
@@ -149,11 +148,8 @@ class JointGrid:
 
     def ridge_indices(self, line: int):
         """Grid index pairs (i, j) of the cells on comb line ``line``."""
-        n = self.grid.n_points
-        i = np.arange(n)
-        j = self._column(i, line)
-        keep = (j >= 0) & (j < n)
-        return i[keep], j[keep]
+        i = np.arange(*_line_rows(line, self.m_ratio, self.grid.n_points, self.configuration))
+        return i, self._column(i, line)
 
     def cells(self):
         """Rows i, columns j and structure of the nonzero cells, row by row
@@ -343,10 +339,12 @@ def check_drive(freq1: float, freq2: float) -> None:
 
 
 def mod_steps(mod_freq: float, grid: FrequencyGrid) -> int:
-    """Drive frequency in grid steps, which the exact joint spectrum needs whole.
+    """Drive frequency in grid steps, on a grid the exact joint spectrum can use.
 
     Raises ``GridIncommensurate`` unless mod_freq is within 1e-9 (relative) of
-    a positive integer multiple of the grid spacing.
+    a positive integer multiple of the grid spacing.  Delta lines are carried
+    as 1/delta_omega on one sample, so the exact profiles divide by
+    delta_omega**2: ``PreconditionError`` unless it is a normal, finite float.
     """
     steps = mod_freq / grid.delta_omega
     m_ratio = round(steps) if math.isfinite(steps) else 0
@@ -354,6 +352,15 @@ def mod_steps(mod_freq: float, grid: FrequencyGrid) -> int:
         raise GridIncommensurate(
             f"mod_freq {mod_freq} rad/ps is not an integer multiple of the grid "
             f"spacing {grid.delta_omega} rad/ps"
+        )
+    try:
+        cell_area = grid.delta_omega**2
+    except OverflowError:
+        cell_area = math.inf
+    if not sys.float_info.min <= cell_area <= sys.float_info.max:
+        raise PreconditionError(
+            f"exact grid spacing {grid.delta_omega} rad/ps squared is out of "
+            "floating-point range"
         )
     return m_ratio
 
@@ -429,6 +436,22 @@ def g2_intra_freq_narrowband(
     return _g2_freq_narrowband(source, m1, m2, inter=False)
 
 
+def _line_rows(line: int, m_ratio: int, n: int, config: str) -> tuple:
+    """Rows lo <= i < hi (none if hi <= lo) of comb line L with m = ``m_ratio``:
+    row i sits in column n + L*m - i or i - L*m, on the n-point grid for
+    start <= i < n + start, with start L*m + 1 interbeam and L*m intrabeam."""
+    start = line * m_ratio + (1 if config == INTER_FREQ else 0)
+    return max(0, start), min(n, n + start)
+
+
+def _add_sideband(out: np.ndarray, weight, field: np.ndarray, shift: int, rows: tuple) -> None:
+    """out[i] += weight * field[i - shift] for the rows lo <= i < hi of
+    ``rows`` whose field sample i - shift lies on the grid."""
+    lo, hi = max(rows[0], shift), min(rows[1], field.size + shift)
+    if hi > lo:
+        out[lo:hi] += weight * field[lo - shift : hi - shift]
+
+
 def _modulated_flux_density(source: SourceFields, comb: ModulatorComb, m_ratio: int) -> np.ndarray:
     """Exact per-frequency flux density behind a modulator.
 
@@ -436,14 +459,9 @@ def _modulated_flux_density(source: SourceFields, comb: ModulatorComb, m_ratio: 
     S(Omega + n*mod_freq)/(2pi); the quadrature normalization of the weights
     preserves the total flux.
     """
-    n = source.grid.n_points
-    out = np.zeros(n)
+    out = np.zeros(source.grid.n_points)
     for order, w in zip(comb.orders, comb.weights):
-        shift = int(order) * m_ratio
-        lo = max(0, -shift)
-        hi = min(n, n - shift)
-        if hi > lo:
-            out[lo:hi] += (w * w) * source.S[lo + shift : hi + shift]
+        _add_sideband(out, w * w, source.S, -int(order) * m_ratio, (0, out.size))
     return out / (2.0 * np.pi)
 
 
@@ -472,39 +490,22 @@ def g2_freq_exact(
     check_drive(m1.mod_freq, m2.mod_freq)
     grid = source.grid
     m_ratio = mod_steps(m1.mod_freq, grid)
-    # Delta lines are carried as 1/delta_omega on one sample, so the profiles
-    # divide by delta_omega**2, which must be a normal, finite float.
-    try:
-        cell_area = grid.delta_omega**2
-    except OverflowError:
-        cell_area = math.inf
-    if not sys.float_info.min <= cell_area <= sys.float_info.max:
-        raise PreconditionError(
-            f"exact grid spacing {grid.delta_omega} rad/ps squared is out of "
-            "floating-point range"
-        )
-
     n = grid.n_points
     inter = config == INTER_FREQ
     field = source.R if inter else source.S.astype(float)
     # Pair (n1, n2) adds w1*w2*field[i - shift] to row i of line n1 + n2
-    # (interbeam, shift = n1*m) or n2 - n1 (intrabeam, shift = -n1*m).  Row i
-    # of line L sits in column n + L*m - i or i - L*m, on the grid for
-    # L*m + offset <= i < n + L*m + offset.
-    offset = 1 if inter else 0
+    # (interbeam, shift = n1*m) or n2 - n1 (intrabeam, shift = -n1*m).
     orders = exact_orders(m1, m2, inter)
     first = int(orders[0])
+    rows = [_line_rows(line, m_ratio, n, config) for line in orders.tolist()]
     amp = np.zeros((orders.size, n), dtype=field.dtype)
     for n1, w1 in zip(m1.orders.tolist(), m1.weights):
         shift = n1 * m_ratio if inter else -n1 * m_ratio
         for n2, w2 in zip(m2.orders.tolist(), m2.weights):
             line = n1 + n2 if inter else n2 - n1
-            edge = line * m_ratio + offset
-            lo, hi = max(0, edge, shift), min(n, n + edge, n + shift)
-            if hi > lo:
-                amp[line - first, lo:hi] += (w1 * w2) * field[lo - shift : hi - shift]
+            _add_sideband(amp[line - first], w1 * w2, field, shift, rows[line - first])
     with np.errstate(over="ignore"):
-        profiles = np.abs(amp) ** 2 / cell_area
+        profiles = np.abs(amp) ** 2 / grid.delta_omega**2
     if not math.isfinite(np.max(profiles)):
         raise PreconditionError(
             f"exact joint structure overflows a double at grid spacing {grid.delta_omega} rad/ps"
@@ -513,7 +514,6 @@ def g2_freq_exact(
     return JointGrid(
         grid=grid,
         configuration=config,
-        mod_freq=m1.mod_freq,
         m_ratio=m_ratio,
         orders=orders,
         profiles=profiles,

@@ -135,13 +135,17 @@ def _bessel_row(x: float, n_max: int) -> np.ndarray:
 def bessel_j(n: int, x: float) -> float:
     """Bessel function of the first kind J_n(x).
 
-    Valid for |n| <= 200 and |x| <= 50; negative arguments reduce through
-    J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x).
+    Valid for integral |n| <= 200 (an integral float counts) and |x| <= 50;
+    negative arguments reduce through J_{-n}(x) = (-1)^n J_n(x) and
+    J_n(-x) = (-1)^n J_n(x).  Any other order or argument, NaN included,
+    raises ``ValueError``.
     """
+    if not (isinstance(n, (int, np.integer)) or (isinstance(n, float) and n.is_integer())):
+        raise ValueError(f"an integral order n required, got {n!r}")
     n = int(n)
     if abs(n) > BESSEL_MAX_ORDER:
         raise ValueError(f"|n| <= {BESSEL_MAX_ORDER} required, got {n}")
-    if abs(x) > BESSEL_MAX_ARG:
+    if not abs(x) <= BESSEL_MAX_ARG:
         raise ValueError(f"|x| <= {BESSEL_MAX_ARG} required, got {x}")
     if x == 0.0:
         return 1.0 if n == 0 else 0.0

@@ -386,7 +386,12 @@ def resolve_parameter(doc: dict, dotted: str):
     node = doc
     for part in dotted.split("."):
         if isinstance(node, list):
+            # ASCII digits without a leading zero, so that a leaf has one name
+            # in report.json: int() alone also takes "-1", "01", " 1" and "+1".
+            canonical = part == "0" or (part.isascii() and part.isdigit() and part[0] != "0")
             try:
+                if not canonical:
+                    raise ValueError(part)
                 node = node[int(part)]
             except (ValueError, IndexError) as exc:
                 raise _fail(path, f"bad list index {echo(part)} in {echo(dotted)}") from exc

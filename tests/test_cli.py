@@ -464,8 +464,14 @@ def _run_in_process(tmp_path, doc):
         ("delta_omega_1e300", "precondition error: pointlike integrand spectrum"),
         ("tiny_index_narrowband", None),
         ("tiny_index_exact", None),
-        ("exact_spacing_underflow", "precondition error: exact grid spacing 1e-240 rad/ps"),
-        ("exact_spacing_overflow", "precondition error: exact grid spacing 1e+180 rad/ps"),
+        (
+            "exact_spacing_underflow",
+            "precondition error: scenario.exact_grid: exact grid spacing 1e-240 rad/ps",
+        ),
+        (
+            "exact_spacing_overflow",
+            "precondition error: scenario.exact_grid: exact grid spacing 1e+180 rad/ps",
+        ),
         ("combined_index_30", None),
         ("bandwidth_1e-200", "scenario error: scenario.source: envelope_bandwidth 1e-200"),
         ("canceling_overflowing_phases", "precondition error: dispersive phase is not finite"),
@@ -484,6 +490,30 @@ def test_extreme_input_runs_or_fails_typed(tmp_path, capsys, name, expected):
     assert err.startswith(expected)
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not (out / "report.json").exists()
+
+
+def test_out_of_range_exact_spacing_leaves_the_earlier_run_untouched(tmp_path, capsys):
+    # The cell-area rule is checked at parse, before the rerun claims the directory.
+    earlier = spectral_doc(
+        grid={"n_points": 256, "delta_omega": 0.0025},
+        source={"mode": "analytic", "envelope_bandwidth": 0.05},
+        modulators=modulators(0.02, 0.5, 0.5),
+        exact_grid=True,
+    )
+    code, out = _run_in_process(tmp_path, earlier)
+    assert code == cli.EXIT_OK, capsys.readouterr().err
+    before = {name: (out / name).read_bytes() for name in ("report.json", "joint.csv")}
+    capsys.readouterr()
+
+    rerun = {
+        **earlier,
+        "grid": {"n_points": 256, "delta_omega": 1e-170},
+        "modulators": modulators(1e-170, 0.5, 0.5),
+    }
+    code, out = _run_in_process(tmp_path, rerun)
+    assert code == cli.EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith("precondition error: scenario.exact_grid: ")
+    assert {name: (out / name).read_bytes() for name in before} == before
 
 
 def test_bad_sweep_value_is_named_before_any_directory(tmp_path, capsys):

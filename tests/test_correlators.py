@@ -221,14 +221,20 @@ def test_check_drive():
         (0.013, 0.01, None),
         (0.004, 0.01, None),
         (1e300, 1e-300, None),
+        (1e-240, 1e-240, "^exact grid spacing 1e-240 rad/ps squared is out of floating"),
+        (4e180, 1e180, r"^exact grid spacing 1e\+180 rad/ps squared is out of floating"),
     ],
-    ids=["three", "one", "fractional", "below_one", "infinite"],
+    ids=["three", "one", "fractional", "below_one", "infinite", "cell_underflow", "cell_overflow"],
 )
 def test_mod_steps(mod_freq, delta_omega, steps):
     grid = FrequencyGrid(64, delta_omega)
     if steps is None:
         with pytest.raises(GridIncommensurate, match="not an integer multiple"):
             mod_steps(mod_freq, grid)
+    elif isinstance(steps, str):  # the cell area delta_omega**2 leaves double range
+        with pytest.raises(PreconditionError, match=steps) as caught:
+            mod_steps(mod_freq, grid)
+        assert type(caught.value) is PreconditionError
     else:
         assert mod_steps(mod_freq, grid) == steps
 

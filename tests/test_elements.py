@@ -83,6 +83,26 @@ class TestBessel:
         with pytest.raises(ValueError):
             bessel_j(0, 50.5)
 
+    @pytest.mark.parametrize(
+        "n, x, match",
+        [
+            (1.5, 2.0, "^an integral order n required, got 1.5$"),
+            (float("nan"), 1.0, "^an integral order n required, got nan$"),
+            (float("-inf"), 1.0, "^an integral order n required, got -inf$"),
+            ("1", 1.0, "^an integral order n required, got '1'$"),
+            (1, float("nan"), r"^\|x\| <= 50.0 required, got nan$"),
+        ],
+        ids=["fractional_order", "nan_order", "infinite_order", "string_order", "nan_argument"],
+    )
+    def test_refuses_what_it_cannot_answer(self, n, x, match):
+        with pytest.raises(ValueError, match=match):
+            bessel_j(n, x)
+
+    def test_integral_float_and_numpy_integer_orders(self):
+        assert bessel_j(2.0, 1.2) == bessel_j(2, 1.2)
+        assert bessel_j(np.float64(-4.0), 1.2) == bessel_j(-4, 1.2)
+        assert bessel_j(np.int64(-3), 1.2) == bessel_j(-3, 1.2)
+
 
 class TestModulatorComb:
     def test_zero_index_single_line(self):

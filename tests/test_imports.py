@@ -1,5 +1,6 @@
-"""No module of the package or of ``tools/`` imports a name it never uses,
-and no module of the package reaches into another one's private names.
+"""No module of the package, of ``tools/`` or of ``tests/`` imports a name it
+never uses, and no module of the package reaches into another one's private
+names.
 
 A name listed in the module's ``__all__`` counts as used: the package
 re-exports what it imports there.
@@ -12,7 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "spdcsim").glob("*.py"))
-MODULES = sorted([*PACKAGE, *(ROOT / "tools").glob("*.py")])
+MODULES = sorted([*PACKAGE, *(ROOT / "tools").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:

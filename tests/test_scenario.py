@@ -374,6 +374,19 @@ def _with(doc, *edits):
             "scenario.source.gain: ",
             2,
         ),
+        # A list index has one spelling, which report.json echoes.
+        *(
+            (
+                _with(
+                    minimal_freq_doc(),
+                    (("sweep",), {"parameter": f"modulators.{index}.index", "values": [0.8]}),
+                ),
+                ScenarioError,
+                f"scenario.sweep.parameter: bad list index {index!r} in ",
+                2,
+            )
+            for index in ("-1", "01", " 1", "+1")
+        ),
     ],
     ids=[
         "phase_orders",
@@ -385,6 +398,10 @@ def _with(doc, *edits):
         "physical_source",
         "analytic_source",
         "source_number",
+        "sweep_index_negative",
+        "sweep_index_leading_zero",
+        "sweep_index_space",
+        "sweep_index_plus",
     ],
 )
 def test_each_scenario_rule_names_its_path_and_exit_code(

@@ -314,7 +314,6 @@ def test_joint_special_values_across_chunks():
         joint = JointGrid(
             grid=FrequencyGrid(n, 0.1),
             configuration=configuration,
-            mod_freq=0.1,
             m_ratio=1,
             orders=orders,
             profiles=_special_column(orders.size * n, 5).reshape(orders.size, n),
