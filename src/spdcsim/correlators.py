@@ -465,12 +465,14 @@ def _modulated_flux_density(source: SourceFields, comb: ModulatorComb, m_ratio: 
     return out / (2.0 * np.pi)
 
 
-def exact_orders(m1: ModulatorComb, m2: ModulatorComb, inter: bool) -> np.ndarray:
+def exact_orders(m1: ModulatorComb, m2: ModulatorComb, config: str) -> np.ndarray:
     """Comb lines of the exact joint spectrum, as the memory gate counts them:
-    every n1 + n2 (interbeam) or n2 - n1 (intrabeam), lowest to highest."""
+    every n1 + n2 (``INTER_FREQ``) or n2 - n1 (``INTRA_FREQ``), lowest to highest."""
+    if config not in (INTER_FREQ, INTRA_FREQ):
+        raise ValueError(f"config must be {INTER_FREQ!r} or {INTRA_FREQ!r}, got {config!r}")
     lo1, hi1 = int(np.min(m1.orders)), int(np.max(m1.orders))
     lo2, hi2 = int(np.min(m2.orders)), int(np.max(m2.orders))
-    first, last = (lo1 + lo2, hi1 + hi2) if inter else (lo2 - hi1, hi2 - lo1)
+    first, last = (lo1 + lo2, hi1 + hi2) if config == INTER_FREQ else (lo2 - hi1, hi2 - lo1)
     return np.arange(first, last + 1)
 
 
@@ -485,8 +487,7 @@ def g2_freq_exact(
     comparable to mod_freq the envelope varies between sidebands and the
     narrowband form fails, which is the regime the validity gate excludes.
     """
-    if config not in (INTER_FREQ, INTRA_FREQ):
-        raise ValueError(f"config must be {INTER_FREQ!r} or {INTRA_FREQ!r}, got {config!r}")
+    orders = exact_orders(m1, m2, config)
     check_drive(m1.mod_freq, m2.mod_freq)
     grid = source.grid
     m_ratio = mod_steps(m1.mod_freq, grid)
@@ -495,7 +496,6 @@ def g2_freq_exact(
     field = source.R if inter else source.S.astype(float)
     # Pair (n1, n2) adds w1*w2*field[i - shift] to row i of line n1 + n2
     # (interbeam, shift = n1*m) or n2 - n1 (intrabeam, shift = -n1*m).
-    orders = exact_orders(m1, m2, inter)
     first = int(orders[0])
     rows = [_line_rows(line, m_ratio, n, config) for line in orders.tolist()]
     amp = np.zeros((orders.size, n), dtype=field.dtype)

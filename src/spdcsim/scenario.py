@@ -26,7 +26,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .correlators import CONFIGURATIONS, check_drive, exact_orders, mod_steps
+from .correlators import CONFIGURATIONS, INTER_FREQ, INTER_TIME, INTRA_FREQ, INTRA_TIME
+from .correlators import check_drive, exact_orders, mod_steps
 from .elements import DispersiveElement, build_comb, check_modulator
 from .errors import PreconditionError, ScenarioError, echo
 from .grid import FrequencyGrid
@@ -76,7 +77,7 @@ _OUTPUT_KEYS = {"analyses", "write_trace", "write_comb"}
 
 def _is_temporal(configuration: str) -> bool:
     """Whether ``configuration`` is a temporal (dispersive-element) one."""
-    return configuration.endswith("_time")
+    return configuration in (INTER_TIME, INTRA_TIME)
 
 
 @dataclass(frozen=True)
@@ -302,7 +303,7 @@ def estimate_peak_bytes(n_points: int, exact_modulators: tuple | None = None) ->
     per_sample = _PEAK_BYTES_PER_SAMPLE
     if exact_modulators is not None:
         m1, m2 = (build_comb(freq, index) for freq, index in exact_modulators)
-        lines = max(exact_orders(m1, m2, inter).size for inter in (True, False))
+        lines = max(exact_orders(m1, m2, config).size for config in (INTER_FREQ, INTRA_FREQ))
         per_sample += _PEAK_BYTES_PER_LINE_SAMPLE * lines
     return n_points * per_sample
 

@@ -1,9 +1,13 @@
-"""``tools/bench_pairs.py`` summarises pairs of benchmark result lines.
+"""``tools/bench_pairs.py`` compares output trees and summarises paired result lines.
 
-Canned result lines only: nothing here runs the benchmark.
+Canned result lines and synthetic trees only: nothing here runs the benchmark.
 """
 
 import json
+import shutil
+from pathlib import Path
+
+import pytest
 
 from script_module import load_script
 
@@ -104,3 +108,122 @@ def test_one_pair_has_no_spread():
     lines = bench_pairs.judge([(_line(2.0, 5.0), _line(1.0, 6.0))], METRICS)
     assert lines[0].startswith("  wall_s        gain rule holds (1/1 better, median gap 1 against IQR 0)")
     assert lines[1].startswith("  rate          gain rule holds (1/1 better, median gap 1 against IQR 0)")
+
+
+FILES = {
+    "trace_sweeps-setup.json": b'[{"path": "/one/tree/scenarios/a.json"}]',
+    "trace_sweeps/op0/report.json": b'{"flux_n": 0.125}\n',
+    "trace_sweeps/op0/trace.csv": b"tau,g2\n-1,0.5\n0,1.5\n",
+    "analysis_sweeps/op3/sweep.csv": b"value,width\n1,2.0000000000000004\n",
+}
+
+
+def _tree(root: Path, files=FILES) -> Path:
+    for name, data in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root
+
+
+def test_identical_trees_pass(tmp_path):
+    assert bench_pairs.compare_trees(_tree(tmp_path / "a"), _tree(tmp_path / "b")) == []
+
+
+def test_one_changed_byte_fails_and_names_the_file(tmp_path):
+    changed = dict(FILES)
+    changed["trace_sweeps/op0/trace.csv"] = b"tau,g2\n-1,0.5\n0,1.6\n"
+    lines = bench_pairs.compare_trees(_tree(tmp_path / "a"), _tree(tmp_path / "b", changed))
+    assert len(lines) == 1 and "op0/trace.csv" in lines[0]
+
+
+def test_missing_file_fails_and_names_the_file(tmp_path):
+    fewer = {k: v for k, v in FILES.items() if not k.endswith("trace.csv")}
+    lines = bench_pairs.compare_trees(_tree(tmp_path / "a"), _tree(tmp_path / "b", fewer))
+    assert lines == [f"Only in {tmp_path / 'a' / 'trace_sweeps' / 'op0'}: trace.csv"]
+
+
+def test_missing_directory_fails_and_names_it(tmp_path):
+    fewer = {k: v for k, v in FILES.items() if not k.startswith("analysis_sweeps/")}
+    lines = bench_pairs.compare_trees(_tree(tmp_path / "a", fewer), _tree(tmp_path / "b"))
+    assert lines == [f"Only in {tmp_path / 'b'}: analysis_sweeps"]
+
+
+def test_setup_file_sits_beside_the_compared_workload_directory(tmp_path):
+    moved = {**FILES, "trace_sweeps-setup.json": b'[{"path": "/other/tree/scenarios/a.json"}]'}
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b", moved)
+    assert bench_pairs.compare_trees(a / "trace_sweeps", b / "trace_sweeps") == []
+    assert len(bench_pairs.compare_trees(a, b)) == 1
+
+
+def _fake_runs(monkeypatch, tmp_path, differing=()):
+    """Stand-ins for ``extract`` and ``run``: a run writes a set-up file naming its tree and
+    one output file, plus ``x.csv`` in this checkout at a seed of ``differing``.  Returns the
+    extracted revisions and the runs as ``(in this checkout, workload, seed)``."""
+    here = tmp_path / "checkout"
+    extracted, ran = [], []
+    monkeypatch.setattr(bench_pairs, "ROOT", here)
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: extracted.append(rev))
+    metrics = {metric["name"]: {"value": 1.0} for metric in bench_pairs.BENCHMARK["end_to_end"]}
+
+    def run(tree, workload, seed, seconds):
+        ran.append((tree == here, workload, seed))
+        out = tree / bench_pairs.OUT
+        shutil.rmtree(out / workload, ignore_errors=True)
+        files = {f"{workload}/op0/trace.csv": b"1\n", f"{workload}-setup.json": str(tree).encode()}
+        if tree == here and seed in differing:
+            files[f"{workload}/op0/x.csv"] = b"1"
+        _tree(out, files)
+        return {"correct": True, "attempted": 5, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    return extracted, ran
+
+
+@pytest.mark.parametrize("differing, status", [((), 0), ((7,), 1)], ids=["identical", "differing"])
+def test_main_exit_status(tmp_path, monkeypatch, capsys, differing, status):
+    """Every workload is compared by default, and a differing file fails."""
+    _fake_runs(monkeypatch, tmp_path, differing)
+    assert bench_pairs.main(["--rev", "HEAD~1", "--pairs", "1", "--seed", "7"]) == status
+    lines = capsys.readouterr().out.splitlines()
+    assert len([line for line in lines if " at seed 7 against HEAD~1: " in line]) == 3
+    assert any("x.csv" in line for line in lines) == bool(status)
+
+
+@pytest.mark.parametrize(
+    "pairs, differing, status",
+    [(3, set(), 0), (3, {8}, 1), (2, {7, 8}, 1)],
+    ids=["all_identical", "second_differs", "both_differ"],
+)
+def test_main_compares_every_seed(tmp_path, monkeypatch, capsys, pairs, differing, status):
+    """REV is extracted once; pair i runs at seed S+i, REV first in even pairs, and
+    every workload's outputs are compared at every seed before the summaries."""
+    extracted, ran = _fake_runs(monkeypatch, tmp_path, differing)
+    workloads = ["trace_sweeps", "joint_spectra"]
+    argv = ["--rev", "HEAD~1", "--workload", *workloads, "--pairs", str(pairs), "--seed", "7"]
+    assert bench_pairs.main(argv) == status
+    assert extracted == ["HEAD~1"]
+    seeds = range(7, 7 + pairs)
+    assert ran == [
+        (side, workload, seed)
+        for i, seed in enumerate(seeds)
+        for workload in workloads
+        for side in ((False, True), (True, False))[i % 2]
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if " at seed " in line] == [
+        f"perfbench/out/{workload} at seed {seed} against HEAD~1: "
+        + ("1 difference(s)" if seed in differing else "identical")
+        for seed in seeds
+        for workload in workloads
+    ]
+    assert any("x.csv" in line for line in lines) == bool(differing)
+    assert [line for line in lines if line in workloads] == workloads
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_fewer_than_one_pair_is_a_usage_error(capsys, pairs):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--rev", "HEAD", "--pairs", pairs, "--seed", "1"])
+    assert exc.value.code == 2
+    assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dense_joint import scatter
-from spdcsim.correlators import check_drive, mod_steps
+from spdcsim.correlators import check_drive, exact_orders, mod_steps
 from spdcsim.oracle import bessel_quadrature
 from spdcsim import (
     AliasRisk,
@@ -312,6 +312,8 @@ class TestExactJointGrid:
         src = analytic_source(1.0, 128, 0.05)
         with pytest.raises(ValueError):
             g2_freq_exact(src, build_comb(0.05, 0.1), build_comb(0.05, 0.1), "inter_time")
+        with pytest.raises(ValueError, match="config must be"):
+            exact_orders(build_comb(0.05, 0.1), build_comb(0.05, 0.1), "inter_time")
 
 
 class TestParseval:

@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Compare this checkout's end-to-end benchmark metrics with a git revision's.
+"""Compare this checkout's benchmark outputs and end-to-end metrics with a git revision's.
 
-    python3 tools/bench_pairs.py --rev 97edcbe --workload analysis_sweeps --pairs 10 --seed 6101
+    python3 tools/bench_pairs.py --rev 97edcbe --pairs 10 --seed 6101
 
-Extracts the committed files of REV into a temporary directory once
-(``diff_outputs.extract``).  Pair i runs every named workload once in that
-tree and once in this checkout, both with ``perfbench/run.py --trace 0
---seed S+i --seconds SECONDS``; REV runs first in even pairs and this
-checkout in odd ones, so neither side always meets a warmer machine.
-``--seconds`` defaults to ``run_seconds`` in ``BENCHMARK.json``.
+Extracts the committed files of REV into a temporary directory once, with
+``git archive`` rather than as a worktree, so that an interrupted run leaves
+nothing registered in the repository.  Pair i runs every named workload (by
+default all) once in that tree and once in this checkout, both with
+``perfbench/run.py --trace 0 --seed S+i --seconds SECONDS``, and prints each
+file that differs between the two trees' ``perfbench/out/<workload>`` and a
+verdict (``<workload>-setup.json``, beside it, holds tree paths).  REV runs
+first in even pairs and this checkout in odd ones, so neither side always
+meets a warmer machine.  ``--seconds`` defaults to ``run_seconds`` in
+``BENCHMARK.json``; ``--pairs 2 --seconds 1`` is the quick byte check.
 
 For each workload and each end-to-end metric of ``BENCHMARK.json``, prints
 each side's median and quartiles over the pairs and in how many pairs this
@@ -19,7 +23,7 @@ the revision's by more than the revision's interquartile range), and
 whether this checkout's median is worse than the revision's by more than
 the metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the revision's
 median).  Exits 1 as soon as a run exits non-zero or reports
-``correct: false``, else 0.
+``correct: false``, or after the summaries if any outputs differed, else 0.
 
 For an A/A control, run ``--rev HEAD`` from a copy of the checkout with no
 uncommitted change: both sides then hold the same code, so what differs is
@@ -35,17 +39,49 @@ import argparse
 import json
 import math
 import statistics
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+OUT = Path("perfbench") / "out"
 
-sys.path.insert(0, str(ROOT / "tools"))
 sys.path.insert(0, str(ROOT / "perfbench"))
-from diff_outputs import extract, run_benchmark  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402  (the benchmark's workload names)
+
+
+def compare_trees(left: Path, right: Path) -> list:
+    """Lines of ``diff -r -q`` naming each file that differs between the two
+    trees or exists in one only; empty when they are identical."""
+    command = ["diff", "-r", "-q", str(left), str(right)]
+    proc = subprocess.run(command, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"diff failed: {proc.stderr.strip()}")
+    return proc.stdout.splitlines()
+
+
+def run_benchmark(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0):
+    """The finished ``perfbench/run.py`` process of one run of ``workload`` in
+    ``tree``, with its captured output; raises ``RuntimeError`` if it exits
+    non-zero."""
+    command = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{workload} failed in {tree}:\n{proc.stderr}")
+    return proc
+
+
+def extract(rev: str, dest: Path) -> None:
+    """The files committed at ``rev``, written under ``dest``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True
+    )
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -126,12 +162,15 @@ def judge(pairs: list, metrics: list) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", nargs="+", required=True, choices=WORKLOADS)
+    parser.add_argument("--workload", nargs="+", default=WORKLOADS, choices=WORKLOADS)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
     pairs = {workload: [] for workload in args.workload}
+    differing = 0
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         other = Path(tmp)
         extract(args.rev, other)
@@ -142,6 +181,12 @@ def main(argv=None) -> int:
                     sides = (other, ROOT) if i % 2 == 0 else (ROOT, other)
                     results = {tree: run(tree, workload, seed, args.seconds) for tree in sides}
                     pairs[workload].append((results[other], results[ROOT]))
+                    differences = compare_trees(other / OUT / workload, ROOT / OUT / workload)
+                    for line in differences:
+                        print(line)
+                    verdict = f"{len(differences)} difference(s)" if differences else "identical"
+                    print(f"{OUT / workload} at seed {seed} against {args.rev}: {verdict}")
+                    differing += bool(differences)
                 print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
@@ -152,7 +197,7 @@ def main(argv=None) -> int:
             print(line)
         for line in judge(workload_pairs, BENCHMARK["end_to_end"]):
             print(line)
-    return 0
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ WARMUP_ROUNDS = 1  # perfbench/run.py leaves its first round out of the timings
 sys.path.insert(0, str(ROOT / "tools"))
 sys.path.insert(0, str(BENCH_DIR))
 import machine  # noqa: E402  (reference speeds of perfbench/run.py)
-from diff_outputs import run_benchmark  # noqa: E402
+from bench_pairs import run_benchmark  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402  (the benchmark's workload names)
 
 
