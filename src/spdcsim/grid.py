@@ -62,7 +62,11 @@ class FrequencyGrid:
     delta_omega: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_points, int) or not _is_power_of_two(self.n_points):
+        if isinstance(self.n_points, np.integer):  # an int, which json.dumps can write
+            object.__setattr__(self, "n_points", int(self.n_points))
+        if not isinstance(self.n_points, int):
+            raise ValueError(f"n_points must be an integer, got {echo(self.n_points)}")
+        if not _is_power_of_two(self.n_points):
             raise ValueError(f"n_points must be a power of two, got {echo(self.n_points)}")
         if self.n_points < 64:
             raise ValueError(f"n_points must be >= 64, got {self.n_points}")

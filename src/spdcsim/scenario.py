@@ -336,9 +336,7 @@ def points_at_once(points) -> int:
 
 def _parse_outputs(doc, path: str, configuration: str) -> OutputSpec:
     allowed = TIME_ANALYSES if _is_temporal(configuration) else FREQ_ANALYSES
-    if doc is None:
-        return OutputSpec(analyses=tuple(allowed))
-    doc = _require_mapping(doc, path, _OUTPUT_KEYS)
+    doc = _require_mapping({} if doc is None else doc, path, _OUTPUT_KEYS)
     analyses = doc.get("analyses")
     if analyses is None:
         analyses = list(allowed)

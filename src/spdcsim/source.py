@@ -196,6 +196,11 @@ def _even_from_half(half: np.ndarray) -> np.ndarray:
     return out
 
 
+def _flux(s: np.ndarray, grid: FrequencyGrid) -> float:
+    """The per-beam photon flux, S integrated over dOmega/(2 pi), photons/ps."""
+    return float(np.sum(s)) * grid.delta_omega / (2.0 * np.pi)
+
+
 def evaluate_uv(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
     """Sample U, V and the derived spectra of a physical source on a grid.
 
@@ -235,8 +240,7 @@ def evaluate_uv(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
         raise PreconditionError(f"Bogoliubov unitarity violated by {worst:.3e}")
 
     r = u * grid.reflect(v)
-    flux = float(np.sum(s)) * grid.delta_omega / (2.0 * np.pi)
-    return SourceFields(grid=grid, R=r, S=s, flux_n=flux, mode=PHYSICAL, U=u, V=v)
+    return SourceFields(grid=grid, R=r, S=s, flux_n=_flux(s, grid), mode=PHYSICAL, U=u, V=v)
 
 
 def evaluate_analytic(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
@@ -251,8 +255,7 @@ def evaluate_analytic(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
     with np.errstate(over="ignore"):  # an overflowing detuning squared gives exp(-inf) = 0
         r = np.exp(-grid.omegas**2 / (4.0 * b * b))
     s = r * r
-    flux = float(np.sum(s)) * grid.delta_omega / (2.0 * np.pi)
-    return SourceFields(grid=grid, R=r.astype(complex), S=s, flux_n=flux, mode=ANALYTIC)
+    return SourceFields(grid=grid, R=r.astype(complex), S=s, flux_n=_flux(s, grid), mode=ANALYTIC)
 
 
 def evaluate_source(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:

@@ -110,6 +110,12 @@ def test_one_pair_has_no_spread():
     assert lines[1].startswith("  rate          gain rule holds (1/1 better, median gap 1 against IQR 0)")
 
 
+def test_quartiles_are_inclusive_and_a_single_sample_is_all_three():
+    assert bench_pairs.quartiles([1.0, 2.0, 4.0, 8.0, 16.0]) == (2.0, 4.0, 8.0)
+    assert bench_pairs.quartiles([1.0, 3.0]) == (1.5, 2.0, 2.5)
+    assert bench_pairs.quartiles([0.5]) == (0.5, 0.5, 0.5)
+
+
 FILES = {
     "trace_sweeps-setup.json": b'[{"path": "/one/tree/scenarios/a.json"}]',
     "trace_sweeps/op0/report.json": b'{"flux_n": 0.125}\n',

@@ -2,12 +2,14 @@ import csv
 import json
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
+from documents import NARROW, elements, modulators, spectral, temporal
 from spdcsim import NonFiniteResult, PreconditionError, cli, runner, selftest
 from spdcsim.runner import run_scenario
-from spdcsim.scenario import parse_scenario
+from spdcsim.scenario import parse_scenario, set_parameter
 
 
 def run_cli(*args, cwd=None):
@@ -19,27 +21,14 @@ def run_cli(*args, cwd=None):
     )
 
 
-def scenario_doc():
-    return {
-        "schema_version": 1,
-        "configuration": "inter_time",
-        "grid": {"n_points": 512, "delta_omega": 0.02},
-        "source": {"mode": "analytic", "envelope_bandwidth": 1.0},
-        "elements": [{"phase_coeffs": [0.0, 5.0]}, {"phase_coeffs": [0.0, -5.0]}],
-    }
-
-
-def comb_doc():
-    return {
-        "schema_version": 1,
-        "configuration": "intra_freq",
-        "grid": {"n_points": 256, "delta_omega": 0.5},
-        "source": {"mode": "analytic", "envelope_bandwidth": 60.0},
-        "modulators": [
-            {"mod_freq": 0.01, "index": 1.3},
-            {"mod_freq": 0.01, "index": 1.3},
-        ],
-    }
+scenario_doc = partial(
+    temporal,
+    grid={"n_points": 512, "delta_omega": 0.02},
+    elements=elements([0.0, 5.0], [0.0, -5.0]),
+)
+comb_doc = partial(
+    spectral, configuration="intra_freq", grid={"n_points": 256, "delta_omega": 0.5}
+)
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -138,9 +127,7 @@ class TestSweepCommand:
 
 class TestExitCodes:
     def test_parse_error_is_2(self, tmp_path):
-        doc = scenario_doc()
-        doc["unknown_key"] = 1
-        path = write_doc(tmp_path, doc)
+        path = write_doc(tmp_path, scenario_doc(unknown_key=1))
         proc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert "unknown_key" in proc.stderr
@@ -170,18 +157,16 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_alias_risk_is_3(self, tmp_path):
-        doc = scenario_doc()
-        doc["grid"] = {"n_points": 64, "delta_omega": 0.2}
-        doc["elements"] = [{"phase_coeffs": [0.0, 25.0]}, {"phase_coeffs": [0.0, 25.0]}]
+        doc = scenario_doc(
+            grid={"n_points": 64, "delta_omega": 0.2}, elements=elements([0.0, 25.0], [0.0, 25.0])
+        )
         path = write_doc(tmp_path, doc)
         proc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 3
         assert "precondition" in proc.stderr
 
     def test_mismatched_drive_is_3(self, tmp_path):
-        doc = comb_doc()
-        doc["modulators"][1]["mod_freq"] = 0.02
-        path = write_doc(tmp_path, doc)
+        path = write_doc(tmp_path, set_parameter(comb_doc(), "modulators.1.mod_freq", 0.02))
         proc = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 3
 
@@ -189,18 +174,15 @@ class TestExitCodes:
         "doc, path",
         [
             (
-                {**scenario_doc(), "source": {"mode": "physical", "gain": float("nan")}},
+                scenario_doc(source={"mode": "physical", "gain": float("nan")}),
                 "scenario.source.gain",
             ),
             (
-                {**scenario_doc(), "source": {"mode": "analytic", "envelope_bandwidth": float("inf")}},
+                scenario_doc(source={"mode": "analytic", "envelope_bandwidth": float("inf")}),
                 "scenario.source.envelope_bandwidth",
             ),
             (
-                {**comb_doc(), "modulators": [
-                    {"mod_freq": 0.01, "index": float("nan")},
-                    {"mod_freq": 0.01, "index": 1.3},
-                ]},
+                comb_doc(modulators=modulators(0.01, float("nan"), 1.3)),
                 "scenario.modulators[0].index",
             ),
         ],
@@ -369,33 +351,8 @@ def test_unexpected_exception_exits_5_without_traceback(tmp_path, monkeypatch, c
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-def temporal_doc(**changes):
-    doc = {
-        "schema_version": 1,
-        "configuration": "inter_time",
-        "grid": {"n_points": 256, "delta_omega": 0.05},
-        "source": {"mode": "analytic", "envelope_bandwidth": 1.0},
-        "elements": [{"phase_coeffs": [0.0, 1.0]}, {"phase_coeffs": [0.0, -1.0]}],
-    }
-    return {**doc, **changes}
-
-
-def spectral_doc(**changes):
-    doc = {
-        "schema_version": 1,
-        "configuration": "inter_freq",
-        "grid": {"n_points": 256, "delta_omega": 0.4},
-        "source": {"mode": "analytic", "envelope_bandwidth": 60.0},
-        "modulators": [
-            {"mod_freq": 0.01, "index": 1.3},
-            {"mod_freq": 0.01, "index": 1.3},
-        ],
-    }
-    return {**doc, **changes}
-
-
-def modulators(mod_freq, index1, index2):
-    return [{"mod_freq": mod_freq, "index": index1}, {"mod_freq": mod_freq, "index": index2}]
+temporal_doc = temporal
+spectral_doc = spectral
 
 
 # Inputs that once ended in exit 5 (an untyped exception); each now either
@@ -412,7 +369,7 @@ EXTREME_INPUTS = {
     "tiny_index_narrowband": spectral_doc(modulators=modulators(0.01, 1e-100, 1.3)),
     "tiny_index_exact": spectral_doc(
         grid={"n_points": 256, "delta_omega": 0.0025},
-        source={"mode": "analytic", "envelope_bandwidth": 0.05},
+        source=NARROW,
         modulators=modulators(0.02, 1e-100, 1.0),
         exact_grid=True,
     ),
@@ -496,7 +453,7 @@ def test_out_of_range_exact_spacing_leaves_the_earlier_run_untouched(tmp_path, c
     # The cell-area rule is checked at parse, before the rerun claims the directory.
     earlier = spectral_doc(
         grid={"n_points": 256, "delta_omega": 0.0025},
-        source={"mode": "analytic", "envelope_bandwidth": 0.05},
+        source=NARROW,
         modulators=modulators(0.02, 0.5, 0.5),
         exact_grid=True,
     )

@@ -29,6 +29,16 @@ def test_rejects_non_power_of_two_or_too_small(n):
         FrequencyGrid(n, 0.1)
 
 
+def test_numpy_integer_size_is_stored_as_an_int_and_other_types_refused():
+    g = FrequencyGrid(np.int64(64), 0.1)
+    assert type(g.n_points) is int and g == FrequencyGrid(64, 0.1)
+    with pytest.raises(ValueError, match=r"^n_points must be a power of two, got 96$"):
+        FrequencyGrid(np.int32(96), 0.1)
+    for bad in (64.0, "64", np.float64(64.0)):
+        with pytest.raises(ValueError, match=r"^n_points must be an integer, got "):
+            FrequencyGrid(bad, 0.1)
+
+
 def test_rejects_nonpositive_spacing():
     with pytest.raises(ValueError):
         FrequencyGrid(64, 0.0)

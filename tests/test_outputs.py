@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from documents import temporal
 from spdcsim import outputs
 from spdcsim.runner import run_scenario
 from spdcsim.scenario import parse_scenario
@@ -62,13 +63,7 @@ def test_readme_outputs_names_every_point_file(name):
     assert any(f"`{name}`" in line for line in listed)
 
 
-FRAME_DOC = {
-    "schema_version": 1,
-    "configuration": "inter_time",
-    "grid": {"n_points": 256, "delta_omega": 0.05},
-    "source": {"mode": "analytic", "envelope_bandwidth": 1.0},
-    "elements": [{"phase_coeffs": [0.0, 1.0]}, {"phase_coeffs": [0.0, -1.0]}],
-}
+FRAME_DOC = temporal()
 FRAME_SWEEP = {"parameter": "elements.1.phase_coeffs.1", "values": [-1.0, 0.5]}
 
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
+from documents import ANALYTIC, NARROW, PHYSICAL, elements, modulators, spectral, temporal
 from spdcsim import (
     AliasRisk,
     DispersiveElement,
@@ -38,18 +39,14 @@ from spdcsim.source import PhaseMismatch, SourceFields
 
 
 def sweep_doc(config, source, e0, e1, parameter, values, n_points=256):
-    return {
-        "schema_version": 1,
-        "configuration": config,
-        "grid": {"n_points": n_points, "delta_omega": 0.05},
-        "source": source,
-        "elements": [{"phase_coeffs": e0}, {"phase_coeffs": e1}],
-        "sweep": {"parameter": parameter, "values": values},
-    }
+    return temporal(
+        configuration=config,
+        grid={"n_points": n_points, "delta_omega": 0.05},
+        source=source,
+        elements=elements(e0, e1),
+        sweep={"parameter": parameter, "values": values},
+    )
 
-
-ANALYTIC = {"mode": "analytic", "envelope_bandwidth": 1.0}
-PHYSICAL = {"mode": "physical", "gain": 0.6, "mismatch_coeffs": [0.5]}
 
 SWEEPS = {
     # Element 0 equals the base's at every point; element 1 at the 2.0 point.
@@ -556,26 +553,19 @@ def test_non_finite_result_writes_no_file(sweep, monkeypatch, tmp_path):
     assert list((tmp_path / "out").iterdir()) == []
 
 
-NARROWBAND = {
-    "schema_version": 1,
-    "configuration": "inter_freq",
-    "grid": {"n_points": 256, "delta_omega": 0.4},
-    "source": {"mode": "analytic", "envelope_bandwidth": 60.0},
-    "modulators": [{"mod_freq": 0.01, "index": 1.2}, {"mod_freq": 0.01, "index": -0.4}],
-}
+NARROWBAND = spectral(modulators=modulators(0.01, 1.2, -0.4))
 
 
 INDEX_SWEEP = {"parameter": "modulators.1.index", "values": [-1.2, 0.3]}
 
 # Exact grids are never swept, so this one runs alone; write_comb governs its
 # joint.csv.
-EXACT = {
-    **NARROWBAND,
-    "grid": {"n_points": 256, "delta_omega": 0.0025},
-    "source": {"mode": "analytic", "envelope_bandwidth": 0.05},
-    "modulators": [{"mod_freq": 0.02, "index": 0.5}, {"mod_freq": 0.02, "index": -0.3}],
-    "exact_grid": True,
-}
+EXACT = spectral(
+    grid={"n_points": 256, "delta_omega": 0.0025},
+    source=NARROW,
+    modulators=modulators(0.02, 0.5, -0.3),
+    exact_grid=True,
+)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 import json
 import tracemalloc
+from functools import partial
 
 import pytest
 
+from documents import NARROW, PHYSICAL, elements, modulators, spectral, temporal
 from spdcsim import (
     FrequencyGrid,
     GridIncommensurate,
@@ -30,27 +32,14 @@ from spdcsim.scenario import (
 )
 
 
-def minimal_time_doc():
-    return {
-        "schema_version": 1,
-        "configuration": "inter_time",
-        "grid": {"n_points": 256, "delta_omega": 0.05},
-        "source": {"mode": "analytic", "envelope_bandwidth": 1.0},
-        "elements": [{"phase_coeffs": []}, {"phase_coeffs": []}],
-    }
-
-
-def minimal_freq_doc():
-    return {
-        "schema_version": 1,
-        "configuration": "inter_freq",
-        "grid": {"n_points": 256, "delta_omega": 0.05},
-        "source": {"mode": "analytic", "envelope_bandwidth": 60.0},
-        "modulators": [
-            {"mod_freq": 0.01, "index": 0.8},
-            {"mod_freq": 0.01, "index": -0.8},
-        ],
-    }
+minimal_time_doc = partial(temporal, elements=elements([], []))
+minimal_freq_doc = partial(
+    spectral,
+    grid={"n_points": 256, "delta_omega": 0.05},
+    modulators=modulators(0.01, 0.8, -0.8),
+)
+# The physical source of the traced-peak runs.
+PEAK_SOURCE = {**PHYSICAL, "gain": 0.5}
 
 
 def test_minimal_time_scenario_parses():
@@ -62,9 +51,7 @@ def test_minimal_time_scenario_parses():
 
 
 def test_cancelation_scenario_parses():
-    doc = minimal_time_doc()
-    doc["elements"] = [{"phase_coeffs": [0.0, 5.0]}, {"phase_coeffs": [0.0, -5.0]}]
-    s = parse_scenario(doc)
+    s = parse_scenario(minimal_time_doc(elements=elements([0.0, 5.0], [0.0, -5.0])))
     assert s.elements[0].phase_coeffs == (0.0, 5.0)
     assert s.elements[1].phase_coeffs == (0.0, -5.0)
 
@@ -83,65 +70,45 @@ def test_report_document_unwraps_embedded_scenario():
 
 
 def test_unknown_top_level_key_rejected_with_path():
-    doc = minimal_time_doc()
-    doc["detector"] = {}
     with pytest.raises(ScenarioError, match="scenario.*detector"):
-        parse_scenario(doc)
+        parse_scenario(minimal_time_doc(detector={}))
 
 
 def test_unknown_nested_key_rejected_with_path():
-    doc = minimal_time_doc()
-    doc["grid"]["spacing"] = 1.0
     with pytest.raises(ScenarioError, match=r"scenario\.grid"):
-        parse_scenario(doc)
+        parse_scenario(set_parameter(minimal_time_doc(), "grid.spacing", 1.0))
 
 
 def test_bad_schema_version():
-    doc = minimal_time_doc()
-    doc["schema_version"] = 2
     with pytest.raises(ScenarioError, match="schema_version"):
-        parse_scenario(doc)
+        parse_scenario(minimal_time_doc(schema_version=2))
 
 
 def test_grid_invariants_checked():
-    doc = minimal_time_doc()
-    doc["grid"]["n_points"] = 100
     with pytest.raises(ScenarioError, match="power of two"):
-        parse_scenario(doc)
+        parse_scenario(set_parameter(minimal_time_doc(), "grid.n_points", 100))
 
 
 def test_element_kind_must_match_configuration():
-    doc = minimal_time_doc()
-    doc["modulators"] = minimal_freq_doc()["modulators"]
     with pytest.raises(ScenarioError, match="modulators"):
-        parse_scenario(doc)
-    doc2 = minimal_freq_doc()
-    doc2["elements"] = [{"phase_coeffs": []}, {"phase_coeffs": []}]
+        parse_scenario(minimal_time_doc(modulators=minimal_freq_doc()["modulators"]))
     with pytest.raises(ScenarioError, match="elements"):
-        parse_scenario(doc2)
+        parse_scenario(minimal_freq_doc(elements=elements([], [])))
 
 
 def test_mismatched_drive_surfaces_at_parse_time():
-    doc = minimal_freq_doc()
-    doc["modulators"][1]["mod_freq"] = 0.02
     with pytest.raises(MismatchedDrive):
-        parse_scenario(doc)
+        parse_scenario(set_parameter(minimal_freq_doc(), "modulators.1.mod_freq", 0.02))
 
 
 def test_exact_grid_commensurability_checked_at_parse_time():
-    doc = minimal_freq_doc()
-    doc["exact_grid"] = True
-    doc["modulators"][0]["mod_freq"] = 0.013
-    doc["modulators"][1]["mod_freq"] = 0.013
     with pytest.raises(GridIncommensurate):
-        parse_scenario(doc)
+        parse_scenario(minimal_freq_doc(exact_grid=True, modulators=modulators(0.013, 0.8, -0.8)))
 
 
 def test_exact_grid_not_allowed_for_temporal():
-    doc = minimal_time_doc()
-    doc["exact_grid"] = True
     with pytest.raises(ScenarioError, match="exact_grid"):
-        parse_scenario(doc)
+        parse_scenario(minimal_time_doc(exact_grid=True))
 
 
 def test_sweep_parameter_must_exist():
@@ -152,16 +119,15 @@ def test_sweep_parameter_must_exist():
 
 
 def test_sweep_parameter_must_be_numeric():
-    doc = minimal_time_doc()
-    doc["sweep"] = {"parameter": "source.mode", "values": [1.0]}
     with pytest.raises(ScenarioError, match="does not address a number"):
-        parse_scenario(doc)
+        parse_scenario(minimal_time_doc(sweep={"parameter": "source.mode", "values": [1.0]}))
 
 
 def test_sweep_values_validated():
-    doc = minimal_time_doc()
-    doc["elements"] = [{"phase_coeffs": [0.0, 1.0]}, {"phase_coeffs": [0.0, 1.0]}]
-    doc["sweep"] = {"parameter": "elements.1.phase_coeffs.1", "values": []}
+    doc = minimal_time_doc(
+        elements=elements([0.0, 1.0], [0.0, 1.0]),
+        sweep={"parameter": "elements.1.phase_coeffs.1", "values": []},
+    )
     with pytest.raises(ScenarioError, match="at least one value"):
         parse_scenario(doc)
 
@@ -169,9 +135,10 @@ def test_sweep_values_validated():
 def test_sweep_points_are_single_runs_that_parse_no_sweep(monkeypatch):
     # Each point would otherwise re-parse all the sweep's values: O(P^2).
     values = [-1.0, 0.0, 2.0]
-    doc = minimal_time_doc()
-    doc["elements"] = [{"phase_coeffs": [0.0, 1.0]}, {"phase_coeffs": [0.0, 1.0]}]
-    doc["sweep"] = {"parameter": "elements.1.phase_coeffs.1", "values": values}
+    doc = minimal_time_doc(
+        elements=elements([0.0, 1.0], [0.0, 1.0]),
+        sweep={"parameter": "elements.1.phase_coeffs.1", "values": values},
+    )
     scenario = parse_scenario(doc)
     parsed = []
     parse_sweep = scenario_module._parse_sweep
@@ -188,15 +155,12 @@ def test_sweep_points_are_single_runs_that_parse_no_sweep(monkeypatch):
 
 
 def test_unknown_analysis_rejected():
-    doc = minimal_time_doc()
-    doc["outputs"] = {"analyses": ["comb_leakage"]}
     with pytest.raises(ScenarioError, match="comb_leakage"):
-        parse_scenario(doc)
+        parse_scenario(minimal_time_doc(outputs={"analyses": ["comb_leakage"]}))
 
 
 def test_parameter_path_helpers():
-    doc = minimal_time_doc()
-    doc["elements"] = [{"phase_coeffs": [0.0, 1.0]}, {"phase_coeffs": [0.0, 2.0]}]
+    doc = minimal_time_doc(elements=elements([0.0, 1.0], [0.0, 2.0]))
     assert resolve_parameter(doc, "elements.1.phase_coeffs.1") == 2.0
     updated = set_parameter(doc, "elements.1.phase_coeffs.1", -3.0)
     assert resolve_parameter(updated, "elements.1.phase_coeffs.1") == -3.0
@@ -232,23 +196,16 @@ def test_load_scenario_reports_json_syntax_line(tmp_path):
     ],
 )
 def test_non_finite_numbers_rejected_with_path(bad, where, path):
-    doc = minimal_time_doc()
-    doc["elements"][0]["phase_coeffs"] = [0.0, 1.0]
-    node = doc
-    for key in where[:-1]:
-        node = node[key]
-    node[where[-1]] = bad
+    doc = minimal_time_doc(elements=elements([0.0, 1.0], []))
+    doc = set_parameter(doc, ".".join(map(str, where)), bad)
     with pytest.raises(ScenarioError, match=f"{path}: expected a finite number"):
         parse_scenario(doc)
 
 
 def test_non_finite_modulation_index_and_sweep_value_rejected():
-    doc = minimal_freq_doc()
-    doc["modulators"][1]["index"] = float("nan")
     with pytest.raises(ScenarioError, match=r"scenario.modulators\[1\].index"):
-        parse_scenario(doc)
-    doc = minimal_freq_doc()
-    doc["sweep"] = {"parameter": "modulators.1.index", "values": [0.0, float("inf")]}
+        parse_scenario(set_parameter(minimal_freq_doc(), "modulators.1.index", float("nan")))
+    doc = minimal_freq_doc(sweep={"parameter": "modulators.1.index", "values": [0.0, float("inf")]})
     with pytest.raises(ScenarioError, match=r"scenario.sweep.values\[1\]"):
         parse_scenario(doc)
 
@@ -273,8 +230,7 @@ def _sweep_doc(doc, parameter, analyses=None):
         ),
         (
             _sweep_doc(
-                {**minimal_freq_doc(), "grid": {"n_points": 256, "delta_omega": 0.0025},
-                 "exact_grid": True},
+                minimal_freq_doc(grid={"n_points": 256, "delta_omega": 0.0025}, exact_grid=True),
                 "modulators.1.index",
             ),
             "scenario.exact_grid: exact-grid scenarios cannot be swept",
@@ -292,76 +248,56 @@ def test_sweep_without_its_table_columns_refused_before_any_point(doc, match, tm
 
 
 def test_single_runs_need_no_sweep_columns():
-    doc = minimal_time_doc()
-    doc["outputs"] = {"analyses": ["fwhm"]}
-    check_sweep_outputs(parse_scenario(doc))
-
-
-def _with(doc, *edits):
-    for keys, value in edits:
-        node = doc
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
-    return doc
+    check_sweep_outputs(parse_scenario(minimal_time_doc(outputs={"analyses": ["fwhm"]})))
 
 
 @pytest.mark.parametrize(
     "doc, error, prefix, exit_code",
     [
         (
-            _with(minimal_time_doc(), (("elements", 1, "phase_coeffs"), [0.0] * 6)),
+            set_parameter(minimal_time_doc(), "elements.1.phase_coeffs", [0.0] * 6),
             ScenarioError,
             "scenario.elements[1].phase_coeffs: ",
             2,
         ),
         (
-            _with(
-                minimal_freq_doc(),
-                (("modulators", 0, "mod_freq"), -0.01),
-                (("modulators", 1, "mod_freq"), -0.01),
-            ),
+            minimal_freq_doc(modulators=modulators(-0.01, 0.8, -0.8)),
             ScenarioError,
             "scenario.modulators[0]",
             2,
         ),
         (
-            _with(minimal_freq_doc(), (("modulators", 1, "index"), 20.5)),
+            set_parameter(minimal_freq_doc(), "modulators.1.index", 20.5),
             ScenarioError,
             "scenario.modulators[1]",
             2,
         ),
         (
-            _with(minimal_freq_doc(), (("modulators", 1, "mod_freq"), 0.02)),
+            set_parameter(minimal_freq_doc(), "modulators.1.mod_freq", 0.02),
             MismatchedDrive,
             "scenario.modulators: ",
             3,
         ),
         (
-            _with(
-                minimal_freq_doc(),
-                (("exact_grid",), True),
-                (("modulators", 0, "mod_freq"), 0.013),
-                (("modulators", 1, "mod_freq"), 0.013),
-            ),
+            minimal_freq_doc(exact_grid=True, modulators=modulators(0.013, 0.8, -0.8)),
             GridIncommensurate,
             "scenario.exact_grid: ",
             3,
         ),
         (
-            _with(minimal_time_doc(), (("grid", "n_points"), 100)),
+            set_parameter(minimal_time_doc(), "grid.n_points", 100),
             ScenarioError,
             "scenario.grid: ",
             2,
         ),
         (
-            _with(minimal_time_doc(), (("source",), {"mode": "physical", "gain": -1})),
+            minimal_time_doc(source={"mode": "physical", "gain": -1}),
             ScenarioError,
             "scenario.source: ",
             2,
         ),
         (
-            _with(minimal_time_doc(), (("source", "envelope_bandwidth"), 1e-200)),
+            set_parameter(minimal_time_doc(), "source.envelope_bandwidth", 1e-200),
             ScenarioError,
             "scenario.source: ",
             2,
@@ -369,7 +305,7 @@ def _with(doc, *edits):
         # A number is read before the source's boundary, so its path is not
         # prefixed twice.
         (
-            _with(minimal_time_doc(), (("source",), {"mode": "physical", "gain": "x"})),
+            minimal_time_doc(source={"mode": "physical", "gain": "x"}),
             ScenarioError,
             "scenario.source.gain: ",
             2,
@@ -377,9 +313,8 @@ def _with(doc, *edits):
         # A list index has one spelling, which report.json echoes.
         *(
             (
-                _with(
-                    minimal_freq_doc(),
-                    (("sweep",), {"parameter": f"modulators.{index}.index", "values": [0.8]}),
+                minimal_freq_doc(
+                    sweep={"parameter": f"modulators.{index}.index", "values": [0.8]}
                 ),
                 ScenarioError,
                 f"scenario.sweep.parameter: bad list index {index!r} in ",
@@ -422,12 +357,11 @@ def test_each_scenario_rule_names_its_path_and_exit_code(
 
 
 def _exact_doc(n_points, index1, index2):
-    return _with(
-        minimal_freq_doc(),
-        (("grid",), {"n_points": n_points, "delta_omega": 0.0025}),
-        (("source",), {"mode": "analytic", "envelope_bandwidth": 0.05}),
-        (("modulators",), [{"mod_freq": 0.0025, "index": i} for i in (index1, index2)]),
-        (("exact_grid",), True),
+    return spectral(
+        grid={"n_points": n_points, "delta_omega": 0.0025},
+        source=NARROW,
+        modulators=modulators(0.0025, index1, index2),
+        exact_grid=True,
     )
 
 
@@ -474,12 +408,11 @@ def test_peak_estimate_counts_the_lines_of_the_exact_grid(config, index1, index2
     "doc, run",
     [
         (
-            _with(
-                minimal_time_doc(),
-                (("grid",), {"n_points": 16384, "delta_omega": 0.01}),
-                (("source",), {"mode": "physical", "gain": 0.5, "mismatch_coeffs": [0.5]}),
-                (("configuration",), "intra_time"),
-                (("elements", 0, "phase_coeffs"), [0.0, 2.0]),
+            minimal_time_doc(
+                grid={"n_points": 16384, "delta_omega": 0.01},
+                source=PEAK_SOURCE,
+                configuration="intra_time",
+                elements=elements([0.0, 2.0], []),
             ),
             "run_scenario",
         ),
@@ -503,13 +436,11 @@ def test_peak_estimate_covers_a_five_order_run(n_points, delta_omega, tmp_path):
     """Two elements with all five orders make the grid hold four detuning
     powers (32 bytes per sample) besides the transfers, the trace and its
     text; the estimate still covers the traced peak."""
-    doc = _with(
-        minimal_time_doc(),
-        (("grid",), {"n_points": n_points, "delta_omega": delta_omega}),
-        (("source",), {"mode": "physical", "gain": 0.5, "mismatch_coeffs": [0.5]}),
-        (("configuration",), "intra_time"),
-        (("elements", 0, "phase_coeffs"), [0.0, 2.0, 0.1, 0.01, 0.001]),
-        (("elements", 1, "phase_coeffs"), [0.0, 1.0, 0.05, 0.005, 0.0005]),
+    doc = minimal_time_doc(
+        grid={"n_points": n_points, "delta_omega": delta_omega},
+        source=PEAK_SOURCE,
+        configuration="intra_time",
+        elements=elements([0.0, 2.0, 0.1, 0.01, 0.001], [0.0, 1.0, 0.05, 0.005, 0.0005]),
     )
     scenario = parse_scenario(doc)
     peak = _traced_peak(lambda: run_scenario(scenario, tmp_path / "out"))
@@ -522,13 +453,11 @@ def test_peak_estimate_covers_a_gain_sweep(n_points, delta_omega, tmp_path):
     points share (16 bytes per sample) besides one point's source,
     transfers, traces and trace text; on one worker the estimate still
     covers the traced peak (300-363 bytes per sample)."""
-    doc = _with(
-        minimal_time_doc(),
-        (("grid",), {"n_points": n_points, "delta_omega": delta_omega}),
-        (("source",), {"mode": "physical", "gain": 0.5, "mismatch_coeffs": [0.5]}),
-        (("elements", 0, "phase_coeffs"), [0.0, 2.0]),
-        (("elements", 1, "phase_coeffs"), [0.0, -1.0]),
-        (("sweep",), {"parameter": "source.gain", "values": [0.2, 0.9, 1.5]}),
+    doc = minimal_time_doc(
+        grid={"n_points": n_points, "delta_omega": delta_omega},
+        source=PEAK_SOURCE,
+        elements=elements([0.0, 2.0], [0.0, -1.0]),
+        sweep={"parameter": "source.gain", "values": [0.2, 0.9, 1.5]},
     )
     scenario = parse_scenario(doc)
     peak = _traced_peak(lambda: run_scenario(scenario, tmp_path / "out", workers=1))
@@ -537,7 +466,7 @@ def test_peak_estimate_covers_a_gain_sweep(n_points, delta_omega, tmp_path):
 
 @pytest.mark.parametrize("n_points", [2**30, 2**40])
 def test_oversized_grid_refused_before_allocation(n_points):
-    doc = _with(minimal_time_doc(), (("grid", "n_points"), n_points))
+    doc = set_parameter(minimal_time_doc(), "grid.n_points", n_points)
     refusals = []
 
     def parse():
@@ -552,7 +481,7 @@ def test_oversized_grid_refused_before_allocation(n_points):
 def test_exact_comb_lines_count_against_the_budget():
     n_points = 2**20  # parses as a narrowband scenario; 177 exact lines exceed the budget
     assert estimate_peak_bytes(n_points) < MEMORY_BUDGET_BYTES
-    parse_scenario(_with(_exact_doc(n_points, 20.0, 20.0), (("exact_grid",), False)))
+    parse_scenario(set_parameter(_exact_doc(n_points, 20.0, 20.0), "exact_grid", False))
     with pytest.raises(ScenarioError, match=r"^scenario\.grid\.n_points: "):
         parse_scenario(_exact_doc(n_points, 20.0, 20.0))
     parse_scenario(_exact_doc(n_points, 1.0, 1.0))
@@ -602,7 +531,7 @@ def test_echo_keeps_short_values_and_cuts_long_ones():
 )
 def test_grid_size_is_echoed_bounded_by_the_library(n_points, expected):
     with pytest.raises(ScenarioError) as caught:
-        parse_scenario(_with(minimal_time_doc(), (("grid", "n_points"), n_points)))
+        parse_scenario(set_parameter(minimal_time_doc(), "grid.n_points", n_points))
     assert str(caught.value) == expected
 
 

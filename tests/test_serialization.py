@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_joint import reference_joint_text, scatter
+from documents import ANALYTIC, PHYSICAL, elements, modulators, spectral, temporal
 from spdcsim import outputs, runner
 from spdcsim.correlators import Correlation1D, JointComb, JointGrid
 from spdcsim.grid import FrequencyGrid
@@ -105,48 +106,25 @@ def assert_run_matches_reference(scenario, out_dir: Path) -> None:
     assert (out_dir / "sweep.csv").read_bytes() == expected.encode()
 
 
-def _temporal(config, source, e0, e1, sweep=None):
-    doc = {
-        "schema_version": 1,
-        "configuration": config,
-        "grid": {"n_points": 256, "delta_omega": 0.05},
-        "source": source,
-        "elements": [{"phase_coeffs": e0}, {"phase_coeffs": e1}],
-    }
-    if sweep is not None:
-        doc["sweep"] = sweep
-    return doc
+def _temporal(config, source, e0, e1, **changes):
+    return temporal(configuration=config, source=source, elements=elements(e0, e1), **changes)
 
 
 def _spectral(config, n, d_omega, bandwidth, mod_freq, index1, index2, exact):
-    return {
-        "schema_version": 1,
-        "configuration": config,
-        "grid": {"n_points": n, "delta_omega": d_omega},
-        "source": {"mode": "analytic", "envelope_bandwidth": bandwidth},
-        "modulators": [
-            {"mod_freq": mod_freq, "index": index1},
-            {"mod_freq": mod_freq, "index": index2},
-        ],
-        "exact_grid": exact,
-    }
+    return spectral(
+        configuration=config,
+        grid={"n_points": n, "delta_omega": d_omega},
+        source={**ANALYTIC, "envelope_bandwidth": bandwidth},
+        modulators=modulators(mod_freq, index1, index2),
+        exact_grid=exact,
+    )
 
 
 SMALL_DOCS = {
-    "inter_time": _temporal(
-        "inter_time", {"mode": "analytic", "envelope_bandwidth": 1.0}, [0.0, 3.0], [0.0, -1.5]
-    ),
-    "intra_time_physical": _temporal(
-        "intra_time",
-        {"mode": "physical", "gain": 0.6, "mismatch_coeffs": [0.5]},
-        [0.0, 1.0, 0.4],
-        [0.0, 2.0],
-    ),
+    "inter_time": _temporal("inter_time", ANALYTIC, [0.0, 3.0], [0.0, -1.5]),
+    "intra_time_physical": _temporal("intra_time", PHYSICAL, [0.0, 1.0, 0.4], [0.0, 2.0]),
     "inter_time_sweep": _temporal(
-        "inter_time",
-        {"mode": "analytic", "envelope_bandwidth": 1.0},
-        [0.0, 2.0],
-        [0.0, 0.0],
+        "inter_time", ANALYTIC, [0.0, 2.0], [0.0, 0.0],
         sweep={"parameter": "elements.1.phase_coeffs.1", "values": [-2.0, 0.0, 1.0 / 3.0]},
     ),
     "inter_freq_narrowband": _spectral("inter_freq", 256, 0.5, 60.0, 0.01, 1.2, 1.05, False),

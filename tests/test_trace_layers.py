@@ -10,6 +10,7 @@ it goes through.
 
 import pytest
 
+from documents import ANALYTIC, elements, modulators, spectral, temporal
 from script_module import load_script
 from spdcsim import analysis, runner, scenario
 
@@ -35,31 +36,23 @@ LAYERS = (
 
 
 def _spectral(config, mod_freq, exact):
-    return {
-        "schema_version": 1,
-        "configuration": config,
-        "grid": {"n_points": 128, "delta_omega": 0.05},
-        "source": {"mode": "analytic", "envelope_bandwidth": 1.0},
-        "modulators": [
-            {"mod_freq": mod_freq, "index": 0.8},
-            {"mod_freq": mod_freq, "index": -0.3},
-        ],
-        "exact_grid": exact,
-    }
+    return spectral(
+        configuration=config,
+        grid={"n_points": 128, "delta_omega": 0.05},
+        source=ANALYTIC,
+        modulators=modulators(mod_freq, 0.8, -0.3),
+        exact_grid=exact,
+    )
 
 
 RUNS = {
     # Three points share the base's source and baseline; each point and the
     # baseline get one width.
     "temporal_sweep": (
-        {
-            "schema_version": 1,
-            "configuration": "inter_time",
-            "grid": {"n_points": 256, "delta_omega": 0.05},
-            "source": {"mode": "analytic", "envelope_bandwidth": 1.0},
-            "elements": [{"phase_coeffs": [0.0, 2.0]}, {"phase_coeffs": [0.0, 0.0]}],
-            "sweep": {"parameter": "elements.1.phase_coeffs.1", "values": [-1.0, 0.0, 1.0]},
-        },
+        temporal(
+            elements=elements([0.0, 2.0], [0.0, 0.0]),
+            sweep={"parameter": "elements.1.phase_coeffs.1", "values": [-1.0, 0.0, 1.0]},
+        ),
         {
             "scenario.parse": 4,
             "source.evaluate": 1,

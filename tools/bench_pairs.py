@@ -93,11 +93,17 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def _spread(values: list) -> str:
+def quartiles(values: list) -> tuple:
+    """``(q1, median, q3)`` of ``values`` by the inclusive method; all three
+    are the value itself for a single sample."""
     if len(values) == 1:
-        return f"{values[0]:.4g}"
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def _spread(values: list) -> str:
+    q1, median, q3 = quartiles(values)
+    return f"{median:.4g}" if len(values) == 1 else f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
 def _sides(pairs: list, metric: dict):
@@ -142,9 +148,7 @@ def judge(pairs: list, metrics: list) -> list:
     lines = []
     for metric in metrics:
         before, after, wins = _sides(pairs, metric)
-        q1, base, q3 = (
-            statistics.quantiles(before, n=4, method="inclusive") if len(before) > 1 else before * 3
-        )
+        q1, base, q3 = quartiles(before)
         sign = 1 if metric["better"] == "lower" else -1
         gap = sign * (base - statistics.median(after))
         holds = 10 * wins >= 9 * len(pairs) and gap > q3 - q1

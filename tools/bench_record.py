@@ -40,12 +40,12 @@ WARMUP_ROUNDS = 1  # perfbench/run.py leaves its first round out of the timings
 sys.path.insert(0, str(ROOT / "tools"))
 sys.path.insert(0, str(BENCH_DIR))
 import machine  # noqa: E402  (reference speeds of perfbench/run.py)
-from bench_pairs import run_benchmark  # noqa: E402
+from bench_pairs import quartiles, run_benchmark  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402  (the benchmark's workload names)
 
 
 def _spread(samples: list, unit: str) -> dict:
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    q1, median, q3 = quartiles(samples)
     return {"median": median, "q1": q1, "q3": q3, "samples": len(samples), "unit": unit}
 
 
