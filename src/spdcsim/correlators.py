@@ -259,13 +259,15 @@ def _check_alias(source: SourceFields, inter: bool, combined_coeffs) -> None:
 
 
 def _build_correlation(amp: np.ndarray, grid: FrequencyGrid, flux: float) -> Correlation1D:
-    """Trace N^2 + |amp|^2 from an amplitude in FFT order, un-shifted into
-    delay order while the background is added."""
-    power = np.abs(amp) ** 2
+    """Trace N^2 + |amp|^2 from an amplitude in FFT order: |amp| is written
+    un-shifted into delay order, then squared and offset by the background
+    in place."""
     h = grid.n_points // 2
     values = np.empty(grid.n_points)
-    np.add(power[h:], flux * flux, out=values[:h])
-    np.add(power[:h], flux * flux, out=values[h:])
+    np.abs(amp[h:], out=values[:h])
+    np.abs(amp[:h], out=values[h:])
+    np.square(values, out=values)
+    values += flux * flux
     peak_tau = float(grid.taus[int(np.argmax(values))])
     return Correlation1D(
         tau_grid=grid.taus, values=values, background=flux * flux, peak_tau=peak_tau
@@ -284,6 +286,13 @@ def _g2_time(
     """Temporal trace of either pairing: integrand R H1(W) H2(-W) interbeam,
     S H1*(W) H2(W) intrabeam.
 
+    An identity element (``is_identity``) adds no factor: its transfer is 1
+    + 0j, and a product with it changes at most the sign of a zero, which
+    the FFT carries through to zeros only and |amp|^2 drops.  So a
+    no-element baseline's integrand is the field itself.  A GDD-only
+    transfer is built on half the grid and mirrored, which makes it its own
+    reflection: the interbeam H2(-W) is then H2(W), with no reflect.
+
     The integrand is built straight into FFT order.  n is an even power of
     two, so ``ifftshift`` and ``fftshift`` are both a swap of the two halves:
     each half's products are written into the other half of the buffer.
@@ -294,16 +303,24 @@ def _g2_time(
     """
     grid = source.grid
     _check_alias(source, inter, _combined_phase_coeffs(h1, h2, inter))
-    t1 = dispersive_transfer(h1, grid)
-    t2 = dispersive_transfer(h2, grid)
-    if inter:
-        field, first, second = source.R, t1, grid.reflect(t2)
-    else:
-        field, first, second = source.S, np.conj(t1), t2
+    factors = []
+    if not h1.is_identity:
+        t1 = dispersive_transfer(h1, grid)
+        factors.append(t1 if inter else np.conj(t1))
+    if not h2.is_identity:
+        t2 = dispersive_transfer(h2, grid)
+        factors.append(grid.reflect(t2) if inter and not h2.is_gdd_only else t2)
+    field = source.R if inter else source.S
     h = grid.n_points // 2
     shifted = np.empty(grid.n_points, dtype=complex)
-    np.multiply(field[h:] * first[h:], second[h:], out=shifted[:h])
-    np.multiply(field[:h] * first[:h], second[:h], out=shifted[h:])
+    for out, part in ((shifted[:h], slice(h, None)), (shifted[h:], slice(None, h))):
+        product = field[part]
+        for factor in factors[:-1]:
+            product = product * factor[part]
+        if factors:
+            np.multiply(product, factors[-1][part], out=out)
+        else:
+            out[...] = product
     return _build_correlation(_trace_amplitude(shifted, grid), grid, source.flux_n)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import FrequencyGrid, memo
+from .grid import FrequencyGrid, even_from_half, half_samples, memo
 
 MAX_PHASE_ORDER = 5
 BESSEL_MAX_ORDER = 200
@@ -43,6 +43,19 @@ class DispersiveElement:
     @classmethod
     def identity(cls) -> "DispersiveElement":
         return cls()
+
+    @property
+    def is_identity(self) -> bool:
+        """Whether every coefficient is zero (of either sign), the empty list
+        included: then the transfer is 1 + 0j at every sample."""
+        return not any(self.phase_coeffs)
+
+    @property
+    def is_gdd_only(self) -> bool:
+        """Whether no coefficient but Phi_2 is nonzero.  Then the phase is
+        even bit for bit, since Omega**2 is the same at +-Omega; the odd
+        powers flip sign, and numpy's Omega**4 is not sign-symmetric."""
+        return not any(c for k, c in enumerate(self.phase_coeffs, start=1) if k != 2)
 
     def coefficient(self, order: int) -> float:
         """Phi_k for 1-based order k, zero if absent."""
@@ -83,12 +96,19 @@ def _transfer(element: DispersiveElement, grid: FrequencyGrid) -> np.ndarray:
     a phase of -0.0, where ``sin`` keeps the sign that ``1j * phase`` drops.
     ``DispersiveElement.phase`` never returns -0.0: it adds terms to +0.0
     zeros, and a sum is -0.0 only when every term is.
+
+    A GDD-only element's phase is even (``is_gdd_only``), so cos and sin run
+    on its ``grid.half_samples`` only and are mirrored onto the rest
+    (``grid.even_from_half``): the same bits, and the transfer is its own
+    reflection.  Orders 1 and 3-5 keep the full grid.  An identity element
+    gives 1 + 0j everywhere, but the correlators multiply in no transfer of
+    one and so build none.
     """
-    if not element.phase_coeffs:
-        return np.ones(grid.n_points, dtype=complex)
-    out = np.empty(grid.n_points, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         phase = element.phase(grid)
+        if element.is_gdd_only:
+            phase = half_samples(phase)
+        out = np.empty(phase.size, dtype=complex)
         np.cos(phase, out=out.real)
         np.sin(phase, out=out.imag)
     # cos and sin are finite exactly where the phase is.
@@ -97,7 +117,7 @@ def _transfer(element: DispersiveElement, grid: FrequencyGrid) -> np.ndarray:
             "dispersive phase is not finite on the grid; reduce the phase "
             "coefficients or the grid span"
         )
-    return out
+    return even_from_half(out) if element.is_gdd_only else out
 
 
 def _bessel_row(x: float, n_max: int) -> np.ndarray:

@@ -55,5 +55,9 @@ class NonFiniteResult(PreconditionError):
     """A result headed for report.json is NaN or infinite."""
 
 
+class OutputDirectoryInUse(SpdcSimError, OSError):
+    """Another run holds the output directory; an I/O error (exit 4)."""
+
+
 class ScenarioError(SpdcSimError):
     """Scenario document is malformed or violates an invariant."""

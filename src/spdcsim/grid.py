@@ -42,6 +42,25 @@ def memo(owner, name: str, key, compute):
     return value
 
 
+def half_samples(samples: np.ndarray) -> np.ndarray:
+    """The samples at indices [0] + [n/2, n): the unpaired -Omega_max
+    endpoint, then Omega >= 0.  ``even_from_half`` mirrors them back."""
+    m = samples.size // 2
+    return np.concatenate((samples[:1], samples[m:]))
+
+
+def even_from_half(half: np.ndarray) -> np.ndarray:
+    """Full-grid samples of an even function from its ``half_samples``:
+    index n/2 - j takes the value at n/2 + j, and the unpaired -Omega_max
+    endpoint keeps its own.  The result is its own ``FrequencyGrid.reflect``."""
+    m = half.size - 1  # n/2
+    out = np.empty(2 * m, dtype=half.dtype)
+    out[0] = half[0]
+    out[m:] = half[1:]
+    out[1:m] = half[:1:-1]
+    return out
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

@@ -6,7 +6,8 @@ whole report (its frame at ``REPORT_SCHEMA_VERSION``) around the fully
 resolved scenario, and sweep rows are ordered by sweep index no matter which
 worker finishes first.
 
-A run owns the names it writes in its output directory.  Before it computes
+A run owns the names it writes in its output directory, and holds it alone:
+``claim`` locks the directory for the run.  Before it computes
 anything, ``claim`` removes an earlier ``report.json``, then every other file
 under one of its own names (``_OWN_FILE``: the names of ``POINT_FILES``,
 their ``point_<i>_`` forms, ``sweep.csv`` and the temp files of a killed
@@ -25,18 +26,20 @@ its background bit for bit.  Writers yield text in chunks that
 ``_atomic_write`` streams to disk.
 """
 
+import fcntl
 import json
 import math
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .correlators import Correlation1D, JointComb, JointGrid
-from .errors import NonFiniteResult
+from .errors import NonFiniteResult, OutputDirectoryInUse
 from .scenario import sweep_columns
 
 REPORT_SCHEMA_VERSION = 1  # of the report's frame; the input's is scenario.SCHEMA_VERSION
@@ -162,9 +165,17 @@ _OWN_FILE = re.compile(
 )
 
 
-def claim(out_dir: Path) -> None:
-    """Make ``out_dir`` and remove an earlier run's ``report.json`` from it,
-    then every other non-directory that ``_OWN_FILE`` names.
+@contextmanager
+def claim(out_dir: Path):
+    """Make ``out_dir``, lock it for this run, and remove an earlier run's
+    ``report.json`` from it, then every other non-directory that
+    ``_OWN_FILE`` names; the lock is held until the ``with`` block ends.
+
+    The lock is ``flock(LOCK_EX | LOCK_NB)`` on a descriptor of the
+    directory itself, so it leaves no file behind.  It is taken before
+    anything is removed: a second run into a locked directory, in this
+    process or another, fails with ``OutputDirectoryInUse`` and deletes
+    nothing.  Closing the descriptor releases it, also when the run fails.
 
     The run's renames then land on free names: renaming over an existing
     file makes ext4 (``auto_da_alloc``) start writing the new file back at
@@ -173,15 +184,24 @@ def claim(out_dir: Path) -> None:
     ``trace_sweeps`` round, which rewrites 74 files, from 0.51 to 0.42 s.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").unlink(missing_ok=True)
-    with os.scandir(out_dir) as entries:
-        stale = [
-            entry.path
-            for entry in entries
-            if _OWN_FILE.fullmatch(entry.name) and not entry.is_dir(follow_symlinks=False)
-        ]
-    for path in stale:
-        Path(path).unlink(missing_ok=True)
+    fd = os.open(out_dir, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OutputDirectoryInUse(f"output directory in use: {out_dir}") from None
+        (out_dir / "report.json").unlink(missing_ok=True)
+        with os.scandir(out_dir) as entries:
+            stale = [
+                entry.path
+                for entry in entries
+                if _OWN_FILE.fullmatch(entry.name) and not entry.is_dir(follow_symlinks=False)
+            ]
+        for path in stale:
+            Path(path).unlink(missing_ok=True)
+        yield
+    finally:
+        os.close(fd)
 
 
 def write_point_files(outcome, out_dir: Path, prefix: str) -> list:

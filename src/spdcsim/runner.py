@@ -171,24 +171,26 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
     to ``workers`` points at once (default: the CPU count), but no more than
     fit the memory budget together (``scenario.points_at_once``).
 
-    ``report.json`` marks a finished run: ``outputs.claim`` removes an
-    earlier run's report and own files before anything is computed, and
+    ``report.json`` marks a finished run: ``outputs.claim`` locks
+    ``out_dir`` until the run returns or fails (a second run into it fails
+    with ``OutputDirectoryInUse``, exit 4) and removes an earlier run's
+    report and own files before anything is computed, and
     ``outputs.write_run`` writes the report last.
     """
     shared = _SharedWithBase(scenario)
     points = [shared.adopt(point) for point in sweep_points(scenario)]
     out_dir = Path(out_dir)
-    outputs.claim(out_dir)
-
-    if scenario.sweep is None:
-        outcomes = [execute(scenario)]
-    else:
-        at_once = points_at_once(point for point, _ in points)
-        max_workers = min(workers or os.cpu_count() or 1, at_once)
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            pending = pool.map(execute, *zip(*points))
-            # The pool now holds the only reference to each point, so a point
-            # and the transfers memoised on its own elements are freed once run.
-            del points
-            outcomes = list(pending)
-    return outputs.write_run(out_dir, scenario, outcomes)
+    with outputs.claim(out_dir):
+        if scenario.sweep is None:
+            outcomes = [execute(scenario)]
+        else:
+            at_once = points_at_once(point for point, _ in points)
+            max_workers = min(workers or os.cpu_count() or 1, at_once)
+            with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                pending = pool.map(execute, *zip(*points))
+                # The pool now holds the only reference to each point, so a
+                # point and the transfers memoised on its own elements are
+                # freed once run.
+                del points
+                outcomes = list(pending)
+        return outputs.write_run(out_dir, scenario, outcomes)

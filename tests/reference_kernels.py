@@ -5,14 +5,21 @@ the small-|GL| series only where it is used, squares |V| once, evaluates
 cosh(GL) and sinh(GL)/GL on half the grid when the mismatch is odd,
 memoises exp(i DL/2) and raises each detuning power once per grid object,
 gates each source's bandwidth once per pairing, and writes cos and sin of
-an element's phase into the parts of its transfer.  Each of those is meant
-to change no output bit, so the tests compare the library with the
-straightforward forms kept here: ``evaluate_uv`` and ``_cosh_and_sinhc``
-with the series and ``np.where`` over the whole array, ``phase`` and
+an element's phase into the parts of its transfer.  It multiplies in no
+transfer of an identity element, evaluates a GDD-only transfer on half the
+grid and mirrors it (and so reflects none), and squares |x| in the buffer
+of its modulus.  Each of those is meant to change no output bit, so the
+tests compare the library with the straightforward forms kept here:
+``evaluate_uv`` and ``_cosh_and_sinhc`` with the series and ``np.where``
+over the whole array and ``np.abs(x) ** 2``, ``phase`` and
 ``dispersive_transfer`` raising ``omegas**k`` on every call, the transfer
-as ``np.exp(1j * phase)``, ``check_alias`` building the weight and its
-bandwidth on every call, ``g2_time`` with explicit ``ifftshift``/``fftshift``
-around the FFT, and ``rms_width`` summing the subtracted trace twice.
+as ``np.exp(1j * phase)``, ``transfer`` as cos and sin over the whole grid
+with ``np.ones`` for an element without coefficients, ``check_alias``
+building the weight and its bandwidth on every call, ``g2_time``
+multiplying both transfers in, identities included, and reflecting the
+second one, with explicit ``ifftshift``/``fftshift`` around the FFT,
+``build_correlation`` adding ``np.abs(amp) ** 2``, and ``rms_width``
+summing the subtracted trace twice.
 """
 
 import math
@@ -90,6 +97,23 @@ def dispersive_transfer(element, grid):
         return np.ones(grid.n_points, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.exp(1j * phase(element, grid.omegas))
+    if not np.all(np.isfinite(out)):
+        raise PreconditionError(
+            "dispersive phase is not finite on the grid; reduce the phase "
+            "coefficients or the grid span"
+        )
+    return out
+
+
+def transfer(element, grid):
+    """cos(phase) + i sin(phase) on every sample of the grid."""
+    if not element.phase_coeffs:
+        return np.ones(grid.n_points, dtype=complex)
+    out = np.empty(grid.n_points, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        angle = phase(element, grid.omegas)
+        np.cos(angle, out=out.real)
+        np.sin(angle, out=out.imag)
     if not np.all(np.isfinite(out)):
         raise PreconditionError(
             "dispersive phase is not finite on the grid; reduce the phase "

@@ -59,6 +59,24 @@ class TestRmsWidth:
         with pytest.raises(DegenerateTrace):
             rms_width(flat)
 
+    @pytest.mark.parametrize("log2_mass, refused", [(-43, False), (-45, True)])
+    def test_degenerate_threshold_scales_with_the_window(self, log2_mass, refused):
+        """The structure's mass must reach DEGENERATE_MASS_FRACTION of its
+        peak times the delay window: 6.4e-14 here (peak 1, 64 samples of
+        1 ps).  Spikes of 1 at +-1 ps around a dip of -(2 - mass) at 0 leave
+        the mass exactly."""
+        taus = np.arange(-32.0, 32.0)
+        values = np.zeros(64)
+        values[31] = values[33] = 1.0
+        values[32] = -(2.0 - 2.0**log2_mass)
+        trace = Correlation1D(tau_grid=taus, values=values, background=0.0, peak_tau=0.0)
+        assert float(np.sum(values)) == 2.0**log2_mass
+        if refused:
+            with pytest.raises(DegenerateTrace, match="no structure above the background"):
+                rms_width(trace)
+        else:
+            rms_width(trace)
+
     def test_nan_trace_rejected(self):
         taus = (np.arange(128) - 64) * 0.1
         values = np.full(128, np.nan)
@@ -147,6 +165,24 @@ class TestBroadeningFit:
         fit = broadening_fit(pairs, widths, "inter_time")
         assert fit.slope == 0.0
         assert fit.intercept == pytest.approx(1.3**2, rel=1e-12)
+
+    def test_max_rel_residual_is_relative_to_each_width_squared(self):
+        # A constant combination fits the mean 1.6 of widths^2 = 1, 1, 1, 1, 4:
+        # the residuals 0.6 and 2.4 are both 0.6 of their width^2.
+        pairs = [(1.0, 0.0)] * 5
+        fit = broadening_fit(pairs, [1.0, 1.0, 1.0, 1.0, 2.0], "inter_time")
+        assert fit.intercept == pytest.approx(1.6, rel=1e-15)
+        assert fit.max_rel_residual == pytest.approx(0.6, rel=1e-12)
+        # Off the law width^2 = 1 + x^2, the least-squares line misses the
+        # samples by known amounts; the largest relative miss is at x = 0.
+        pairs = [(x, 0.0) for x in (0.0, 1.0, 2.0, 3.0, 4.0)]
+        y = np.array([1.0, 2.0, 5.0, 10.0, 17.0]) * [1.0, 1.1, 1.0, 1.0, 1.0]
+        fit = broadening_fit(pairs, np.sqrt(y), "inter_time")
+        x2 = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
+        slope, intercept = np.polyfit(x2, y, 1)
+        expected = np.max(np.abs(intercept + slope * x2 - y) / y)
+        assert fit.max_rel_residual == pytest.approx(expected, rel=1e-9)
+        assert fit.max_rel_residual > 0.05
 
     @pytest.mark.parametrize("config", ["both", "inter", "intra_freq"])
     def test_config_validation(self, config):

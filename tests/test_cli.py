@@ -1,5 +1,7 @@
 import csv
+import fcntl
 import json
+import os
 import subprocess
 import sys
 from functools import partial
@@ -236,6 +238,22 @@ class TestExitCodes:
             "run", "--scenario", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out")
         )
         assert proc.returncode == 4
+
+    def test_output_directory_in_use_is_4_and_deletes_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").write_text("{}\n", encoding="utf-8")
+        fd = os.open(out, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            proc = run_cli(
+                "run", "--scenario", str(write_doc(tmp_path, scenario_doc())), "--out", str(out)
+            )
+        finally:
+            os.close(fd)
+        assert proc.returncode == 4
+        assert proc.stderr == f"i/o error: output directory in use: {out}\n"
+        assert [p.name for p in out.iterdir()] == ["report.json"]
 
 
 class TestSelftestCommand:

@@ -221,10 +221,22 @@ def test_check_drive():
         (0.013, 0.01, None),
         (0.004, 0.01, None),
         (1e300, 1e-300, None),
+        (1e6 * (1.0 + 5e-10), 1.0, 1_000_000),
+        (1e6 * (1.0 + 2e-9), 1.0, None),
         (1e-240, 1e-240, "^exact grid spacing 1e-240 rad/ps squared is out of floating"),
         (4e180, 1e180, r"^exact grid spacing 1e\+180 rad/ps squared is out of floating"),
     ],
-    ids=["three", "one", "fractional", "below_one", "infinite", "cell_underflow", "cell_overflow"],
+    ids=[
+        "three",
+        "one",
+        "fractional",
+        "below_one",
+        "infinite",
+        "many_within_tolerance",
+        "many_beyond_tolerance",
+        "cell_underflow",
+        "cell_overflow",
+    ],
 )
 def test_mod_steps(mod_freq, delta_omega, steps):
     grid = FrequencyGrid(64, delta_omega)

@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
 from spdcsim.analysis import rms_width
-from spdcsim.correlators import _g2_time
+from spdcsim.correlators import _build_correlation, _g2_time
 from spdcsim.elements import MAX_PHASE_ORDER, DispersiveElement, dispersive_transfer
 from spdcsim.errors import SpdcSimError
 from spdcsim.grid import FrequencyGrid
@@ -38,6 +38,7 @@ from spdcsim.source import (
     SourceSpec,
     _cosh_and_sinhc,
     evaluate_analytic,
+    evaluate_source,
     evaluate_uv,
     gamma_of,
 )
@@ -381,3 +382,131 @@ def test_transfer_of_wide_coefficients_matches_the_exponential(n, spacing, coeff
     assert new_err == old_err
     if old is not None:
         _assert_same_arrays(new, old)
+
+
+ZEROS = st.sampled_from((0.0, -0.0))
+
+
+@st.composite
+def elements_of_every_kind(draw, grid: FrequencyGrid) -> DispersiveElement:
+    """An element without coefficients, one whose coefficients are all 0.0 or
+    -0.0, a GDD-only one (order 2 nonzero among signed zeros), or one with
+    order 1 or one of orders 3-5 nonzero (and order 2 maybe).  A nonzero
+    Phi_k reaches a band-edge group delay of at most a fifth of the delay
+    window, so most draws pass the alias gate."""
+    kind = draw(st.sampled_from(("empty", "zero", "gdd", "other")))
+    if kind == "empty":
+        return DispersiveElement()
+    size = draw(st.integers(min_value=2 if kind == "gdd" else 1, max_value=MAX_PHASE_ORDER))
+    coeffs = [draw(ZEROS) for _ in range(size)]
+
+    def nonzero(k):
+        fraction = draw(st.floats(min_value=0.05, max_value=1.0)) * draw(st.sampled_from((1, -1)))
+        return fraction * 0.2 * grid.tau_window * math.factorial(k - 1) / grid.omega_max ** (k - 1)
+
+    if kind == "gdd" or (kind == "other" and size >= 2 and draw(st.booleans())):
+        coeffs[1] = nonzero(2)
+    if kind == "other":
+        k = draw(st.sampled_from([k for k in (1, 3, 4, 5) if k <= size]))
+        coeffs[k - 1] = nonzero(k)
+    element = DispersiveElement(tuple(coeffs))
+    assert element.is_identity == (kind in ("empty", "zero"))
+    assert element.is_gdd_only == (kind != "other")
+    return element
+
+
+SOURCES = st.one_of(
+    st.floats(min_value=0.05, max_value=5.0).map(SourceSpec.analytic),
+    st.tuples(st.floats(min_value=0.0, max_value=3.0), MISMATCH).map(
+        lambda t: SourceSpec.physical(*t)
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), n=GRID_POINTS, spacing=GRID_SPACINGS, spec=SOURCES, inter=st.booleans())
+def test_elements_of_every_kind_trace_like_the_reference(data, n, spacing, spec, inter):
+    """Identity elements (no coefficients, or only signed zeros) build no
+    transfer, GDD-only ones a mirrored one, and the rest a full-grid one;
+    each transfer has the bits of the full-grid form, a mirrored one is its
+    own reflection, and each trace has the bits of the reference's, which
+    multiplies every transfer in."""
+    grid = FrequencyGrid(n, spacing)
+    new_src, src_err = _outcome(evaluate_source, spec, grid)
+    old_src, old_src_err = _outcome(
+        ref.evaluate_uv if spec.mode == "physical" else evaluate_analytic, spec, grid
+    )
+    assert src_err == old_src_err
+    if old_src is None:
+        return
+    h1 = data.draw(elements_of_every_kind(grid))
+    h2 = data.draw(elements_of_every_kind(grid))
+    new, new_err = _outcome(_g2_time, new_src, h1, h2, inter)
+    old, old_err = _outcome(ref.g2_time, old_src, h1, h2, inter)
+    assert new_err == old_err
+    if old is not None:
+        _assert_same_arrays(new.values, old.values)
+        assert _bits(new.peak_tau) == _bits(old.peak_tau)
+        assert _bits(new.background) == _bits(old.background)
+    for element in (h1, h2):
+        if element.is_identity:
+            assert "_transfer" not in element.__dict__
+            continue
+        full, full_err = _outcome(ref.transfer, element, grid)
+        built, built_err = _outcome(dispersive_transfer, element, grid)
+        assert built_err == full_err
+        if full is not None:
+            _assert_same_arrays(built, full)
+            if element.is_gdd_only:
+                _assert_same_arrays(grid.reflect(built), built)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("spare", [(), (0.0,), (-0.0, 0.0, 0.0)])
+def test_gdd_transfer_keeps_the_unpaired_edge_sample(sign, spare):
+    """-Omega_max, index 0, has no partner at +Omega_max: the mirrored
+    transfer keeps its own sample there.  Phi_2 = +-3.6e305 ps^2 leaves the
+    phase finite up to |Omega| = 31 rad/ps on a 64 x 1 rad/ps grid and
+    infinite at -Omega_max = -32 rad/ps alone, so the library refuses as
+    the full-grid form does; at a finite phase both give the same bits."""
+    grid = FrequencyGrid(64, 1.0)
+    element = DispersiveElement((0.0, sign * 3.6e305) + spare)
+    with np.errstate(over="ignore"):
+        phase = element.phase(grid)
+    assert not np.isfinite(phase[0]) and np.all(np.isfinite(phase[1:]))
+    new, new_err = _outcome(dispersive_transfer, element, grid)
+    old, old_err = _outcome(ref.transfer, element, grid)
+    assert new is old is None and new_err == old_err
+    assert new_err[1].startswith("dispersive phase is not finite")
+
+    element = DispersiveElement((0.0, sign * 0.37) + spare)
+    built = dispersive_transfer(element, grid)
+    _assert_same_arrays(built, ref.transfer(element, grid))
+    assert built[0] != built[1]
+
+
+AMPLITUDES = st.lists(
+    st.one_of(
+        st.complex_numbers(max_magnitude=1e-150),
+        st.complex_numbers(max_magnitude=1e10),
+        st.complex_numbers(allow_nan=True, allow_infinity=True),
+    ),
+    min_size=64,
+    max_size=64,
+)
+
+
+@PROPERTY
+@given(values=AMPLITUDES, flux=st.floats(min_value=0.0, max_value=1e10), spacing=GRID_SPACINGS)
+def test_trace_of_an_amplitude_matches_the_reference(values, flux, spacing):
+    """|amp| squared in the trace's own buffer and offset in place gives the
+    bits of N^2 + np.abs(amp) ** 2, underflow, overflow, inf and NaN
+    included."""
+    grid = FrequencyGrid(64, spacing)
+    amp = np.array(values, dtype=complex)  # in FFT order
+    with np.errstate(all="ignore"):
+        new = _build_correlation(amp, grid, flux)
+        old = ref.build_correlation(np.fft.fftshift(amp), grid, flux)
+    _assert_same_arrays(new.values, old.values)
+    assert _bits(new.peak_tau) == _bits(old.peak_tau)
+    assert _bits(new.background) == _bits(old.background)

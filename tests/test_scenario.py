@@ -475,7 +475,11 @@ def test_oversized_grid_refused_before_allocation(n_points):
         refusals.append(str(caught.value))
 
     assert _traced_peak(parse) < 2**20
-    assert refusals[0].startswith(f"scenario.grid.n_points: {n_points} samples need ")
+    gib = estimate_peak_bytes(n_points) / 2**30
+    assert refusals[0] == (
+        f"scenario.grid.n_points: {n_points} samples need an estimated {gib:.3g} GiB, "
+        "above the 4 GiB budget"
+    )
 
 
 def test_exact_comb_lines_count_against_the_budget():
