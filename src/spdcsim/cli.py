@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 selftest failure, 2 scenario/parse error,
 narrowband validity, grid commensurability, drive mismatch, degenerate trace,
 including one narrower than a delay sample, a Bogoliubov unitarity violation,
 an exact grid spacing whose square is out of floating-point range, a NaN or
-infinite result, which is never written to report.json), 4 I/O error,
+infinite result, which is never written to report.json), 4 I/O error
+(an output directory that another run holds included),
 5 internal error (any other exception, reported as one
 ``internal error: <Type>: <msg>`` line on stderr instead of a traceback).
 """

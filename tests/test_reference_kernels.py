@@ -17,7 +17,13 @@ object, which hit and miss its memo of exp(i DL/2).  The dispersive phase
 and transfer are held to the reference over all five orders and signed
 coefficients, up to grid spacings whose powers overflow, and the transfer's
 cos and sin to the reference's exp(1j * phase) over coefficients of every
-decimal exponent from -300 to 300.
+decimal exponent from -300 to 300.  Elements of every kind (no
+coefficients, only signed zeros, GDD-only among signed zeros, order 1 or
+3-5 nonzero) on both pairings and both source kinds give the trace of the
+reference, which multiplies every transfer in, build no transfer when they
+are identities, and a transfer with the bits of the full-grid form
+otherwise, the unpaired -Omega_max sample included.  A trace squared in its
+own buffer has the bits of N^2 + np.abs(amp) ** 2.
 """
 
 import math
