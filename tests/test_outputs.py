@@ -4,9 +4,9 @@ frame of its report.
 ``outputs.claim`` removes every file under one of spdcsim's own names, the
 temp files of a killed write included, and keeps every other file.  It
 locks the directory first, so a second run into a directory that a run
-holds fails and deletes nothing.  Those
-names are derived from ``outputs.POINT_FILES``; README *Outputs* is the one
-other place that names a point file, so it must name each of them.
+holds fails and deletes nothing.  Those names are derived from
+``outputs.POINT_FILES``; README *Outputs* is the one other place that names
+a point file, so it must name each of them.
 ``outputs.write_run`` builds the whole report that ``run_scenario`` returns.
 """
 
@@ -91,7 +91,7 @@ def test_report_frame(sweep, tmp_path):
 
 
 def _own_files(out_dir: Path) -> dict:
-    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+    return {path.name: path.read_bytes() for path in out_dir.iterdir()}
 
 
 def test_a_locked_directory_refuses_a_run_and_keeps_its_files(tmp_path):
