@@ -286,8 +286,8 @@ def _g2_time(
     """Temporal trace of either pairing: integrand R H1(W) H2(-W) interbeam,
     S H1*(W) H2(W) intrabeam.
 
-    An identity element (``is_identity``) adds no factor: its transfer is 1
-    + 0j, and a product with it changes at most the sign of a zero, which
+    An identity element (``is_identity``) adds no factor: its transfer is
+    1 + 0j, and a product with it changes at most the sign of a zero, which
     the FFT carries through to zeros only and |amp|^2 drops.  So a
     no-element baseline's integrand is the field itself.  A GDD-only
     transfer is built on half the grid and mirrored, which makes it its own
