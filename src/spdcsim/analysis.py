@@ -72,8 +72,14 @@ def rms_width(corr: Correlation1D) -> WidthReport:
         raise DegenerateTrace("trace has no structure above the background")
 
     w = sub / total
-    centroid = float(np.sum(corr.tau_grid * w))
-    rms = float(np.sqrt(np.sum((corr.tau_grid - centroid) ** 2 * w)))
+    # tau * w, then (tau - centroid)^2 * w, in one scratch array: real
+    # operations, so the same bits as the expressions written out.
+    scratch = np.multiply(corr.tau_grid, w)
+    centroid = float(np.sum(scratch))
+    np.subtract(corr.tau_grid, centroid, out=scratch)
+    np.square(scratch, out=scratch)
+    scratch *= w
+    rms = float(np.sqrt(np.sum(scratch)))
     if rms == 0.0:
         raise DegenerateTrace("trace structure lies within one delay sample")
     return WidthReport(rms_width=rms, fwhm=_fwhm(corr.tau_grid, sub), centroid=centroid)

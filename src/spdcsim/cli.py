@@ -22,7 +22,6 @@ import sys
 from .errors import PreconditionError, ScenarioError
 from .runner import run_scenario
 from .scenario import load_scenario, parse_scenario
-from .selftest import run_checks
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAILED = 1
@@ -99,6 +98,9 @@ def _cmd_run(args, require_sweep: bool) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    # Imported here, so that run and sweep do not load the checks.
+    from .selftest import run_checks
+
     results = run_checks(args.filter)
     if not results:
         print(f"no checks match filter {args.filter!r}", file=sys.stderr)

@@ -177,8 +177,9 @@ def _trace_amplitude(shifted: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     Both sides are in FFT order: ``shifted`` holds F(Omega) with the two
     halves of the grid swapped (``ifftshift`` order, Omega = 0 first), and
     the result holds the delay samples with theirs swapped (tau = 0 first).
+    The transform is written into ``shifted``, which is dead after it.
     """
-    amp = np.fft.ifft(shifted)
+    amp = np.fft.ifft(shifted, out=shifted)
     amp *= grid.n_points * grid.delta_omega / (2.0 * np.pi)
     return amp
 
@@ -303,22 +304,24 @@ def _g2_time(
     """
     grid = source.grid
     _check_alias(source, inter, _combined_phase_coeffs(h1, h2, inter))
+    # (transfer, conjugated) pairs; the intrabeam H1* is conjugated a half at
+    # a time, at its product.
     factors = []
     if not h1.is_identity:
-        t1 = dispersive_transfer(h1, grid)
-        factors.append(t1 if inter else np.conj(t1))
+        factors.append((dispersive_transfer(h1, grid), not inter))
     if not h2.is_identity:
         t2 = dispersive_transfer(h2, grid)
-        factors.append(grid.reflect(t2) if inter and not h2.is_gdd_only else t2)
+        factors.append((grid.reflect(t2) if inter and not h2.is_gdd_only else t2, False))
     field = source.R if inter else source.S
     h = grid.n_points // 2
     shifted = np.empty(grid.n_points, dtype=complex)
     for out, part in ((shifted[:h], slice(h, None)), (shifted[h:], slice(None, h))):
+        halves = [np.conj(t[part]) if conjugated else t[part] for t, conjugated in factors]
         product = field[part]
-        for factor in factors[:-1]:
-            product = product * factor[part]
-        if factors:
-            np.multiply(product, factors[-1][part], out=out)
+        for factor in halves[:-1]:
+            product = product * factor
+        if halves:
+            np.multiply(product, halves[-1], out=out)
         else:
             out[...] = product
     return _build_correlation(_trace_amplitude(shifted, grid), grid, source.flux_n)
@@ -484,13 +487,13 @@ def _modulated_flux_density(source: SourceFields, comb: ModulatorComb, m_ratio: 
 
 def exact_orders(m1: ModulatorComb, m2: ModulatorComb, config: str) -> np.ndarray:
     """Comb lines of the exact joint spectrum, as the memory gate counts them:
-    every n1 + n2 (``INTER_FREQ``) or n2 - n1 (``INTRA_FREQ``), lowest to highest."""
+    every n1 + n2 (``INTER_FREQ``) or n2 - n1 (``INTRA_FREQ``), lowest to
+    highest.  A comb's orders are symmetric (``ModulatorComb``), so both
+    pairings span -(n_max1 + n_max2) .. n_max1 + n_max2."""
     if config not in (INTER_FREQ, INTRA_FREQ):
         raise ValueError(f"config must be {INTER_FREQ!r} or {INTRA_FREQ!r}, got {config!r}")
-    lo1, hi1 = int(np.min(m1.orders)), int(np.max(m1.orders))
-    lo2, hi2 = int(np.min(m2.orders)), int(np.max(m2.orders))
-    first, last = (lo1 + lo2, hi1 + hi2) if config == INTER_FREQ else (lo2 - hi1, hi2 - lo1)
-    return np.arange(first, last + 1)
+    span = m1.n_max + m2.n_max
+    return np.arange(-span, span + 1)
 
 
 def g2_freq_exact(

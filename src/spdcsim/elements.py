@@ -70,9 +70,11 @@ class DispersiveElement:
         object, so elements on one grid do not raise it again.
         """
         out = np.zeros(grid.n_points)
+        term = None  # one scratch buffer for every order's term
         for k, phi in enumerate(self.phase_coeffs, start=1):
             if phi != 0.0:
-                out += (phi / math.factorial(k)) * grid.omega_power(k)
+                term = np.multiply(phi / math.factorial(k), grid.omega_power(k), out=term)
+                out += term
         return out
 
 
@@ -184,7 +186,9 @@ class ModulatorComb:
     """Sparse sideband comb of one sinusoidal phase modulator.
 
     ``orders`` and ``weights`` hold the retained lines (|J_n(index)| >= 1e-12)
-    with weights summing in quadrature to one.
+    with weights summing in quadrature to one.  The orders are symmetric:
+    n is retained exactly when -n is, since |J_-n| = |J_n| and lines are
+    pruned by |J_n|.  So they span -n_max .. n_max.
     """
 
     mod_freq: float

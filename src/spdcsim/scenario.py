@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .correlators import CONFIGURATIONS, INTER_FREQ, INTER_TIME, INTRA_FREQ, INTRA_TIME
+from .correlators import CONFIGURATIONS, INTER_FREQ, INTER_TIME, INTRA_TIME
 from .correlators import check_drive, exact_orders, mod_steps
 from .elements import DispersiveElement, build_comb, check_modulator
 from .errors import PreconditionError, ScenarioError, echo
@@ -40,13 +40,15 @@ SCHEMA_VERSION = 1
 MEMORY_BUDGET_BYTES = 4 * 2**30
 
 # Peak traced memory of one run_scenario point over temporal grids of 4096 to
-# 65536 samples, each run in a fresh process, was 208-290 bytes per sample
+# 65536 samples, each run in a fresh process, was 193-273 bytes per sample
 # with a physical source, whose gain-free factor exp(i DL/2) the grid keeps
 # (16 bytes per sample); the most with two five-order elements, whose four
 # detuning powers the grid keeps too (32 bytes per sample) while the trace
-# text is written (255-363), and in a gain sweep on one worker (300-363).
-# The trace writer's share is its cached delay cells (about 85 bytes per
-# sample) and one chunk of text (about 35 bytes per sample at n = 4096).
+# text is written (255-362), and in a gain sweep on one worker (300-362).
+# The peak falls while the trace text is written: the trace writer's share
+# is its cached delay cells (about 85 bytes per sample) and one chunk of
+# text (about 35 bytes per sample at n = 4096).  Computing a point without
+# writing it peaked at 161-171 bytes per sample at n = 65536.
 # Exact joint spectra at n = 4096 with 77 and 177 comb lines added 20-27
 # bytes per line per sample, below the 32 of a complex amplitude and its
 # squared modulus held at once.
@@ -296,14 +298,14 @@ def estimate_peak_bytes(n_points: int, exact_modulators: tuple | None = None) ->
     About _PEAK_BYTES_PER_SAMPLE per grid sample (source fields, transfers,
     FFT buffers, trace text), plus, for an exact joint spectrum of the two
     ``(mod_freq, index)`` modulators ``exact_modulators``,
-    _PEAK_BYTES_PER_LINE_SAMPLE per sample per comb line of either pairing
-    (``correlators.exact_orders``: the complex ridge amplitudes and their
-    profiles).  Pure arithmetic: nothing of that size is allocated.
+    _PEAK_BYTES_PER_LINE_SAMPLE per sample per comb line
+    (``correlators.exact_orders``, the same for either pairing: the complex
+    ridge amplitudes and their profiles).  Pure arithmetic: nothing of that size is allocated.
     """
     per_sample = _PEAK_BYTES_PER_SAMPLE
     if exact_modulators is not None:
         m1, m2 = (build_comb(freq, index) for freq, index in exact_modulators)
-        lines = max(exact_orders(m1, m2, config).size for config in (INTER_FREQ, INTRA_FREQ))
+        lines = exact_orders(m1, m2, INTER_FREQ).size  # the same lines as INTRA_FREQ
         per_sample += _PEAK_BYTES_PER_LINE_SAMPLE * lines
     return n_points * per_sample
 

@@ -8,18 +8,24 @@ gates each source's bandwidth once per pairing, and writes cos and sin of
 an element's phase into the parts of its transfer.  It multiplies in no
 transfer of an identity element, evaluates a GDD-only transfer on half the
 grid and mirrors it (and so reflects none), and squares |x| in the buffer
-of its modulus.  Each of those is meant to change no output bit, so the
-tests compare the library with the straightforward forms kept here:
-``evaluate_uv`` and ``_cosh_and_sinhc`` with the series and ``np.where``
-over the whole array and ``np.abs(x) ** 2``, ``phase`` and
+of its modulus.  It takes cosh(GL) and sinh(GL)/GL on the imaginary axis
+from real cos and sin, conjugates the intrabeam H1 a half at a time,
+transforms the integrand in its own buffer, and forms the moments of
+``rms_width`` in one scratch array.  Each of those is meant to change no
+output bit, so the tests compare the library with the straightforward forms
+kept here: ``evaluate_uv`` and ``_cosh_and_sinhc`` with the complex
+functions, the series and ``np.where`` over the whole array and
+``np.abs(x) ** 2``, ``phase`` and
 ``dispersive_transfer`` raising ``omegas**k`` on every call, the transfer
 as ``np.exp(1j * phase)``, ``transfer`` as cos and sin over the whole grid
 with ``np.ones`` for an element without coefficients, ``check_alias``
 building the weight and its bandwidth on every call, ``g2_time``
-multiplying both transfers in, identities included, and reflecting the
-second one, with explicit ``ifftshift``/``fftshift`` around the FFT,
+multiplying both transfers in, identities included, conjugating H1 over the
+full width and reflecting the second one, with explicit
+``ifftshift``/``fftshift`` around an out-of-place FFT,
 ``build_correlation`` adding ``np.abs(amp) ** 2``, and ``rms_width``
-summing the subtracted trace twice.
+summing the subtracted trace twice and writing tau * w and
+(tau - centroid) ** 2 * w out, a fresh temporary for each operation.
 """
 
 import math

@@ -300,6 +300,19 @@ class TestSelftestCommand:
         ]
         assert err == ""
 
+    def test_run_and_sweep_do_not_load_the_checks(self):
+        """Only the selftest command imports ``selftest`` and what it alone
+        needs: the oracles and ``filecmp``."""
+        probe = (
+            "import sys\n"
+            "from spdcsim import cli\n"
+            "print(sorted(m for m in ('spdcsim.selftest', 'spdcsim.oracle', 'filecmp') "
+            "if m in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 def test_runner_api_matches_cli_output(tmp_path):
     scenario = parse_scenario(scenario_doc())

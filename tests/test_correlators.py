@@ -327,6 +327,16 @@ class TestExactJointGrid:
         with pytest.raises(ValueError, match="config must be"):
             exact_orders(build_comb(0.05, 0.1), build_comb(0.05, 0.1), "inter_time")
 
+    @pytest.mark.parametrize("index1", [0.0, 0.3, -2.5, 20.0])
+    @pytest.mark.parametrize("index2", [0.0, 1.2, -7.0, -20.0])
+    def test_exact_orders_span_every_pair_of_lines(self, index1, index2):
+        m1, m2 = build_comb(0.05, index1), build_comb(0.05, index2)
+        sums = [n1 + n2 for n1 in m1.orders.tolist() for n2 in m2.orders.tolist()]
+        differences = [n2 - n1 for n1 in m1.orders.tolist() for n2 in m2.orders.tolist()]
+        for config, lines in (("inter_freq", sums), ("intra_freq", differences)):
+            expected = np.arange(min(lines), max(lines) + 1)
+            assert np.array_equal(exact_orders(m1, m2, config), expected)
+
 
 class TestParseval:
     def test_trace_integral_matches_ridge_energy(self):

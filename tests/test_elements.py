@@ -136,6 +136,20 @@ class TestModulatorComb:
         for n in plus.orders:
             assert minus.line_weight(int(n)) == (-1.0) ** n * plus.line_weight(int(n))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        index=st.one_of(
+            st.floats(min_value=-40.0, max_value=40.0),
+            st.sampled_from((0.0, -0.0, 5e-324, 9.9e-13, 1e-12, -1e-12)),
+        )
+    )
+    def test_orders_are_symmetric(self, index):
+        """n is retained exactly when -n is, so the orders span -n_max..n_max,
+        the range ``correlators.exact_orders`` counts for both pairings."""
+        comb = build_comb(1.0, index, max_index=40.0)
+        assert np.array_equal(comb.orders, -comb.orders[::-1])
+        assert comb.orders[0] == -comb.n_max and comb.orders[-1] == comb.n_max
+
     def test_pruning_threshold(self):
         comb = build_comb(1.0, 1.2)
         assert np.all(np.abs(comb.weights) >= 1e-12)

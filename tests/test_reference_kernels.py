@@ -23,7 +23,11 @@ coefficients, only signed zeros, GDD-only among signed zeros, order 1 or
 reference, which multiplies every transfer in, build no transfer when they
 are identities, and a transfer with the bits of the full-grid form
 otherwise, the unpaired -Omega_max sample included.  A trace squared in its
-own buffer has the bits of N^2 + np.abs(amp) ** 2.
+own buffer has the bits of N^2 + np.abs(amp) ** 2.  Sources and traces
+are held to the reference on grids of 2^14 to 2^16 samples as well, where
+numpy elides temporaries, with every edge gain and mismatch parity, and the
+real-axis kernel of ``evaluate_uv`` to the complex functions over mismatch
+phases and gains of every scale, NaN and inf included.
 """
 
 import math
@@ -42,6 +46,7 @@ from spdcsim.grid import FrequencyGrid
 from spdcsim.source import (
     _SERIES_CUTOFF,
     SourceSpec,
+    _bogoliubov_kernel,
     _cosh_and_sinhc,
     evaluate_analytic,
     evaluate_source,
@@ -102,9 +107,11 @@ def _element(draw, grid: FrequencyGrid) -> DispersiveElement:
     )
 
 
-def _assert_same_traces(draw, new_src, old_src):
+def _assert_same_traces(draw, new_src, old_src, elements=None):
+    """Both pairings of the library's trace, twice, and its widths against
+    the reference's, behind ``elements`` or two drawn by ``_element``."""
     grid = old_src.grid
-    h1, h2 = _element(draw, grid), _element(draw, grid)
+    h1, h2 = elements or (_element(draw, grid), _element(draw, grid))
     for inter in (True, False):
         new, new_err = _outcome(_g2_time, new_src, h1, h2, inter)
         old, old_err = _outcome(ref.g2_time, old_src, h1, h2, inter)
@@ -127,13 +134,13 @@ def _assert_same_traces(draw, new_src, old_src):
             assert np.array(astuple(width)[:3]).tobytes() == np.array(astuple(old_width)[:3]).tobytes()
 
 
-def _check_physical(draw, spec: SourceSpec, grid: FrequencyGrid):
+def _check_physical(draw, spec: SourceSpec, grid: FrequencyGrid, elements=None):
     new, new_err = _outcome(evaluate_uv, spec, grid)
     old, old_err = _outcome(ref.evaluate_uv, spec, grid)
     assert new_err == old_err
     if old is not None:
         _assert_same_source(new, old)
-        _assert_same_traces(draw, new, old)
+        _assert_same_traces(draw, new, old, elements)
 
 
 @PROPERTY
@@ -178,19 +185,17 @@ def test_branch_point_on_a_sample_matches_reference(data, log_n, log_spacing, lo
     _check_physical(data.draw, spec, grid)
 
 
-def _mismatch(draw, grid: FrequencyGrid, parity: str) -> list:
-    """One to six orders, each scaled so that it alone reaches a phase of at
-    most 8 at the band edge.  ``parity`` "odd" writes every even order as
-    0.0 or -0.0; "mixed" makes at least one even order nonzero."""
+def _mismatch(draw, grid: FrequencyGrid, parity: str, phases=st.floats(-8.0, 8.0)) -> list:
+    """One to six orders, each scaled so that it alone reaches a phase drawn
+    from ``phases`` (at most 8) at the band edge.  ``parity`` "odd" writes every even order as
+    0.0 or -0.0, "even" every odd order; "mixed" and "even" make at least
+    one even order nonzero."""
     size = draw(st.integers(min_value=1 if parity == "odd" else 2, max_value=6))
-    coeffs = [
-        draw(st.floats(min_value=-8.0, max_value=8.0)) / grid.omega_max**k
-        for k in range(1, size + 1)
-    ]
-    if parity == "odd":
-        for i in range(1, size, 2):  # orders 2, 4 and 6
-            coeffs[i] = draw(st.sampled_from((0.0, -0.0)))
-    else:
+    coeffs = [draw(phases) / grid.omega_max**k for k in range(1, size + 1)]
+    zeroed = {"odd": range(1, size, 2), "even": range(0, size, 2)}.get(parity, ())
+    for i in zeroed:  # orders 2, 4 and 6, or 1, 3 and 5
+        coeffs[i] = draw(st.sampled_from((0.0, -0.0)))
+    if parity != "odd":
         i = draw(st.sampled_from(range(1, size, 2)))
         coeffs[i] = coeffs[i] or 1.0 / grid.omega_max ** (i + 1)
     return coeffs
@@ -516,3 +521,120 @@ def test_trace_of_an_amplitude_matches_the_reference(values, flux, spacing):
     _assert_same_arrays(new.values, old.values)
     assert _bits(new.peak_tau) == _bits(old.peak_tau)
     assert _bits(new.background) == _bits(old.background)
+
+
+# numpy elides a temporary of 256 KiB or more (a complex array of n >= 16384
+# samples) and then evaluates ``a * (tmp)`` as ``tmp * a`` in its buffer;
+# complex products are not bitwise commutative, so the kernels are held to
+# the reference on grids of that size too.
+LARGE_GRID_POINTS = (2**14, 2**15, 2**16)
+# Band-edge phases of 0.5 to 8 of either sign: a spectrum with structure.
+LARGE_PHASES = st.tuples(st.sampled_from((1.0, -1.0)), st.floats(0.5, 8.0)).map(math.prod)
+# Two draws in three a gain low enough for the unitarity gate, whose traces
+# have structure; the rest +-0.0, NaN, inf and the series gains.
+LARGE_GAINS = st.one_of(
+    st.floats(min_value=0.05, max_value=3.0),
+    st.floats(min_value=0.05, max_value=3.0),
+    st.sampled_from(SERIES_GAINS + (-0.0, math.nan, math.inf)),
+)
+
+
+@pytest.mark.parametrize("n", LARGE_GRID_POINTS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    spacing=GRID_SPACINGS,
+    gain=LARGE_GAINS,
+    parity=st.sampled_from(("odd", "even", "mixed", "empty")),
+)
+def test_large_grids_match_reference(n, data, spacing, gain, parity):
+    """Sources of every mismatch parity at gains of +-0.0, NaN, inf, the
+    series gains and drawn ones, with traces of both pairings behind
+    elements of every kind, and their widths."""
+    grid = FrequencyGrid(n, spacing)
+    coeffs = [] if parity == "empty" else _mismatch(data.draw, grid, parity, LARGE_PHASES)
+    spec = SourceSpec.physical(gain, coeffs)
+    assert spec.mismatch.is_odd == (parity in ("odd", "empty"))
+    elements = (data.draw(elements_of_every_kind(grid)), data.draw(elements_of_every_kind(grid)))
+    _check_physical(data.draw, spec, grid, elements)
+
+
+@pytest.mark.parametrize("gain", SERIES_GAINS + (-0.0, math.nan, math.inf, 0.7))
+@pytest.mark.parametrize(
+    "phases", [(), (5.0, 0.0, 2.0), (-0.0, 4.0, 0.0, 1.0), (3.0, -2.0)], ids=str
+)
+def test_large_grid_edge_gains_match_reference(gain, phases):
+    """Every edge gain on an n = 65536 grid, for an empty, odd, even and
+    mixed mismatch (band-edge phase of each order given), behind a GDD-only
+    element and a third-order one."""
+    grid = FrequencyGrid(2**16, 0.01)
+    coeffs = [p / grid.omega_max**k for k, p in enumerate(phases, start=1)]
+    window = grid.tau_window
+    elements = (
+        DispersiveElement((0.0, 0.05 * window / grid.omega_max)),
+        DispersiveElement((0.0, -0.02 * window / grid.omega_max, 0.1 * window / grid.omega_max**2)),
+    )
+    _check_physical(None, SourceSpec.physical(gain, coeffs), grid, elements)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    log_n=st.integers(min_value=14, max_value=16),
+    log_spacing=st.integers(min_value=-7, max_value=-1),
+    log_gain=st.integers(min_value=-30, max_value=1),
+    sign=st.sampled_from((1.0, -1.0)),
+)
+def test_large_grid_branch_point_matches_reference(data, log_n, log_spacing, log_gain, sign):
+    """GL = 0 exactly on a sample of a large grid (see the small-grid case)."""
+    n = 2**log_n
+    grid = FrequencyGrid(n, 2.0**log_spacing)
+    offset = 2 ** data.draw(st.integers(min_value=0, max_value=log_n - 2))
+    gain = 2.0**log_gain
+    spec = SourceSpec.physical(gain, [sign * 2.0 * gain / (offset * grid.delta_omega)])
+    gl = gamma_of(gain, spec.mismatch.phase(grid.omegas))
+    assert gl[n // 2 + offset] == 0.0
+    _check_physical(data.draw, spec, grid)
+
+
+@pytest.mark.parametrize("n", LARGE_GRID_POINTS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data(), spacing=GRID_SPACINGS, bandwidth=st.floats(0.01, 10.0))
+def test_large_grid_analytic_traces_match_reference(n, data, spacing, bandwidth):
+    grid = FrequencyGrid(n, spacing)
+    src = evaluate_analytic(SourceSpec.analytic(bandwidth), grid)
+    elements = (data.draw(elements_of_every_kind(grid)), data.draw(elements_of_every_kind(grid)))
+    _assert_same_traces(data.draw, src, src, elements)
+
+
+# Mismatch phases of every scale: zeros of both signs, series-sized ones,
+# ordinary ones, ones whose square overflows, inf and NaN.
+KERNEL_PHASES = st.lists(
+    st.one_of(
+        st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e160)),
+        st.floats(min_value=-1e-5, max_value=1e-5),
+        st.floats(min_value=-50.0, max_value=50.0),
+        st.floats(allow_nan=False),
+    ),
+    min_size=1,
+    max_size=96,
+)
+KERNEL_GAINS = st.one_of(
+    st.sampled_from(SERIES_GAINS + (-0.0, math.nan, math.inf, 1e160, 5e-324)),
+    st.floats(min_value=0.0, max_value=50.0),
+    st.floats(min_value=0.0, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gain=KERNEL_GAINS, dl=KERNEL_PHASES, tile=st.sampled_from((1, 2048)))
+def test_bogoliubov_kernel_matches_the_complex_functions(gain, dl, tile):
+    """The real-axis forms give the bits of cosh(GL) and sinh(GL)/GL through
+    the complex functions, or the same NaN and inf; the tiled draws run
+    numpy's vector loops over 2048 copies."""
+    dl = np.tile(np.array(dl), tile)
+    with np.errstate(all="ignore"):
+        new = _bogoliubov_kernel(gain, dl)
+        old = ref.cosh_and_sinhc(gamma_of(gain, dl))
+    for a, b in zip(new, old):
+        _assert_same_arrays(a, b)
