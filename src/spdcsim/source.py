@@ -278,7 +278,7 @@ def evaluate_uv(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
         np.square(unitarity, out=unitarity)
         unitarity -= s
         unitarity -= 1.0
-        worst = float(np.max(np.abs(unitarity)))
+        worst = float(np.max(np.abs(unitarity, out=unitarity)))
     if not worst <= _UNITARITY_TOL:
         raise PreconditionError(f"Bogoliubov unitarity violated by {worst:.3e}")
 
