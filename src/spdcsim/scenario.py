@@ -45,7 +45,7 @@ MEMORY_BUDGET_BYTES = 4 * 2**30
 # (16 bytes per sample); the most with two five-order elements, whose four
 # detuning powers the grid keeps too (32 bytes per sample) while the trace
 # text is written (255-362), and in a gain sweep on one worker (300-362).
-# The peak falls while the trace text is written: the trace writer's share
+# The peak comes while the trace text is written: the trace writer's share
 # is its cached delay cells (about 85 bytes per sample) and one chunk of
 # text (about 35 bytes per sample at n = 4096).  Computing a point without
 # writing it peaked at 161-171 bytes per sample at n = 65536.
@@ -300,12 +300,13 @@ def estimate_peak_bytes(n_points: int, exact_modulators: tuple | None = None) ->
     ``(mod_freq, index)`` modulators ``exact_modulators``,
     _PEAK_BYTES_PER_LINE_SAMPLE per sample per comb line
     (``correlators.exact_orders``, the same for either pairing: the complex
-    ridge amplitudes and their profiles).  Pure arithmetic: nothing of that size is allocated.
+    ridge amplitudes and their profiles).  Pure arithmetic: nothing of that
+    size is allocated.
     """
     per_sample = _PEAK_BYTES_PER_SAMPLE
     if exact_modulators is not None:
         m1, m2 = (build_comb(freq, index) for freq, index in exact_modulators)
-        lines = exact_orders(m1, m2, INTER_FREQ).size  # the same lines as INTRA_FREQ
+        lines = exact_orders(m1, m2, INTER_FREQ).size
         per_sample += _PEAK_BYTES_PER_LINE_SAMPLE * lines
     return n_points * per_sample
 
