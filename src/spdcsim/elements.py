@@ -70,11 +70,9 @@ class DispersiveElement:
         object, so elements on one grid do not raise it again.
         """
         out = np.zeros(grid.n_points)
-        term = None  # one scratch buffer for every order's term
         for k, phi in enumerate(self.phase_coeffs, start=1):
             if phi != 0.0:
-                term = np.multiply(phi / math.factorial(k), grid.omega_power(k), out=term)
-                out += term
+                out += (phi / math.factorial(k)) * grid.omega_power(k)
         return out
 
 

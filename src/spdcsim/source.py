@@ -184,47 +184,6 @@ def _cosh_and_sinhc(z: np.ndarray):
     return cosh, sinhc
 
 
-def _bogoliubov_kernel(gain: float, dl: np.ndarray):
-    """cosh(GL) and sinh(GL)/GL of GL = ``gamma_of(gain, dl)``, with the bits
-    of ``_cosh_and_sinhc(gamma_of(gain, dl))``.
-
-    For a finite gain with its sign bit clear, the complex radicand is
-    gain^2 - DL^2/4 + 0j wherever DL^2 is finite (numpy's complex square and
-    its division by 4 + 0j leave a +0 imaginary part there), and its real
-    part is ``gain*gain - dl*dl*0.25``.  Where that is negative, GL = +0 + iy
-    with y = sqrt(-radicand), and numpy's complex cosh and sinh reduce
-    to cos y + i(+0 * sin y) and (+0 * cos y) + i sin y; sinh(GL)/GL is then
-    formed as numpy divides by +0 + iy (Smith's formulas with rat = +0 / y = +0
-    and scl = 1 / (y + 0 * 0) = 1/y).  The complex functions run only on the
-    rest: real GL, |GL| = y below the series cutoff, and a radicand that is
-    NaN or -inf (where DL^2 overflows, the complex radicand's imaginary part
-    is NaN).  A gain with its sign bit set, or not finite, takes the complex
-    path everywhere.
-    """
-    if math.copysign(1.0, gain) < 0.0 or not math.isfinite(gain):
-        return _cosh_and_sinhc(gamma_of(gain, dl))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        y = gain * gain - dl * dl * 0.25
-        np.negative(y, out=y)
-        np.sqrt(y, out=y)
-        complex_path = ~((y >= _SERIES_CUTOFF) & (y < math.inf))
-        cosh = np.empty(y.size, dtype=complex)
-        sinhc = np.empty(y.size, dtype=complex)
-        np.cos(y, out=cosh.real)
-        np.sin(y, out=cosh.imag)
-        scl = np.divide(1.0, y, out=y)
-        # sinh(GL) = (+0 * cos y) + i sin y over GL: real part (+0 * rat + sin y)
-        # * scl, imaginary part (sin y * rat - (+0 * cos y)) * scl.
-        np.multiply(cosh.imag, scl, out=sinhc.real)
-        cosh.imag *= 0.0
-        np.multiply(cosh.real, 0.0, out=sinhc.imag)
-        np.subtract(cosh.imag, sinhc.imag, out=sinhc.imag)
-        sinhc.imag *= scl
-    if complex_path.any():
-        cosh[complex_path], sinhc[complex_path] = _cosh_and_sinhc(gamma_of(gain, dl[complex_path]))
-    return cosh, sinhc
-
-
 def _flux(s: np.ndarray, grid: FrequencyGrid) -> float:
     """The per-beam photon flux, S integrated over dOmega/(2 pi), photons/ps."""
     return float(np.sum(s)) * grid.delta_omega / (2.0 * np.pi)
@@ -242,7 +201,6 @@ def evaluate_uv(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
     so for a gain of -0.0, whose square has a -0 imaginary part: -0 minus
     the signed zero of DL^2/4 is +0 on one side and -0 on the other).  U and
     V keep the full-grid expressions, since exp(i DL/2) is not even.
-    ``_bogoliubov_kernel`` gives cosh(GL) and sinh(GL)/GL.
 
     Each complex product keeps its expression exactly, operand order
     included: numpy's complex multiply is not bitwise commutative, and for
@@ -259,9 +217,11 @@ def evaluate_uv(spec: SourceSpec, grid: FrequencyGrid) -> SourceFields:
         dl = spec.mismatch.phase(grid.omegas)
         half_phase = _half_phase(spec.mismatch, grid, dl)
         if spec.mismatch.is_odd and not math.copysign(1.0, spec.gain) < 0.0:
-            cosh_gl, sinhc_gl = map(even_from_half, _bogoliubov_kernel(spec.gain, half_samples(dl)))
+            cosh_gl, sinhc_gl = map(
+                even_from_half, _cosh_and_sinhc(gamma_of(spec.gain, half_samples(dl)))
+            )
         else:
-            cosh_gl, sinhc_gl = _bogoliubov_kernel(spec.gain, dl)
+            cosh_gl, sinhc_gl = _cosh_and_sinhc(gamma_of(spec.gain, dl))
         # Each n-sized array is dropped as soon as it is dead.
         i_half_dl = 0.5j * dl
         del dl

@@ -8,14 +8,12 @@ gates each source's bandwidth once per pairing, and writes cos and sin of
 an element's phase into the parts of its transfer.  It multiplies in no
 transfer of an identity element, evaluates a GDD-only transfer on half the
 grid and mirrors it (and so reflects none), and squares |x| in the buffer
-of its modulus.  It takes cosh(GL) and sinh(GL)/GL on the imaginary axis
-from real cos and sin, conjugates the intrabeam H1 a half at a time,
+of its modulus.  It conjugates the intrabeam H1 a half at a time,
 transforms the integrand in its own buffer, and forms the moments of
 ``rms_width`` in one scratch array.  Each of those is meant to change no
 output bit, so the tests compare the library with the straightforward forms
-kept here: ``evaluate_uv`` and ``_cosh_and_sinhc`` with the complex
-functions, the series and ``np.where`` over the whole array and
-``np.abs(x) ** 2``, ``phase`` and
+kept here: ``evaluate_uv`` and ``_cosh_and_sinhc`` with the series and
+``np.where`` over the whole array and ``np.abs(x) ** 2``, ``phase`` and
 ``dispersive_transfer`` raising ``omegas**k`` on every call, the transfer
 as ``np.exp(1j * phase)``, ``transfer`` as cos and sin over the whole grid
 with ``np.ones`` for an element without coefficients, ``check_alias``

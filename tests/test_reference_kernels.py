@@ -25,9 +25,7 @@ are identities, and a transfer with the bits of the full-grid form
 otherwise, the unpaired -Omega_max sample included.  A trace squared in its
 own buffer has the bits of N^2 + np.abs(amp) ** 2.  Sources and traces
 are held to the reference on grids of 2^14 to 2^16 samples as well, where
-numpy elides temporaries, with every edge gain and mismatch parity, and the
-real-axis kernel of ``evaluate_uv`` to the complex functions over mismatch
-phases and gains of every scale, NaN and inf included.
+numpy elides temporaries, with every edge gain and mismatch parity.
 """
 
 import math
@@ -46,7 +44,6 @@ from spdcsim.grid import FrequencyGrid
 from spdcsim.source import (
     _SERIES_CUTOFF,
     SourceSpec,
-    _bogoliubov_kernel,
     _cosh_and_sinhc,
     evaluate_analytic,
     evaluate_source,
@@ -605,36 +602,3 @@ def test_large_grid_analytic_traces_match_reference(n, data, spacing, bandwidth)
     src = evaluate_analytic(SourceSpec.analytic(bandwidth), grid)
     elements = (data.draw(elements_of_every_kind(grid)), data.draw(elements_of_every_kind(grid)))
     _assert_same_traces(data.draw, src, src, elements)
-
-
-# Mismatch phases of every scale: zeros of both signs, series-sized ones,
-# ordinary ones, ones whose square overflows, inf and NaN.
-KERNEL_PHASES = st.lists(
-    st.one_of(
-        st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e160)),
-        st.floats(min_value=-1e-5, max_value=1e-5),
-        st.floats(min_value=-50.0, max_value=50.0),
-        st.floats(allow_nan=False),
-    ),
-    min_size=1,
-    max_size=96,
-)
-KERNEL_GAINS = st.one_of(
-    st.sampled_from(SERIES_GAINS + (-0.0, math.nan, math.inf, 1e160, 5e-324)),
-    st.floats(min_value=0.0, max_value=50.0),
-    st.floats(min_value=0.0, allow_nan=False),
-)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(gain=KERNEL_GAINS, dl=KERNEL_PHASES, tile=st.sampled_from((1, 2048)))
-def test_bogoliubov_kernel_matches_the_complex_functions(gain, dl, tile):
-    """The real-axis forms give the bits of cosh(GL) and sinh(GL)/GL through
-    the complex functions, or the same NaN and inf; the tiled draws run
-    numpy's vector loops over 2048 copies."""
-    dl = np.tile(np.array(dl), tile)
-    with np.errstate(all="ignore"):
-        new = _bogoliubov_kernel(gain, dl)
-        old = ref.cosh_and_sinhc(gamma_of(gain, dl))
-    for a, b in zip(new, old):
-        _assert_same_arrays(a, b)
