@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from .errors import PreconditionError, ScenarioError
-from .runner import run_scenario
+from .runner import check_workers, run_scenario
 from .scenario import load_scenario, parse_scenario
 
 EXIT_OK = 0
@@ -36,8 +36,10 @@ def _worker_count(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    try:
+        check_workers(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

@@ -485,13 +485,11 @@ def _modulated_flux_density(source: SourceFields, comb: ModulatorComb, m_ratio: 
     return out / (2.0 * np.pi)
 
 
-def exact_orders(m1: ModulatorComb, m2: ModulatorComb, config: str) -> np.ndarray:
+def exact_orders(m1: ModulatorComb, m2: ModulatorComb) -> np.ndarray:
     """Comb lines of the exact joint spectrum, as the memory gate counts them:
     every n1 + n2 (``INTER_FREQ``) or n2 - n1 (``INTRA_FREQ``), lowest to
     highest.  A comb's orders are symmetric (``ModulatorComb``), so both
     pairings span -(n_max1 + n_max2) .. n_max1 + n_max2."""
-    if config not in (INTER_FREQ, INTRA_FREQ):
-        raise ValueError(f"config must be {INTER_FREQ!r} or {INTRA_FREQ!r}, got {config!r}")
     span = m1.n_max + m2.n_max
     return np.arange(-span, span + 1)
 
@@ -507,7 +505,9 @@ def g2_freq_exact(
     comparable to mod_freq the envelope varies between sidebands and the
     narrowband form fails, which is the regime the validity gate excludes.
     """
-    orders = exact_orders(m1, m2, config)
+    if config not in (INTER_FREQ, INTRA_FREQ):
+        raise ValueError(f"config must be {INTER_FREQ!r} or {INTRA_FREQ!r}, got {config!r}")
+    orders = exact_orders(m1, m2)
     check_drive(m1.mod_freq, m2.mod_freq)
     grid = source.grid
     m_ratio = mod_steps(m1.mod_freq, grid)

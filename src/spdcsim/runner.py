@@ -162,6 +162,15 @@ def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointO
     return PointOutcome(result=comb if scenario.outputs.write_comb else None, analyses=results)
 
 
+def check_workers(workers) -> None:
+    """Refuse a worker count other than ``None`` (the CPU count) or an int of
+    at least 1; a bool is not a count."""
+    if workers is not None and (
+        isinstance(workers, bool) or not isinstance(workers, int) or workers < 1
+    ):
+        raise ValueError(f"workers must be None or an int of at least 1, got {workers!r}")
+
+
 def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dict:
     """Execute a scenario (sweeping if configured) and write its report.
 
@@ -169,7 +178,9 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
     ``out_dir``.  Every sweep point is parsed before the directory is made;
     a point's error names its ``scenario.sweep.values[i]``.  A sweep runs up
     to ``workers`` points at once (default: the CPU count), but no more than
-    fit the memory budget together (``scenario.points_at_once``).
+    fit the memory budget together (``scenario.points_at_once``).  A
+    ``workers`` that ``check_workers`` refuses raises ``ValueError`` before
+    ``out_dir`` is touched, for a single run too.
 
     ``report.json`` marks a finished run: ``outputs.claim`` locks
     ``out_dir`` until the run returns or fails (a second run into it fails
@@ -177,6 +188,7 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
     report and own files before anything is computed, and
     ``outputs.write_run`` writes the report last.
     """
+    check_workers(workers)
     shared = _SharedWithBase(scenario)
     points = [shared.adopt(point) for point in sweep_points(scenario)]
     out_dir = Path(out_dir)

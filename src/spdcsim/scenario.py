@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .correlators import CONFIGURATIONS, INTER_FREQ, INTER_TIME, INTRA_TIME
+from .correlators import CONFIGURATIONS, INTER_TIME, INTRA_TIME
 from .correlators import check_drive, exact_orders, mod_steps
 from .elements import DispersiveElement, build_comb, check_modulator
 from .errors import PreconditionError, ScenarioError, echo
@@ -306,7 +306,7 @@ def estimate_peak_bytes(n_points: int, exact_modulators: tuple | None = None) ->
     per_sample = _PEAK_BYTES_PER_SAMPLE
     if exact_modulators is not None:
         m1, m2 = (build_comb(freq, index) for freq, index in exact_modulators)
-        lines = exact_orders(m1, m2, INTER_FREQ).size
+        lines = exact_orders(m1, m2).size
         per_sample += _PEAK_BYTES_PER_LINE_SAMPLE * lines
     return n_points * per_sample
 

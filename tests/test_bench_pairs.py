@@ -1,10 +1,11 @@
-"""``tools/bench_pairs.py`` compares output trees and summarises paired result lines.
+"""``tools/bench_pairs.py`` compares output trees, and summarises and records paired result lines.
 
 Canned result lines and synthetic trees only: nothing here runs the benchmark.
 """
 
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -19,13 +20,13 @@ METRICS = [
 ]
 
 
-def _line(wall, rate, failed=0):
+def _line(wall, rate, failed=0, attempted=5):
     """One result line as ``perfbench/run.py`` prints it last."""
     return json.loads(
         json.dumps(
             {
                 "correct": True,
-                "attempted": 5,
+                "attempted": attempted,
                 "failed": failed,
                 "metrics": {
                     "wall_s": {"value": wall, "unit": "s"},
@@ -116,6 +117,51 @@ def test_quartiles_are_inclusive_and_a_single_sample_is_all_three():
     assert bench_pairs.quartiles([0.5]) == (0.5, 0.5, 0.5)
 
 
+def _traced(import_s, calls):
+    """One ``--trace 1`` result line: per-layer metrics only."""
+    return {
+        "correct": True, "attempted": 4, "failed": 0,
+        "metrics": {
+            "cli.import_s": {"value": import_s, "unit": "s"},
+            "source.evaluate_calls": {"value": calls, "unit": "count"},
+        },
+    }
+
+
+def test_record_holds_each_sides_values_spread_wins_operations_and_layers():
+    pairs = [
+        (_line(1.0, 10.0), _line(0.75, 11.0)),  # this better in both
+        (_line(1.5, 12.0, failed=2), _line(1.75, 11.0, failed=1, attempted=6)),  # the revision
+        (_line(1.25, 9.0), _line(1.0, 9.5)),  # this better in both
+    ]
+    traced = (_traced(0.2, 9), _traced(0.19, 7))
+    assert bench_pairs.record(pairs, traced, 1, METRICS) == {
+        "end_to_end": {
+            "wall_s": {
+                "unit": "s",
+                "this_wins": 2,
+                "rev": {"median": 1.25, "q1": 1.125, "q3": 1.375, "values": [1.0, 1.5, 1.25]},
+                "this": {"median": 1.0, "q1": 0.875, "q3": 1.375, "values": [0.75, 1.75, 1.0]},
+            },
+            "rate": {
+                "unit": "op/s",
+                "this_wins": 2,
+                "rev": {"median": 10.0, "q1": 9.5, "q3": 11.0, "values": [10.0, 12.0, 9.0]},
+                "this": {"median": 11.0, "q1": 10.25, "q3": 11.0, "values": [11.0, 11.0, 9.5]},
+            },
+        },
+        "operations": {
+            "rev": {"failed": 2, "attempted": 15},
+            "this": {"failed": 1, "attempted": 16},
+        },
+        "differing_seeds": 1,
+        "per_layer": {
+            "rev": {"cli.import_s": 0.2, "source.evaluate_calls": 9},
+            "this": {"cli.import_s": 0.19, "source.evaluate_calls": 7},
+        },
+    }
+
+
 FILES = {
     "trace_sweeps-setup.json": b'[{"path": "/one/tree/scenarios/a.json"}]',
     "trace_sweeps/op0/report.json": b'{"flux_n": 0.125}\n',
@@ -162,18 +208,22 @@ def test_setup_file_sits_beside_the_compared_workload_directory(tmp_path):
     assert len(bench_pairs.compare_trees(a, b)) == 1
 
 
-def _fake_runs(monkeypatch, tmp_path, differing=()):
+def _fake_runs(monkeypatch, tmp_path, differing=(), fail=None):
     """Stand-ins for ``extract`` and ``run``: a run writes a set-up file naming its tree and
-    one output file, plus ``x.csv`` in this checkout at a seed of ``differing``.  Returns the
-    extracted revisions and the runs as ``(in this checkout, workload, seed)``."""
+    one output file, plus ``x.csv`` in this checkout at a seed of ``differing``, and fails as
+    its tree's run does when it is run number ``fail``.  Returns the extracted revisions and
+    the runs as ``(in this checkout, workload, seed)``, with the trace level after the seed
+    for traced runs."""
     here = tmp_path / "checkout"
     extracted, ran = [], []
     monkeypatch.setattr(bench_pairs, "ROOT", here)
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: extracted.append(rev))
     metrics = {metric["name"]: {"value": 1.0} for metric in bench_pairs.BENCHMARK["end_to_end"]}
 
-    def run(tree, workload, seed, seconds):
-        ran.append((tree == here, workload, seed))
+    def run(tree, workload, seed, seconds, trace=0):
+        ran.append((tree == here, workload, seed) + ((trace,) if trace else ()))
+        if len(ran) == fail:
+            raise RuntimeError(f"{workload} failed in {tree}")
         out = tree / bench_pairs.OUT
         shutil.rmtree(out / workload, ignore_errors=True)
         files = {f"{workload}/op0/trace.csv": b"1\n", f"{workload}-setup.json": str(tree).encode()}
@@ -233,3 +283,50 @@ def test_fewer_than_one_pair_is_a_usage_error(capsys, pairs):
         bench_pairs.main(["--rev", "HEAD", "--pairs", pairs, "--seed", "1"])
     assert exc.value.code == 2
     assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err
+
+
+def _git_checkout(path: Path) -> str:
+    """A git repository at ``path`` with one commit; its SHA."""
+    path.mkdir()
+    git = ["git", "-C", str(path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "c"], check=True)
+    return subprocess.run(
+        [*git, "rev-parse", "HEAD"], capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def test_label_writes_one_record_after_every_pair_and_trace_run(tmp_path, monkeypatch):
+    _, ran = _fake_runs(monkeypatch, tmp_path)
+    sha = _git_checkout(tmp_path / "checkout")
+    path = tmp_path / "checkout" / "BENCH_t.json"
+    fake = bench_pairs.run
+
+    def run(*args, **kwargs):
+        assert not path.exists()
+        return fake(*args, **kwargs)
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    argv = ["--rev", "HEAD", "--workload", "joint_spectra", "--pairs", "2", "--seed", "7"]
+    assert bench_pairs.main([*argv, "--label", "t"]) == 0
+    assert ran[4:] == [(False, "joint_spectra", 7, 1), (True, "joint_spectra", 7, 1)]
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    assert bench["rev"] == {"name": "HEAD", "sha": sha}
+    assert bench["this"] == {"sha": sha, "dirty": False}
+    assert (bench["label"], bench["seed"], bench["pairs"]) == ("t", 7, 2)
+    assert set(bench["host"]) == {"cpu_count", "python", "numpy"}
+    assert list(bench["workloads"]) == ["joint_spectra"]
+    entry = bench["workloads"]["joint_spectra"]
+    assert entry["end_to_end"]["wall_s"]["this"]["values"] == [1.0, 1.0]
+    assert entry["operations"]["this"] == {"failed": 0, "attempted": 10}
+    assert entry["differing_seeds"] == 0
+    assert set(entry["per_layer"]) == {"rev", "this"}
+
+
+@pytest.mark.parametrize("fail", [3, 5], ids=["pair", "trace"])
+def test_label_writes_nothing_when_a_run_fails(tmp_path, monkeypatch, fail):
+    _, ran = _fake_runs(monkeypatch, tmp_path, fail=fail)
+    argv = ["--rev", "HEAD", "--workload", "joint_spectra", "--pairs", "2", "--seed", "7"]
+    assert bench_pairs.main([*argv, "--label", "t"]) == 1
+    assert len(ran) == fail
+    assert not (tmp_path / "checkout" / "BENCH_t.json").exists()

@@ -277,6 +277,18 @@ def test_worker_count_does_not_change_the_output(name, tmp_path):
     assert sorted(p.name for p in (tmp_path / "two").iterdir()) == sorted(report["files"])
 
 
+@pytest.mark.parametrize("workers", [-1, 0, True])
+def test_bad_worker_count_raises_before_touching_a_finished_run(workers, tmp_path):
+    sweep = parse_scenario(SWEEPS["intra_element"])
+    for scenario in (sweep, single_point(sweep, sweep.sweep.values[0])):
+        out = tmp_path / ("sweep" if scenario.sweep else "single")
+        runner.run_scenario(scenario, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(ValueError, match="workers must be None or an int of at least 1"):
+            runner.run_scenario(scenario, out, workers=workers)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("budget_points, pool", [(2.5, 2), (1.5, 1)])
 def test_sweep_pool_fits_the_memory_budget(budget_points, pool, monkeypatch, tmp_path):
     # The budget admits each point alone; the pool runs no more of them at

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare this checkout's benchmark outputs and end-to-end metrics with a git revision's.
 
-    python3 tools/bench_pairs.py --rev 97edcbe --pairs 10 --seed 6101
+    python3 tools/bench_pairs.py --rev 97edcbe --pairs 10 --seed 6101 [--label pr28]
 
 Extracts the committed files of REV into a temporary directory once, with
 ``git archive`` rather than as a worktree, so that an interrupted run leaves
@@ -11,7 +11,7 @@ default all) once in that tree and once in this checkout, both with
 file that differs between the two trees' ``perfbench/out/<workload>`` and a
 verdict (``<workload>-setup.json``, beside it, holds tree paths).  REV runs
 first in even pairs and this checkout in odd ones, so neither side always
-meets a warmer machine.  ``--seconds`` defaults to ``run_seconds`` in
+meets a warmer host.  ``--seconds`` defaults to ``run_seconds`` in
 ``BENCHMARK.json``; ``--pairs 2 --seconds 1`` is the quick byte check.
 
 For each workload and each end-to-end metric of ``BENCHMARK.json``, prints
@@ -25,28 +25,39 @@ the metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the revision's
 median).  Exits 1 as soon as a run exits non-zero or reports
 ``correct: false``, or after the summaries if any outputs differed, else 0.
 
+With ``--label L``, each workload then runs once per side with ``--trace 1``
+at seed S for its per-layer metrics, and after the summaries the pairs and
+those runs are written to ``BENCH_<L>.json`` at the repository root
+(``record``, ``_header``); nothing is written if a run fails.
+
 For an A/A control, run ``--rev HEAD`` from a copy of the checkout with no
 uncommitted change: both sides then hold the same code, so what differs is
 noise and the bias between an extracted tree and the checkout (a few tenths
 of a MiB of ``peak_rss_mib``).  Compare a paired change with that spread.
 
 This checkout's runs overwrite its ``perfbench/out/`` and
-``perfbench/results/<workload>-trace0.json``; keep a longer benchmark result
-elsewhere before running it.  The temporary tree is removed afterwards.
+``perfbench/results/<workload>-trace0.json``, and with ``--label`` also
+``results/<workload>-trace1.json`` and ``results/<workload>-spans.json``;
+keep a longer benchmark result elsewhere before running it.  The temporary
+tree is removed afterwards.
 """
 
 import argparse
 import json
 import math
+import os
+import platform
 import statistics
 import subprocess
 import sys
 import tempfile
+from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 OUT = Path("perfbench") / "out"
+SIDES = ("rev", "this")  # the keys of a record's two sides, in pair order
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402  (the benchmark's workload names)
@@ -62,20 +73,6 @@ def compare_trees(left: Path, right: Path) -> list:
     return proc.stdout.splitlines()
 
 
-def run_benchmark(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0):
-    """The finished ``perfbench/run.py`` process of one run of ``workload`` in
-    ``tree``, with its captured output; raises ``RuntimeError`` if it exits
-    non-zero."""
-    command = [
-        sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
-    ]
-    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{workload} failed in {tree}:\n{proc.stderr}")
-    return proc
-
-
 def extract(rev: str, dest: Path) -> None:
     """The files committed at ``rev``, written under ``dest``."""
     archive = subprocess.run(
@@ -84,9 +81,16 @@ def extract(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one untraced run of ``workload`` in ``tree``."""
-    proc = run_benchmark(tree, workload, seed, seconds)
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """The result line of one run of ``workload`` in ``tree``; raises
+    ``RuntimeError`` if it exits non-zero or reports ``correct: false``."""
+    command = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{workload} failed in {tree}:\n{proc.stderr}")
     result = json.loads(proc.stdout.splitlines()[-1])
     if not result["correct"]:
         raise RuntimeError(f"{workload} in {tree} reports correct: false:\n{proc.stderr}")
@@ -130,12 +134,18 @@ def summarize(pairs: list, metrics: list, rev: str) -> list:
             f"  {name:<13} {rev}: {_spread(before)}  this: {_spread(after)}  "
             f"this better in {wins}/{len(pairs)} {metric['unit']}"
         )
-    failed = [
-        f"{sum(r['failed'] for r in side)}/{sum(r['attempted'] for r in side)}"
-        for side in zip(*pairs)
-    ]
+    failed = [f"{ops['failed']}/{ops['attempted']}" for ops in _operations(pairs)]
     lines.append(f"  failed ops    {rev}: {failed[0]}  this: {failed[1]}")
     return lines
+
+
+def _operations(pairs: list) -> list:
+    """The revision's and this checkout's failed and attempted operations
+    over the pairs."""
+    return [
+        {key: sum(result[key] for result in side) for key in ("failed", "attempted")}
+        for side in zip(*pairs)
+    ]
 
 
 def judge(pairs: list, metrics: list) -> list:
@@ -163,6 +173,59 @@ def judge(pairs: list, metrics: list) -> list:
     return lines
 
 
+def record(pairs: list, traced: tuple, differing: int, metrics: list) -> dict:
+    """One workload's entry in ``BENCH_<label>.json``, from its ``(rev result,
+    this result)`` pairs, the two sides' ``--trace 1`` result lines and the
+    number of seeds whose outputs differed: per metric of ``metrics``, each
+    side's per-pair values with their median and quartiles and this
+    checkout's wins; each side's failed and attempted operations; and each
+    side's per-layer metrics."""
+    end_to_end = {}
+    for metric in metrics:
+        *values, wins = _sides(pairs, metric)
+        end_to_end[metric["name"]] = {"unit": metric["unit"], "this_wins": wins}
+        for side, side_values in zip(SIDES, values):
+            q1, median, q3 = quartiles(side_values)
+            end_to_end[metric["name"]][side] = {
+                "median": median, "q1": q1, "q3": q3, "values": side_values
+            }
+    return {
+        "end_to_end": end_to_end,
+        "operations": dict(zip(SIDES, _operations(pairs))),
+        "differing_seeds": differing,
+        "per_layer": {
+            side: {name: entry["value"] for name, entry in result["metrics"].items()}
+            for side, result in zip(SIDES, traced)
+        },
+    }
+
+
+def _git(*args) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def _header(args) -> dict:
+    """What a record says of its run: the arguments, both sides' commits and
+    whether this checkout's ``src/`` or ``perfbench/`` has uncommitted
+    changes, and the host."""
+    dirty = _git("status", "--porcelain", "--untracked-files=no", "--", "src", "perfbench")
+    return {
+        "label": args.label,
+        "rev": {"name": args.rev, "sha": _git("rev-parse", "--verify", f"{args.rev}^{{commit}}")},
+        "this": {"sha": _git("rev-parse", "HEAD"), "dirty": bool(dirty)},
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": version("numpy"),
+        },
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", required=True, help="git revision to compare against")
@@ -170,11 +233,13 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
+    parser.add_argument("--label", help="also write BENCH_<LABEL>.json at the repository root")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
     pairs = {workload: [] for workload in args.workload}
-    differing = 0
+    differing = dict.fromkeys(args.workload, 0)
+    traced = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         other = Path(tmp)
         extract(args.rev, other)
@@ -190,8 +255,12 @@ def main(argv=None) -> int:
                         print(line)
                     verdict = f"{len(differences)} difference(s)" if differences else "identical"
                     print(f"{OUT / workload} at seed {seed} against {args.rev}: {verdict}")
-                    differing += bool(differences)
+                    differing[workload] += bool(differences)
                 print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+            for workload in args.workload if args.label else ():
+                traced[workload] = tuple(
+                    run(tree, workload, args.seed, args.seconds, trace=1) for tree in (other, ROOT)
+                )
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
@@ -201,7 +270,18 @@ def main(argv=None) -> int:
             print(line)
         for line in judge(workload_pairs, BENCHMARK["end_to_end"]):
             print(line)
-    return 1 if differing else 0
+    if args.label:
+        workloads = {
+            workload: record(
+                pairs[workload], traced[workload], differing[workload], BENCHMARK["end_to_end"]
+            )
+            for workload in args.workload
+        }
+        path = ROOT / f"BENCH_{args.label}.json"
+        bench = _header(args) | {"workloads": workloads}
+        path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {path.name}")
+    return 1 if any(differing.values()) else 0
 
 
 if __name__ == "__main__":
