@@ -18,6 +18,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from numbers import Integral
 from pathlib import Path
 
 from . import analysis, outputs
@@ -163,12 +164,12 @@ def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointO
 
 
 def check_workers(workers) -> None:
-    """Refuse a worker count other than ``None`` (the CPU count) or an int of
-    at least 1; a bool is not a count."""
+    """Refuse a worker count other than ``None`` (the CPU count) or an
+    integer (numpy's included) of at least 1; a bool is not a count."""
     if workers is not None and (
-        isinstance(workers, bool) or not isinstance(workers, int) or workers < 1
+        isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1
     ):
-        raise ValueError(f"workers must be None or an int of at least 1, got {workers!r}")
+        raise ValueError(f"workers must be None or an integer of at least 1, got {workers!r}")
 
 
 def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dict:

@@ -284,8 +284,10 @@ def test_bad_worker_count_raises_before_touching_a_finished_run(workers, tmp_pat
         out = tmp_path / ("sweep" if scenario.sweep else "single")
         runner.run_scenario(scenario, out)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        with pytest.raises(ValueError, match="workers must be None or an int of at least 1"):
+        with pytest.raises(ValueError, match="workers must be None or an integer of at least 1"):
             runner.run_scenario(scenario, out, workers=workers)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        runner.run_scenario(scenario, out, workers=np.int64(1))  # numpy integers are counts
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
