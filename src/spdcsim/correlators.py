@@ -84,9 +84,7 @@ class JointComb:
     J_{orders[k]}(combined_index)^2.  ``envelope`` is the squared-modulus
     envelope of the structured term sampled at ``envelope_axis`` (the free
     combination, spanning twice the grid): |R(Omega_-/2)|^2 for the interbeam
-    comb, S(Omega_+/2)^2 for the intrabeam one.  The background is the
-    separable product of the per-frequency flux densities
-    ``background_factor_1/2`` (units photons/ps per rad/ps).
+    comb, S(Omega_+/2)^2 for the intrabeam one.
     """
 
     grid: FrequencyGrid
@@ -97,8 +95,6 @@ class JointComb:
     coefficients: np.ndarray
     envelope_axis: np.ndarray
     envelope: np.ndarray
-    background_factor_1: np.ndarray
-    background_factor_2: np.ndarray
 
     def coefficient(self, n: int) -> float:
         """Squared line weight at comb order n, zero if pruned."""
@@ -401,11 +397,6 @@ def _check_narrowband(
         )
 
 
-def _flux_density(source: SourceFields) -> np.ndarray:
-    """Per-frequency flux density N(Omega) = S(Omega)/(2pi), photons/ps/(rad/ps)."""
-    return source.S / (2.0 * np.pi)
-
-
 def _g2_freq_narrowband(
     source: SourceFields, m1: ModulatorComb, m2: ModulatorComb, inter: bool
 ) -> JointComb:
@@ -417,7 +408,6 @@ def _g2_freq_narrowband(
     _check_narrowband(source, inter, m1, m2)
     combined_index = m1.index + m2.index if inter else m1.index - m2.index
     combined = build_comb(m1.mod_freq, combined_index, 2 * MAX_MOD_INDEX)
-    density = _flux_density(source)
     return JointComb(
         grid=grid,
         configuration=INTER_FREQ if inter else INTRA_FREQ,
@@ -427,8 +417,6 @@ def _g2_freq_narrowband(
         coefficients=combined.weights**2,
         envelope_axis=2.0 * grid.omegas,
         envelope=_structure_weight(source, inter),
-        background_factor_1=density,
-        background_factor_2=density,
     )
 
 

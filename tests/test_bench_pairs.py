@@ -37,6 +37,15 @@ def _line(wall, rate, failed=0, attempted=5):
     )
 
 
+def _summary(pairs, metrics, rev="r"):
+    """The printed lines of one workload's pairs: spreads, failed operations, verdicts."""
+    return bench_pairs.summary_lines(bench_pairs.record(pairs, metrics, 0), rev)
+
+
+def _verdicts(pairs, metrics):
+    return _summary(pairs, metrics)[len(metrics) + 1 :]
+
+
 def test_summary_counts_wins_in_each_direction_and_ties_for_neither():
     pairs = [
         (_line(1.0, 10.0), _line(0.9, 11.0)),  # this better in both
@@ -45,8 +54,7 @@ def test_summary_counts_wins_in_each_direction_and_ties_for_neither():
         (_line(1.1, 9.0), _line(1.0, 9.5)),  # this better in both
         (_line(0.8, 8.0), _line(0.7, 9.0)),  # this better in both
     ]
-    lines = bench_pairs.summarize(pairs, METRICS, "abc123")
-    assert lines == [
+    assert _summary(pairs, METRICS, "abc123")[:3] == [
         "  wall_s        abc123: 1 [1, 1.1]  this: 1 [0.9, 1]  this better in 3/5 s",
         "  rate          abc123: 10 [9, 10]  this: 10 [9.5, 11]  this better in 3/5 op/s",
         "  failed ops    abc123: 0/25  this: 1/25",
@@ -54,10 +62,15 @@ def test_summary_counts_wins_in_each_direction_and_ties_for_neither():
 
 
 def test_summary_of_one_pair_prints_its_values():
-    lines = bench_pairs.summarize([(_line(2.0, 5.0), _line(2.0, 5.0))], METRICS[:1], "r")
-    assert lines == [
+    assert _summary([(_line(2.0, 5.0), _line(2.0, 5.0))], METRICS, "r") == [
         "  wall_s        r: 2  this: 2  this better in 0/1 s",
+        "  rate          r: 5  this: 5  this better in 0/1 op/s",
         "  failed ops    r: 0/5  this: 0/5",
+        # A tie is +0 in either direction, never -0.
+        "  wall_s        gain rule fails (0/1 better, median gap 0 against IQR 0)  "
+        "within bound 0.24 (this worse by +0.00%)",
+        "  rate          gain rule fails (0/1 better, median gap 0 against IQR 0)  "
+        "within bound 0.1 (this worse by +0.00%)",
     ]
 
 
@@ -74,8 +87,7 @@ def _pairs(befores, afters):
 def test_gain_rule_holds_with_nine_wins_and_a_gap_beyond_the_spread():
     befores = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.00]
     afters = [0.80] * 9 + [1.05]  # the last pair lost
-    lines = bench_pairs.judge(_pairs(befores, afters), METRICS[:1])
-    assert lines == [
+    assert _verdicts(_pairs(befores, afters), METRICS[:1]) == [
         "  wall_s        gain rule holds (9/10 better, median gap 0.2 against IQR 0.015)  "
         "within bound 0.24 (this worse by -20.00%)"
     ]
@@ -83,10 +95,10 @@ def test_gain_rule_holds_with_nine_wins_and_a_gap_beyond_the_spread():
 
 def test_gain_rule_fails_on_eight_wins_or_a_gap_inside_the_spread():
     befores = [1.0, 1.2, 0.8, 1.1, 0.9, 1.0, 1.3, 0.7, 1.0, 1.0]
-    eight = bench_pairs.judge(_pairs(befores, [0.5] * 8 + [2.0, 2.0]), METRICS[:1])
+    eight = _verdicts(_pairs(befores, [0.5] * 8 + [2.0, 2.0]), METRICS[:1])
     assert eight[0].startswith("  wall_s        gain rule fails (8/10 better, median gap 0.5 ")
     # Ten wins, but the medians differ by 0.1 and the quartiles by 0.15.
-    narrow = bench_pairs.judge(_pairs(befores, [b - 0.1 for b in befores]), METRICS[:1])
+    narrow = _verdicts(_pairs(befores, [b - 0.1 for b in befores]), METRICS[:1])
     assert narrow[0].startswith("  wall_s        gain rule fails (10/10 better, median gap 0.1 ")
     assert "against IQR 0.15)" in narrow[0]
 
@@ -95,18 +107,18 @@ def test_bound_is_a_fraction_of_the_revision_median_in_the_worse_direction():
     # wall_s: lower is better, bound 0.24; rate: higher is better, bound 0.1.
     within = [(_line(1.0, 10.0), _line(1.2, 9.5))] * 3
     beyond = [(_line(1.0, 10.0), _line(1.25, 8.5))] * 3
-    assert [line.split("  ")[-1] for line in bench_pairs.judge(within, METRICS)] == [
+    assert [line.split("  ")[-1] for line in _verdicts(within, METRICS)] == [
         "within bound 0.24 (this worse by +20.00%)",
         "within bound 0.1 (this worse by +5.00%)",
     ]
-    assert [line.split("  ")[-1] for line in bench_pairs.judge(beyond, METRICS)] == [
+    assert [line.split("  ")[-1] for line in _verdicts(beyond, METRICS)] == [
         "BEYOND bound 0.24 (this worse by +25.00%)",
         "BEYOND bound 0.1 (this worse by +15.00%)",
     ]
 
 
 def test_one_pair_has_no_spread():
-    lines = bench_pairs.judge([(_line(2.0, 5.0), _line(1.0, 6.0))], METRICS)
+    lines = _verdicts([(_line(2.0, 5.0), _line(1.0, 6.0))], METRICS)
     assert lines[0].startswith("  wall_s        gain rule holds (1/1 better, median gap 1 against IQR 0)")
     assert lines[1].startswith("  rate          gain rule holds (1/1 better, median gap 1 against IQR 0)")
 
@@ -135,19 +147,24 @@ def test_record_holds_each_sides_values_spread_wins_operations_and_layers():
         (_line(1.25, 9.0), _line(1.0, 9.5)),  # this better in both
     ]
     traced = (_traced(0.2, 9), _traced(0.19, 7))
-    assert bench_pairs.record(pairs, traced, 1, METRICS) == {
+    entry = bench_pairs.record(pairs, METRICS, 1, traced)
+    assert entry == {
         "end_to_end": {
             "wall_s": {
                 "unit": "s",
                 "this_wins": 2,
                 "rev": {"median": 1.25, "q1": 1.125, "q3": 1.375, "values": [1.0, 1.5, 1.25]},
                 "this": {"median": 1.0, "q1": 0.875, "q3": 1.375, "values": [0.75, 1.75, 1.0]},
+                "gain_rule_holds": False, "median_gap": 0.25, "rev_iqr": 0.25,  # 2/3 wins
+                "this_worse_by": -0.2, "bound": 0.24, "beyond_bound": False,
             },
             "rate": {
                 "unit": "op/s",
                 "this_wins": 2,
                 "rev": {"median": 10.0, "q1": 9.5, "q3": 11.0, "values": [10.0, 12.0, 9.0]},
                 "this": {"median": 11.0, "q1": 10.25, "q3": 11.0, "values": [11.0, 11.0, 9.5]},
+                "gain_rule_holds": False, "median_gap": 1.0, "rev_iqr": 1.5,
+                "this_worse_by": -0.1, "bound": 0.1, "beyond_bound": False,
             },
         },
         "operations": {
@@ -160,6 +177,8 @@ def test_record_holds_each_sides_values_spread_wins_operations_and_layers():
             "this": {"cli.import_s": 0.19, "source.evaluate_calls": 7},
         },
     }
+    del entry["per_layer"]  # present with traced runs only
+    assert bench_pairs.record(pairs, METRICS, 1) == entry
 
 
 FILES = {
@@ -285,6 +304,17 @@ def test_fewer_than_one_pair_is_a_usage_error(capsys, pairs):
     assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err
 
 
+def test_repeated_workload_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """A repeated workload would add two runs a side to one workload's pairs at each seed."""
+    _, ran = _fake_runs(monkeypatch, tmp_path)
+    argv = ["--rev", "HEAD", "--workload", "joint_spectra", "joint_spectra", "--pairs", "2"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--workload names a workload more than once" in capsys.readouterr().err
+    assert ran == []
+
+
 def _git_checkout(path: Path) -> str:
     """A git repository at ``path`` with one commit; its SHA."""
     path.mkdir()
@@ -296,7 +326,7 @@ def _git_checkout(path: Path) -> str:
     ).stdout.strip()
 
 
-def test_label_writes_one_record_after_every_pair_and_trace_run(tmp_path, monkeypatch):
+def test_label_writes_one_record_after_every_pair_and_trace_run(tmp_path, monkeypatch, capsys):
     _, ran = _fake_runs(monkeypatch, tmp_path)
     sha = _git_checkout(tmp_path / "checkout")
     path = tmp_path / "checkout" / "BENCH_t.json"
@@ -317,7 +347,15 @@ def test_label_writes_one_record_after_every_pair_and_trace_run(tmp_path, monkey
     assert set(bench["host"]) == {"cpu_count", "python", "numpy"}
     assert list(bench["workloads"]) == ["joint_spectra"]
     entry = bench["workloads"]["joint_spectra"]
-    assert entry["end_to_end"]["wall_s"]["this"]["values"] == [1.0, 1.0]
+    wall = entry["end_to_end"]["wall_s"]
+    assert wall["this"]["values"] == [1.0, 1.0]
+    assert (wall["gain_rule_holds"], wall["median_gap"], wall["rev_iqr"]) == (False, 0.0, 0.0)
+    assert (wall["this_worse_by"], wall["bound"], wall["beyond_bound"]) == (0.0, 0.24, False)
+    # What is printed is the record's entry, verdicts included.
+    lines = capsys.readouterr().out.splitlines()
+    summary = lines[lines.index("joint_spectra") + 1 : -1]
+    assert summary == bench_pairs.summary_lines(entry, "HEAD")
+    assert summary[5].endswith("gap 0 against IQR 0)  within bound 0.24 (this worse by +0.00%)")
     assert entry["operations"]["this"] == {"failed": 0, "attempted": 10}
     assert entry["differing_seeds"] == 0
     assert set(entry["per_layer"]) == {"rev", "this"}

@@ -191,12 +191,6 @@ class TestNarrowbandCombs:
         assert intra.configuration == "intra_freq"
         assert np.allclose(intra.envelope, self.src.S**2, atol=1e-300)
 
-    def test_background_factors_are_source_spectra(self):
-        comb = g2_inter_freq_narrowband(self.src, build_comb(0.01, 0.6), build_comb(0.01, 0.6))
-        expected = self.src.S / (2 * np.pi)
-        assert np.array_equal(comb.background_factor_1, expected)
-        assert np.array_equal(comb.background_factor_2, expected)
-
     def test_mismatched_drive_rejected(self):
         with pytest.raises(MismatchedDrive):
             g2_inter_freq_narrowband(self.src, build_comb(0.01, 0.5), build_comb(0.02, -0.5))

@@ -277,8 +277,6 @@ def test_comb_special_values():
         coefficients=np.array([5e-324, 0.1, 1.0 / 3.0, -0.0, 1e17]),
         envelope_axis=_special_column(m, 3),
         envelope=_special_column(m, 4),
-        background_factor_1=np.ones(64),
-        background_factor_2=np.ones(64),
     )
     assert written(outputs.comb_csv(comb)) == reference_comb(comb)
 

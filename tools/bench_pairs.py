@@ -14,7 +14,8 @@ first in even pairs and this checkout in odd ones, so neither side always
 meets a warmer host.  ``--seconds`` defaults to ``run_seconds`` in
 ``BENCHMARK.json``; ``--pairs 2 --seconds 1`` is the quick byte check.
 
-For each workload and each end-to-end metric of ``BENCHMARK.json``, prints
+For each workload, ``record`` computes its figures from the pairs and
+``summary_lines`` prints them: per end-to-end metric of ``BENCHMARK.json``,
 each side's median and quartiles over the pairs and in how many pairs this
 checkout did better (a tie counts for neither side), then each side's
 failed operations.  Then, per metric, whether the gain rule holds (this
@@ -22,13 +23,15 @@ checkout better in at least 9/10 of the pairs, and its median better than
 the revision's by more than the revision's interquartile range), and
 whether this checkout's median is worse than the revision's by more than
 the metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the revision's
-median).  Exits 1 as soon as a run exits non-zero or reports
-``correct: false``, or after the summaries if any outputs differed, else 0.
+median).  A repeated ``--workload`` is a usage error.  Exits 1 as soon as a
+run exits non-zero or reports ``correct: false``, or after the summaries if
+any outputs differed, else 0.
 
 With ``--label L``, each workload then runs once per side with ``--trace 1``
-at seed S for its per-layer metrics, and after the summaries the pairs and
-those runs are written to ``BENCH_<L>.json`` at the repository root
-(``record``, ``_header``); nothing is written if a run fails.
+at seed S for its per-layer metrics, and after the summaries each
+workload's ``record``, verdicts included, with those runs' metrics is
+written to ``BENCH_<L>.json`` at the repository root, under ``_header``;
+nothing is written if a run fails.
 
 For an A/A control, run ``--rev HEAD`` from a copy of the checkout with no
 uncommitted change: both sides then hold the same code, so what differs is
@@ -105,99 +108,73 @@ def quartiles(values: list) -> tuple:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def _spread(values: list) -> str:
-    q1, median, q3 = quartiles(values)
-    return f"{median:.4g}" if len(values) == 1 else f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
-
-
-def _sides(pairs: list, metric: dict):
-    """The revision's and this checkout's values of ``metric`` over the pairs,
-    and this checkout's wins (a tie counts for neither side)."""
-    name = metric["name"]
-    before = [old["metrics"][name]["value"] for old, _ in pairs]
-    after = [new["metrics"][name]["value"] for _, new in pairs]
-    sign = 1 if metric["better"] == "lower" else -1
-    wins = sum(sign * (old - new) > 0 for old, new in zip(before, after))
-    return before, after, wins
-
-
-def summarize(pairs: list, metrics: list, rev: str) -> list:
-    """Summary lines of one workload's ``(rev result, this result)`` pairs:
-    per metric of ``metrics`` (``BENCHMARK.json``'s ``end_to_end``), each
-    side's median [q1, q3] and this checkout's wins, then the failed
-    operations of each side."""
-    lines = []
+def record(pairs: list, metrics: list, differing: int, traced=None) -> dict:
+    """One workload's figures, and its entry in ``BENCH_<label>.json``, from its
+    ``(rev result, this result)`` pairs, the number of seeds whose outputs
+    differed and the two sides' ``--trace 1`` result lines, if any.  Per
+    metric of ``metrics``, each side's values with their median and quartiles,
+    this checkout's wins and the two verdicts the module docstring defines;
+    each side's operations; and, with traced runs, each side's per-layer
+    metrics."""
+    end_to_end = {}
     for metric in metrics:
-        name = metric["name"]
-        before, after, wins = _sides(pairs, metric)
-        lines.append(
-            f"  {name:<13} {rev}: {_spread(before)}  this: {_spread(after)}  "
-            f"this better in {wins}/{len(pairs)} {metric['unit']}"
-        )
-    failed = [f"{ops['failed']}/{ops['attempted']}" for ops in _operations(pairs)]
-    lines.append(f"  failed ops    {rev}: {failed[0]}  this: {failed[1]}")
-    return lines
-
-
-def _operations(pairs: list) -> list:
-    """The revision's and this checkout's failed and attempted operations
-    over the pairs."""
-    return [
+        name, bound = metric["name"], metric["bound"]
+        sign = 1 if metric["better"] == "lower" else -1
+        values = [[result["metrics"][name]["value"] for result in side] for side in zip(*pairs)]
+        wins = sum(sign * (old - new) > 0 for old, new in zip(*values))
+        figures = end_to_end[name] = {"unit": metric["unit"], "this_wins": wins}
+        for side, side_values in zip(SIDES, values):
+            q1, median, q3 = quartiles(side_values)
+            figures[side] = {"median": median, "q1": q1, "q3": q3, "values": side_values}
+        base, iqr = figures["rev"]["median"], figures["rev"]["q3"] - figures["rev"]["q1"]
+        # ``or 0.0``: a tie is +0, not the -0 that a negation leaves.
+        gap = sign * (base - figures["this"]["median"]) or 0.0
+        worse = (-gap / abs(base) if base else (math.inf if gap < 0 else 0.0)) or 0.0
+        figures |= {"gain_rule_holds": 10 * wins >= 9 * len(pairs) and gap > iqr,
+                    "median_gap": gap, "rev_iqr": iqr,
+                    "this_worse_by": worse, "bound": bound, "beyond_bound": worse > bound}
+    operations = [
         {key: sum(result[key] for result in side) for key in ("failed", "attempted")}
         for side in zip(*pairs)
     ]
-
-
-def judge(pairs: list, metrics: list) -> list:
-    """Per metric of ``metrics``, a line with two verdicts on one workload's
-    pairs.  The gain rule holds when this checkout is better in at least
-    9/10 of the pairs and its median better than the revision's by more
-    than the revision's interquartile range.  The bound is exceeded when
-    this checkout's median is worse than the revision's by more than the
-    metric's ``bound``, a fraction of the revision's median."""
-    lines = []
-    for metric in metrics:
-        before, after, wins = _sides(pairs, metric)
-        q1, base, q3 = quartiles(before)
-        sign = 1 if metric["better"] == "lower" else -1
-        gap = sign * (base - statistics.median(after))
-        holds = 10 * wins >= 9 * len(pairs) and gap > q3 - q1
-        worse = -gap / abs(base) if base else (math.inf if gap < 0 else 0.0)
-        beyond = worse > metric["bound"]
-        lines.append(
-            f"  {metric['name']:<13} gain rule {'holds' if holds else 'fails'} "
-            f"({wins}/{len(pairs)} better, median gap {gap:.4g} against IQR {q3 - q1:.4g})  "
-            f"{'BEYOND' if beyond else 'within'} bound {metric['bound']:g} "
-            f"(this worse by {worse:+.2%})"
-        )
-    return lines
-
-
-def record(pairs: list, traced: tuple, differing: int, metrics: list) -> dict:
-    """One workload's entry in ``BENCH_<label>.json``, from its ``(rev result,
-    this result)`` pairs, the two sides' ``--trace 1`` result lines and the
-    number of seeds whose outputs differed: per metric of ``metrics``, each
-    side's per-pair values with their median and quartiles and this
-    checkout's wins; each side's failed and attempted operations; and each
-    side's per-layer metrics."""
-    end_to_end = {}
-    for metric in metrics:
-        *values, wins = _sides(pairs, metric)
-        end_to_end[metric["name"]] = {"unit": metric["unit"], "this_wins": wins}
-        for side, side_values in zip(SIDES, values):
-            q1, median, q3 = quartiles(side_values)
-            end_to_end[metric["name"]][side] = {
-                "median": median, "q1": q1, "q3": q3, "values": side_values
-            }
-    return {
+    entry = {
         "end_to_end": end_to_end,
-        "operations": dict(zip(SIDES, _operations(pairs))),
+        "operations": dict(zip(SIDES, operations)),
         "differing_seeds": differing,
-        "per_layer": {
-            side: {name: entry["value"] for name, entry in result["metrics"].items()}
-            for side, result in zip(SIDES, traced)
-        },
     }
+    if traced:
+        entry["per_layer"] = {
+            side: {name: layer["value"] for name, layer in result["metrics"].items()}
+            for side, result in zip(SIDES, traced)
+        }
+    return entry
+
+
+def _spread(side: dict) -> str:
+    median, q1, q3 = side["median"], side["q1"], side["q3"]
+    return f"{median:.4g}" if len(side["values"]) == 1 else f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def summary_lines(entry: dict, rev: str) -> list:
+    """The lines printed for one workload's ``record`` entry: per metric, each
+    side's median [q1, q3] and this checkout's wins; each side's failed
+    operations; then per metric the gain-rule and bound verdicts."""
+    metrics = entry["end_to_end"]
+    lines = [
+        f"  {name:<13} {rev}: {_spread(m['rev'])}  this: {_spread(m['this'])}  "
+        f"this better in {m['this_wins']}/{len(m['rev']['values'])} {m['unit']}"
+        for name, m in metrics.items()
+    ]
+    failed = [f"{ops['failed']}/{ops['attempted']}" for ops in entry["operations"].values()]
+    lines.append(f"  failed ops    {rev}: {failed[0]}  this: {failed[1]}")
+    lines += [
+        f"  {name:<13} gain rule {'holds' if m['gain_rule_holds'] else 'fails'} "
+        f"({m['this_wins']}/{len(m['rev']['values'])} better, median gap {m['median_gap']:.4g} "
+        f"against IQR {m['rev_iqr']:.4g})  {'BEYOND' if m['beyond_bound'] else 'within'} "
+        f"bound {m['bound']:g} (this worse by {m['this_worse_by']:+.2%})"
+        for name, m in metrics.items()
+    ]
+    return lines
 
 
 def _git(*args) -> str:
@@ -237,6 +214,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if len(set(args.workload)) < len(args.workload):
+        parser.error(f"--workload names a workload more than once: {' '.join(args.workload)}")
     pairs = {workload: [] for workload in args.workload}
     differing = dict.fromkeys(args.workload, 0)
     traced = {}
@@ -264,21 +243,15 @@ def main(argv=None) -> int:
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
-    for workload, workload_pairs in pairs.items():
-        print(workload)
-        for line in summarize(workload_pairs, BENCHMARK["end_to_end"], args.rev):
-            print(line)
-        for line in judge(workload_pairs, BENCHMARK["end_to_end"]):
-            print(line)
+    entries = {}
+    for workload in args.workload:
+        entries[workload] = entry = record(
+            pairs[workload], BENCHMARK["end_to_end"], differing[workload], traced.get(workload)
+        )
+        print("\n".join([workload, *summary_lines(entry, args.rev)]))
     if args.label:
-        workloads = {
-            workload: record(
-                pairs[workload], traced[workload], differing[workload], BENCHMARK["end_to_end"]
-            )
-            for workload in args.workload
-        }
         path = ROOT / f"BENCH_{args.label}.json"
-        bench = _header(args) | {"workloads": workloads}
+        bench = _header(args) | {"workloads": entries}
         path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {path.name}")
     return 1 if any(differing.values()) else 0
