@@ -34,7 +34,7 @@ from .correlators import (
     g2_intra_freq_narrowband,
     g2_intra_time,
 )
-from .elements import DispersiveElement, ModulatorComb, bessel_j, build_comb, dispersive_transfer
+from .elements import DispersiveElement, ModulatorComb, build_comb, dispersive_transfer
 from .errors import (
     AliasRisk,
     DegenerateTrace,
@@ -89,7 +89,6 @@ __all__ = [
     "assess_comb_cancelation",
     "assess_time_cancelation",
     "baseline",
-    "bessel_j",
     "broadening_fit",
     "build_comb",
     "cauchy_schwarz_ratio",

@@ -15,6 +15,7 @@ from .correlators import (
     baseline,
     INTER_TIME,
     INTRA_TIME,
+    TEMPORAL,
 )
 from .errors import DegenerateTrace
 from .source import SourceFields
@@ -122,7 +123,7 @@ def broadening_fit(phi_pairs, widths, config: str) -> BroadeningFit:
     Phi1 - Phi2.  When every sample sits at the same combination value the
     slope is pinned to zero and only the intercept is fitted.
     """
-    if config not in (INTER_TIME, INTRA_TIME):
+    if config not in TEMPORAL:
         raise ValueError(f"config must be {INTER_TIME!r} or {INTRA_TIME!r}, got {config!r}")
     phi_pairs = [(float(a), float(b)) for a, b in phi_pairs]
     widths = np.asarray(widths, dtype=float)

@@ -50,7 +50,9 @@ INTER_TIME = "inter_time"
 INTRA_TIME = "intra_time"
 INTER_FREQ = "inter_freq"
 INTRA_FREQ = "intra_freq"
-CONFIGURATIONS = (INTER_TIME, INTRA_TIME, INTER_FREQ, INTRA_FREQ)
+TEMPORAL = (INTER_TIME, INTRA_TIME)
+SPECTRAL = (INTER_FREQ, INTRA_FREQ)
+CONFIGURATIONS = TEMPORAL + SPECTRAL
 
 ALIAS_WINDOW_FRACTION = 0.40
 NARROWBAND_MAX_RATIO = 0.05
@@ -250,8 +252,8 @@ def _check_alias(source: SourceFields, inter: bool, combined_coeffs) -> None:
     if not tau0 + spread <= budget:
         raise AliasRisk(
             f"predicted trace extent {tau0 + spread:.3g} ps exceeds {budget:.3g} ps "
-            f"(40% of the {grid.tau_window:.3g} ps delay window); enlarge the grid "
-            "or reduce the dispersion"
+            f"({ALIAS_WINDOW_FRACTION:.0%} of the {grid.tau_window:.3g} ps delay window); "
+            "enlarge the grid or reduce the dispersion"
         )
 
 
@@ -493,7 +495,7 @@ def g2_freq_exact(
     comparable to mod_freq the envelope varies between sidebands and the
     narrowband form fails, which is the regime the validity gate excludes.
     """
-    if config not in (INTER_FREQ, INTRA_FREQ):
+    if config not in SPECTRAL:
         raise ValueError(f"config must be {INTER_FREQ!r} or {INTRA_FREQ!r}, got {config!r}")
     orders = exact_orders(m1, m2)
     check_drive(m1.mod_freq, m2.mod_freq)
@@ -536,10 +538,10 @@ def baseline(source: SourceFields, config: str):
     For the spectral configurations the identity modulator is an index-zero
     comb (single n = 0 line) at unit drive frequency.
     """
-    if config in (INTER_TIME, INTRA_TIME):
+    if config in TEMPORAL:
         identity = DispersiveElement.identity()
         return _g2_time(source, identity, identity, config == INTER_TIME)
-    if config in (INTER_FREQ, INTRA_FREQ):
+    if config in SPECTRAL:
         comb = build_comb(1.0, 0.0)
         return _g2_freq_narrowband(source, comb, comb, config == INTER_FREQ)
     raise ValueError(f"unknown configuration {config!r}")

@@ -17,8 +17,6 @@ from .errors import PreconditionError
 from .grid import FrequencyGrid, even_from_half, half_samples, memo
 
 MAX_PHASE_ORDER = 5
-BESSEL_MAX_ORDER = 200
-BESSEL_MAX_ARG = 50.0
 MAX_MOD_INDEX = 20.0
 COMB_PRUNE = 1e-12
 
@@ -152,30 +150,10 @@ def _bessel_row(x: float, n_max: int) -> np.ndarray:
     return row / norm
 
 
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x).
-
-    Valid for integral |n| <= 200 (an integral float counts) and |x| <= 50;
-    negative arguments reduce through J_{-n}(x) = (-1)^n J_n(x) and
-    J_n(-x) = (-1)^n J_n(x).  Any other order or argument, NaN included,
-    raises ``ValueError``.
-    """
-    if not (isinstance(n, (int, np.integer)) or (isinstance(n, float) and n.is_integer())):
-        raise ValueError(f"an integral order n required, got {n!r}")
-    n = int(n)
-    if abs(n) > BESSEL_MAX_ORDER:
-        raise ValueError(f"|n| <= {BESSEL_MAX_ORDER} required, got {n}")
-    if not abs(x) <= BESSEL_MAX_ARG:
-        raise ValueError(f"|x| <= {BESSEL_MAX_ARG} required, got {x}")
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    value = float(_bessel_row(abs(x), abs(n))[abs(n)])
-    return -value if _bessel_negates(n, x) else value
-
-
 def _bessel_negates(orders, x: float):
     """Where J_n(x) = -J_|n|(|x|), for an order or an array of orders n: at
-    odd n with exactly one of n and x negative (see ``bessel_j``)."""
+    odd n with exactly one of n and x negative (J_-n(x) = (-1)^n J_n(x) and
+    J_n(-x) = (-1)^n J_n(x)); ``build_comb`` signs its lines with it."""
     return (orders % 2 == 1) & ((orders < 0) != (x < 0))
 
 

@@ -9,7 +9,7 @@ fine; independent is the point.
 
 import numpy as np
 
-from .correlators import INTER_TIME, INTRA_TIME
+from .correlators import INTER_TIME, INTRA_TIME, TEMPORAL
 from .elements import DispersiveElement, dispersive_transfer
 from .grid import FrequencyGrid
 from .source import PhaseMismatch, SourceFields
@@ -52,7 +52,7 @@ def quadrature_g2(
     F(W) e^{iW tau}|^2 at the requested delays, with the interbeam integrand
     R(W) H1(W) H2(-W) or the intrabeam integrand S(W) H1*(W) H2(W).
     """
-    if config not in (INTER_TIME, INTRA_TIME):
+    if config not in TEMPORAL:
         raise ValueError(f"config must be {INTER_TIME!r} or {INTRA_TIME!r}, got {config!r}")
     taus = np.asarray(tau_list, dtype=float)
     if taus.size > MAX_TAU_SAMPLES:

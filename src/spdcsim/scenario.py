@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .correlators import CONFIGURATIONS, INTER_TIME, INTRA_TIME
+from .correlators import CONFIGURATIONS, TEMPORAL
 from .correlators import check_drive, exact_orders, mod_steps
 from .elements import DispersiveElement, build_comb, check_modulator
 from .errors import PreconditionError, ScenarioError, echo
@@ -77,11 +77,6 @@ _SWEEP_KEYS = {"parameter", "values"}
 _OUTPUT_KEYS = {"analyses", "write_trace", "write_comb"}
 
 
-def _is_temporal(configuration: str) -> bool:
-    """Whether ``configuration`` is a temporal (dispersive-element) one."""
-    return configuration in (INTER_TIME, INTRA_TIME)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     parameter: str
@@ -108,7 +103,7 @@ class Scenario:
 
     @property
     def is_temporal(self) -> bool:
-        return _is_temporal(self.configuration)
+        return self.configuration in TEMPORAL
 
     def resolved(self) -> dict:
         """Fully expanded scenario document; re-parsing it is the identity."""
@@ -338,7 +333,7 @@ def points_at_once(points) -> int:
 
 
 def _parse_outputs(doc, path: str, configuration: str) -> OutputSpec:
-    allowed = TIME_ANALYSES if _is_temporal(configuration) else FREQ_ANALYSES
+    allowed = TIME_ANALYSES if configuration in TEMPORAL else FREQ_ANALYSES
     doc = _require_mapping({} if doc is None else doc, path, _OUTPUT_KEYS)
     analyses = doc.get("analyses")
     if analyses is None:
@@ -434,7 +429,7 @@ def parse_scenario(document: dict) -> Scenario:
             "scenario.configuration",
             f"expected one of {list(CONFIGURATIONS)}, got {echo(configuration)}",
         )
-    temporal = _is_temporal(configuration)
+    temporal = configuration in TEMPORAL
 
     grid = _parse_grid(_get(document, "grid", "scenario"), "scenario.grid")
     source = _parse_source(_get(document, "source", "scenario"), "scenario.source")

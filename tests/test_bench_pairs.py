@@ -227,13 +227,23 @@ def test_setup_file_sits_beside_the_compared_workload_directory(tmp_path):
     assert len(bench_pairs.compare_trees(a, b)) == 1
 
 
+def _git_checkout(path: Path) -> None:
+    """A git repository at ``path`` with two empty commits, so that HEAD~1 exists."""
+    path.mkdir()
+    git = ["git", "-C", str(path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    for message in ("a", "b"):
+        subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", message], check=True)
+
+
 def _fake_runs(monkeypatch, tmp_path, differing=(), fail=None):
-    """Stand-ins for ``extract`` and ``run``: a run writes a set-up file naming its tree and
-    one output file, plus ``x.csv`` in this checkout at a seed of ``differing``, and fails as
-    its tree's run does when it is run number ``fail``.  Returns the extracted revisions and
-    the runs as ``(in this checkout, workload, seed)``, with the trace level after the seed
-    for traced runs."""
+    """A git checkout with stand-ins for ``extract`` and ``run``: a run writes a set-up file
+    naming its tree and one output file, plus ``x.csv`` in this checkout at a seed of
+    ``differing``, and fails as its tree's run does when it is run number ``fail``.  Returns
+    the extracted revisions and the runs as ``(in this checkout, workload, seed)``, with the
+    trace level after the seed for traced runs."""
     here = tmp_path / "checkout"
+    _git_checkout(here)
     extracted, ran = [], []
     monkeypatch.setattr(bench_pairs, "ROOT", here)
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: extracted.append(rev))
@@ -277,7 +287,7 @@ def test_main_compares_every_seed(tmp_path, monkeypatch, capsys, pairs, differin
     workloads = ["trace_sweeps", "joint_spectra"]
     argv = ["--rev", "HEAD~1", "--workload", *workloads, "--pairs", str(pairs), "--seed", "7"]
     assert bench_pairs.main(argv) == status
-    assert extracted == ["HEAD~1"]
+    assert extracted == [bench_pairs._git("rev-parse", "HEAD~1")]  # resolved once, up front
     seeds = range(7, 7 + pairs)
     assert ran == [
         (side, workload, seed)
@@ -315,20 +325,9 @@ def test_repeated_workload_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert ran == []
 
 
-def _git_checkout(path: Path) -> str:
-    """A git repository at ``path`` with one commit; its SHA."""
-    path.mkdir()
-    git = ["git", "-C", str(path), "-c", "user.name=t", "-c", "user.email=t@t"]
-    subprocess.run([*git, "init", "-q"], check=True)
-    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "c"], check=True)
-    return subprocess.run(
-        [*git, "rev-parse", "HEAD"], capture_output=True, text=True, check=True
-    ).stdout.strip()
-
-
 def test_label_writes_one_record_after_every_pair_and_trace_run(tmp_path, monkeypatch, capsys):
     _, ran = _fake_runs(monkeypatch, tmp_path)
-    sha = _git_checkout(tmp_path / "checkout")
+    sha = bench_pairs._git("rev-parse", "HEAD")
     path = tmp_path / "checkout" / "BENCH_t.json"
     fake = bench_pairs.run
 
@@ -368,3 +367,43 @@ def test_label_writes_nothing_when_a_run_fails(tmp_path, monkeypatch, fail):
     assert bench_pairs.main([*argv, "--label", "t"]) == 1
     assert len(ran) == fail
     assert not (tmp_path / "checkout" / "BENCH_t.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--rev", "no_such_rev"], "--rev 'no_such_rev' is not a commit: fatal: "),
+        (["--rev", "HEAD", "--label", "a/b"], "--label must not contain '/', got 'a/b'"),
+    ],
+    ids=["unknown_rev", "label_with_slash"],
+)
+def test_bad_rev_or_label_is_a_usage_error_before_any_run(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    """An unknown revision repeats git's message; a label with '/' names no file at
+    the repository root.  Either is refused before the first extract or run."""
+    extracted, ran = _fake_runs(monkeypatch, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([*argv, "--pairs", "1", "--seed", "1"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert extracted == [] and ran == []
+
+
+@pytest.mark.parametrize(
+    "stdout",
+    ["", "setting up\n", "{not json\n", "[true]\n", '{"metrics": {}}\n'],
+    ids=["silent", "no_json", "bad_json", "not_an_object", "no_correct"],
+)
+def test_run_without_a_result_line_fails(tmp_path, stdout):
+    """A run that exits 0 without a last line holding ``correct`` is a failed run that
+    names its workload and tree and carries the run's stderr."""
+    script = tmp_path / "perfbench" / "run.py"
+    script.parent.mkdir()
+    script.write_text(
+        f"import sys\nsys.stdout.write({stdout!r})\nsys.stderr.write('the log')\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(RuntimeError) as exc:
+        bench_pairs.run(tmp_path, "joint_spectra", 1, 1.0)
+    assert str(exc.value) == f"joint_spectra in {tmp_path} printed no result line:\nthe log"

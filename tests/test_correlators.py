@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dense_joint import scatter
-from spdcsim.correlators import check_drive, exact_orders, mod_steps
+from spdcsim.correlators import _structure_bandwidth, check_drive, exact_orders, mod_steps
 from spdcsim.oracle import bessel_quadrature
 from spdcsim import (
     AliasRisk,
@@ -243,6 +243,19 @@ def test_mod_steps(mod_freq, delta_omega, steps):
         assert type(caught.value) is PreconditionError
     else:
         assert mod_steps(mod_freq, grid) == steps
+
+
+
+@pytest.mark.parametrize("bandwidth, n, domega", [(1.0, 1024, 0.02), (0.05, 2048, 0.0025)])
+def test_structure_bandwidth_of_the_analytic_source(bandwidth, n, domega):
+    """The RMS bandwidth the alias and narrowband gates read, against its closed
+    forms on resolved grids: |R|^2 = exp(-W^2/(2B^2)) has B, S^2 = |R|^4 has B/sqrt(2)."""
+    src = analytic_source(bandwidth, n, domega)
+    inter_empty, inter = _structure_bandwidth(src, True)
+    intra_empty, intra = _structure_bandwidth(src, False)
+    assert not inter_empty and not intra_empty
+    assert inter == pytest.approx(bandwidth, rel=1e-12)
+    assert intra == pytest.approx(bandwidth / np.sqrt(2.0), rel=1e-12)
 
 
 class TestExactJointGrid:

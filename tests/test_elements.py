@@ -8,10 +8,10 @@ from spdcsim import (
     DispersiveElement,
     FrequencyGrid,
     PreconditionError,
-    bessel_j,
     build_comb,
     dispersive_transfer,
 )
+from spdcsim.elements import _bessel_row
 from spdcsim.oracle import bessel_quadrature
 
 
@@ -57,51 +57,19 @@ class TestDispersiveElement:
 
 
 class TestBessel:
-    def test_j0_at_zero(self):
-        assert bessel_j(0, 0.0) == 1.0
-
-    def test_jn_at_zero(self):
-        assert bessel_j(3, 0.0) == 0.0
-
-    def test_j1_value(self):
-        assert bessel_j(1, 1.2) == pytest.approx(0.498289057567215, abs=1e-12)
+    """The Miller row that ``build_comb`` reads its line weights from."""
 
     @pytest.mark.parametrize("x", [0.05, 0.5, 1.2, 5.0, 12.3, 27.0, 50.0])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 10, 20, 50, 120, 200])
     def test_against_quadrature_oracle(self, n, x):
-        assert abs(bessel_j(n, x) - bessel_quadrature(n, x)) < 1e-12
+        assert abs(_bessel_row(x, n)[n] - bessel_quadrature(n, x)) < 1e-12
 
     @pytest.mark.parametrize("n,x", [(1, 2.3), (4, 7.7), (3, 0.4)])
     def test_negative_order_and_argument_reduction(self, n, x):
-        assert bessel_j(-n, x) == (-1.0) ** n * bessel_j(n, x)
-        assert bessel_j(n, -x) == (-1.0) ** n * bessel_j(n, x)
-        assert bessel_j(-n, -x) == bessel_j(n, x)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bessel_j(201, 1.0)
-        with pytest.raises(ValueError):
-            bessel_j(0, 50.5)
-
-    @pytest.mark.parametrize(
-        "n, x, match",
-        [
-            (1.5, 2.0, "^an integral order n required, got 1.5$"),
-            (float("nan"), 1.0, "^an integral order n required, got nan$"),
-            (float("-inf"), 1.0, "^an integral order n required, got -inf$"),
-            ("1", 1.0, "^an integral order n required, got '1'$"),
-            (1, float("nan"), r"^\|x\| <= 50.0 required, got nan$"),
-        ],
-        ids=["fractional_order", "nan_order", "infinite_order", "string_order", "nan_argument"],
-    )
-    def test_refuses_what_it_cannot_answer(self, n, x, match):
-        with pytest.raises(ValueError, match=match):
-            bessel_j(n, x)
-
-    def test_integral_float_and_numpy_integer_orders(self):
-        assert bessel_j(2.0, 1.2) == bessel_j(2, 1.2)
-        assert bessel_j(np.float64(-4.0), 1.2) == bessel_j(-4, 1.2)
-        assert bessel_j(np.int64(-3), 1.2) == bessel_j(-3, 1.2)
+        plus, minus = build_comb(1.0, x), build_comb(1.0, -x)
+        assert plus.line_weight(-n) == (-1.0) ** n * plus.line_weight(n)
+        assert minus.line_weight(n) == (-1.0) ** n * plus.line_weight(n)
+        assert minus.line_weight(-n) == plus.line_weight(n)
 
 
 class TestModulatorComb:
@@ -202,6 +170,8 @@ class TestModulatorComb:
 def test_bessel_addition_theorem(theta1, theta2):
     # sum_k J_k(t1) J_{n-k}(t2) = J_n(t1+t2): the identity behind two
     # modulators composing into a single effective index
+    comb1, comb2 = build_comb(1.0, theta1), build_comb(1.0, theta2)
+    combined = build_comb(1.0, theta1 + theta2)
     for n in (0, 1, 2, 3, 5):
-        total = sum(bessel_j(k, theta1) * bessel_j(n - k, theta2) for k in range(-40, 41))
-        assert total == pytest.approx(bessel_j(n, theta1 + theta2), abs=1e-10)
+        total = sum(comb1.line_weight(k) * comb2.line_weight(n - k) for k in range(-40, 41))
+        assert total == pytest.approx(combined.line_weight(n), abs=1e-10)

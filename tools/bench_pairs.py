@@ -23,15 +23,20 @@ checkout better in at least 9/10 of the pairs, and its median better than
 the revision's by more than the revision's interquartile range), and
 whether this checkout's median is worse than the revision's by more than
 the metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the revision's
-median).  A repeated ``--workload`` is a usage error.  Exits 1 as soon as a
-run exits non-zero or reports ``correct: false``, or after the summaries if
-any outputs differed, else 0.
+median).
+
+Usage errors exit 2 before anything runs: a repeated ``--workload``, fewer
+than one pair, a ``--label`` holding ``/``, and a ``--rev`` that git cannot
+resolve to a commit (git's message is repeated).  REV is resolved once, and
+its SHA is what is extracted and recorded.  Exits 1 as soon as a run exits
+non-zero, prints no JSON result line with ``correct`` last, or reports
+``correct: false``, or after the summaries if any outputs differed, else 0.
 
 With ``--label L``, each workload then runs once per side with ``--trace 1``
 at seed S for its per-layer metrics, and after the summaries each
 workload's ``record``, verdicts included, with those runs' metrics is
-written to ``BENCH_<L>.json`` at the repository root, under ``_header``;
-nothing is written if a run fails.
+written to ``BENCH_<L>.json`` at the repository root, under a ``_header``
+read before the first run; nothing is written if a run fails.
 
 For an A/A control, run ``--rev HEAD`` from a copy of the checkout with no
 uncommitted change: both sides then hold the same code, so what differs is
@@ -86,7 +91,8 @@ def extract(rev: str, dest: Path) -> None:
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """The result line of one run of ``workload`` in ``tree``; raises
-    ``RuntimeError`` if it exits non-zero or reports ``correct: false``."""
+    ``RuntimeError`` if it exits non-zero, if its last line of output is not a
+    JSON object with ``correct``, or if that reports ``correct: false``."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
@@ -94,7 +100,13 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) ->
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} failed in {tree}:\n{proc.stderr}")
-    result = json.loads(proc.stdout.splitlines()[-1])
+    lines = proc.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except ValueError:
+        result = None
+    if not (isinstance(result, dict) and "correct" in result):
+        raise RuntimeError(f"{workload} in {tree} printed no result line:\n{proc.stderr}")
     if not result["correct"]:
         raise RuntimeError(f"{workload} in {tree} reports correct: false:\n{proc.stderr}")
     return result
@@ -183,14 +195,14 @@ def _git(*args) -> str:
     ).stdout.strip()
 
 
-def _header(args) -> dict:
-    """What a record says of its run: the arguments, both sides' commits and
-    whether this checkout's ``src/`` or ``perfbench/`` has uncommitted
-    changes, and the host."""
+def _header(args, rev_sha: str) -> dict:
+    """What a record says of its run, read before the first run: the
+    arguments, both sides' commits and whether this checkout's ``src/`` or
+    ``perfbench/`` has uncommitted changes, and the host."""
     dirty = _git("status", "--porcelain", "--untracked-files=no", "--", "src", "perfbench")
     return {
         "label": args.label,
-        "rev": {"name": args.rev, "sha": _git("rev-parse", "--verify", f"{args.rev}^{{commit}}")},
+        "rev": {"name": args.rev, "sha": rev_sha},
         "this": {"sha": _git("rev-parse", "HEAD"), "dirty": bool(dirty)},
         "seed": args.seed,
         "pairs": args.pairs,
@@ -216,12 +228,19 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
     if len(set(args.workload)) < len(args.workload):
         parser.error(f"--workload names a workload more than once: {' '.join(args.workload)}")
+    if args.label is not None and "/" in args.label:
+        parser.error(f"--label must not contain '/', got {args.label!r}")
+    try:
+        rev_sha = _git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
+    except subprocess.CalledProcessError as exc:
+        parser.error(f"--rev {args.rev!r} is not a commit: {exc.stderr.strip()}")
+    header = _header(args, rev_sha)
     pairs = {workload: [] for workload in args.workload}
     differing = dict.fromkeys(args.workload, 0)
     traced = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         other = Path(tmp)
-        extract(args.rev, other)
+        extract(rev_sha, other)
         try:
             for i in range(args.pairs):
                 seed = args.seed + i
@@ -251,7 +270,7 @@ def main(argv=None) -> int:
         print("\n".join([workload, *summary_lines(entry, args.rev)]))
     if args.label:
         path = ROOT / f"BENCH_{args.label}.json"
-        bench = _header(args) | {"workloads": entries}
+        bench = header | {"workloads": entries}
         path.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {path.name}")
     return 1 if any(differing.values()) else 0
