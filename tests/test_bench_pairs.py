@@ -369,19 +369,24 @@ def test_label_writes_nothing_when_a_run_fails(tmp_path, monkeypatch, fail):
     assert not (tmp_path / "checkout" / "BENCH_t.json").exists()
 
 
+LABEL_RULE = "--label must be non-empty and hold no '/'"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--rev", "no_such_rev"], "--rev 'no_such_rev' is not a commit: fatal: "),
-        (["--rev", "HEAD", "--label", "a/b"], "--label must not contain '/', got 'a/b'"),
+        (["--rev", "no_such_rev"], "--rev 'no_such_rev' is not a commit: fatal: Needed a single"),
+        (["--rev", "HEAD", "--label", "a/b"], f"{LABEL_RULE}, got 'a/b'"),
+        (["--rev", "HEAD", "--label", ""], f"{LABEL_RULE}, got ''"),
     ],
-    ids=["unknown_rev", "label_with_slash"],
+    ids=["unknown_rev", "label_with_slash", "empty_label"],
 )
 def test_bad_rev_or_label_is_a_usage_error_before_any_run(
     tmp_path, monkeypatch, capsys, argv, message
 ):
     """An unknown revision repeats git's message; a label with '/' names no file at
-    the repository root.  Either is refused before the first extract or run."""
+    the repository root, and an empty one would silently write no record.  Each is
+    refused before the first extract or run."""
     extracted, ran = _fake_runs(monkeypatch, tmp_path)
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main([*argv, "--pairs", "1", "--seed", "1"])

@@ -26,7 +26,7 @@ the metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the revision's
 median).
 
 Usage errors exit 2 before anything runs: a repeated ``--workload``, fewer
-than one pair, a ``--label`` holding ``/``, and a ``--rev`` that git cannot
+than one pair, an empty ``--label`` or one holding ``/``, and a ``--rev`` that git cannot
 resolve to a commit (git's message is repeated).  REV is resolved once, and
 its SHA is what is extracted and recorded.  Exits 1 as soon as a run exits
 non-zero, prints no JSON result line with ``correct`` last, or reports
@@ -228,8 +228,8 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
     if len(set(args.workload)) < len(args.workload):
         parser.error(f"--workload names a workload more than once: {' '.join(args.workload)}")
-    if args.label is not None and "/" in args.label:
-        parser.error(f"--label must not contain '/', got {args.label!r}")
+    if args.label is not None and (not args.label or "/" in args.label):
+        parser.error(f"--label must be non-empty and hold no '/', got {args.label!r}")
     try:
         rev_sha = _git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
     except subprocess.CalledProcessError as exc:
