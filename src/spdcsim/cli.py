@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-    run      execute a scenario file and write CSV/JSON reports
-    sweep    same as run but requires the scenario to define a sweep
+    run      execute a scenario file, a single run or a sweep, and write
+             CSV/JSON reports; the grid is the document's own
     selftest run the built-in acceptance checks
 
 Exit codes: 0 success, 1 selftest failure, 2 scenario/parse error,
@@ -21,7 +21,7 @@ import sys
 
 from .errors import PreconditionError, ScenarioError
 from .runner import check_workers, run_scenario
-from .scenario import load_scenario, parse_scenario
+from .scenario import load_scenario
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAILED = 1
@@ -43,20 +43,6 @@ def _worker_count(text: str) -> int:
     return value
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", required=True, help="scenario JSON file")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument(
-        "--grid-points", type=int, default=None, help="override grid.n_points"
-    )
-    parser.add_argument(
-        "--grid-domega", type=float, default=None, help="override grid.delta_omega (rad/ps)"
-    )
-    parser.add_argument(
-        "--workers", type=_worker_count, default=None, help="sweep worker count (default: CPU count)"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spdcsim",
@@ -65,11 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute a scenario")
-    _add_run_options(run_p)
-
-    sweep_p = sub.add_parser("sweep", help="execute a scenario that defines a sweep")
-    _add_run_options(sweep_p)
+    run_p = sub.add_parser("run", help="execute a scenario or a sweep")
+    run_p.add_argument("--scenario", required=True, help="scenario JSON file")
+    run_p.add_argument("--out", required=True, help="output directory")
+    run_p.add_argument(
+        "--workers", type=_worker_count, default=None, help="sweep worker count (default: CPU count)"
+    )
 
     self_p = sub.add_parser("selftest", help="run the built-in acceptance checks")
     self_p.add_argument("--filter", default=None, help="only run checks whose name contains this")
@@ -77,30 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_grid_overrides(scenario, args):
-    if args.grid_points is None and args.grid_domega is None:
-        return scenario
-    doc = scenario.resolved()
-    if args.grid_points is not None:
-        doc["grid"]["n_points"] = args.grid_points
-    if args.grid_domega is not None:
-        doc["grid"]["delta_omega"] = args.grid_domega
-    return parse_scenario(doc)
-
-
-def _cmd_run(args, require_sweep: bool) -> int:
-    scenario = load_scenario(args.scenario)
-    scenario = _with_grid_overrides(scenario, args)
-    if require_sweep and scenario.sweep is None:
-        raise ScenarioError(f"{args.scenario}: scenario.sweep: required by the sweep command")
-    report = run_scenario(scenario, args.out, workers=args.workers)
+def _cmd_run(args) -> int:
+    report = run_scenario(load_scenario(args.scenario), args.out, workers=args.workers)
     for name in report["files"]:
         print(f"wrote {args.out}/{name}")
     return EXIT_OK
 
 
 def _cmd_selftest(args) -> int:
-    # Imported here, so that run and sweep do not load the checks.
+    # Imported here, so that run does not load the checks.
     from .selftest import run_checks
 
     results = run_checks(args.filter)
@@ -121,9 +93,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args, require_sweep=False)
-        if args.command == "sweep":
-            return _cmd_run(args, require_sweep=True)
+            return _cmd_run(args)
         return _cmd_selftest(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

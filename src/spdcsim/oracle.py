@@ -7,10 +7,12 @@ low-gain parametric amplitude from first-order perturbation theory.  Slow is
 fine; independent is the point.
 """
 
+import math
+
 import numpy as np
 
 from .correlators import INTER_TIME, INTRA_TIME, TEMPORAL
-from .elements import DispersiveElement, dispersive_transfer
+from .elements import DispersiveElement
 from .grid import FrequencyGrid
 from .source import PhaseMismatch, SourceFields
 
@@ -39,6 +41,14 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+def _transfer(element: DispersiveElement, omegas: np.ndarray) -> np.ndarray:
+    """exp(i sum_k Phi_k Omega^k / k!), from the element's coefficients alone."""
+    phase = np.zeros_like(omegas)
+    for k, phi in enumerate(element.phase_coeffs, start=1):
+        phase += (phi / math.factorial(k)) * omegas**k
+    return np.exp(1j * phase)
+
+
 def quadrature_g2(
     source: SourceFields,
     h1: DispersiveElement,
@@ -59,8 +69,8 @@ def quadrature_g2(
         raise ValueError(f"tau_list longer than {MAX_TAU_SAMPLES}")
 
     grid = source.grid
-    t1 = dispersive_transfer(h1, grid)
-    t2 = dispersive_transfer(h2, grid)
+    t1 = _transfer(h1, grid.omegas)
+    t2 = _transfer(h2, grid.omegas)
     if config == INTER_TIME:
         integrand = source.R * t1 * grid.reflect(t2)
     else:

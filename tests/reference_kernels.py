@@ -24,31 +24,30 @@ full width and reflecting the second one, with explicit
 ``build_correlation`` adding ``np.abs(amp) ** 2``, and ``rms_width``
 summing the subtracted trace twice and writing tau * w and
 (tau - centroid) ** 2 * w out, a fresh temporary for each operation.
+The helpers these forms call (``gamma_of``, ``structure_weight``,
+``rms_bandwidth``, ``combined_phase_coeffs`` and ``fwhm``) are copies too,
+so no reference moves with the library; ``tests/test_imports.py`` holds
+this module to constants, types and errors from ``spdcsim``.
 """
 
 import math
 
 import numpy as np
 
-from spdcsim.analysis import DEGENERATE_MASS_FRACTION, WidthReport, _fwhm
-from spdcsim.correlators import (
-    ALIAS_WINDOW_FRACTION,
-    Correlation1D,
-    _combined_phase_coeffs,
-    _rms_bandwidth,
-    _structure_weight,
-)
+from spdcsim.analysis import DEGENERATE_MASS_FRACTION, WidthReport
+from spdcsim.correlators import ALIAS_WINDOW_FRACTION, Correlation1D
 from spdcsim.errors import AliasRisk, DegenerateTrace, PreconditionError
-from spdcsim.source import (
-    _SERIES_CUTOFF,
-    _UNITARITY_TOL,
-    PHYSICAL,
-    SourceFields,
-    gamma_of,
-)
+from spdcsim.source import _SERIES_CUTOFF, _UNITARITY_TOL, PHYSICAL, SourceFields
 
 # k! for k = 0..5, written out so that these copies do not follow the library.
 _FACTORIALS = (1.0, 1.0, 2.0, 6.0, 24.0, 120.0)
+
+
+def gamma_of(gain, mismatch_phase):
+    """GL = sqrt(gain^2 - (DL)^2 / 4), principal branch."""
+    gain = np.asarray(gain, dtype=complex)
+    mismatch_phase = np.asarray(mismatch_phase, dtype=complex)
+    return np.sqrt(gain**2 - mismatch_phase**2 / 4.0)
 
 
 def cosh_and_sinhc(z):
@@ -126,11 +125,41 @@ def transfer(element, grid):
     return out
 
 
+def structure_weight(source, inter):
+    """|R|^2 interbeam, S^2 intrabeam."""
+    return np.abs(source.R) ** 2 if inter else source.S**2
+
+
+def rms_bandwidth(weight, omegas):
+    """RMS width of ``weight`` about its centroid over ``omegas``."""
+    total = float(np.sum(weight))
+    if total <= 0:
+        return 0.0
+    mean = float(np.sum(omegas * weight)) / total
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float(np.sum((omegas - mean) ** 2 * weight)) / total
+    return float(np.sqrt(max(var, 0.0)))
+
+
+def combined_phase_coeffs(h1, h2, inter):
+    """c_k = Phi_k(1) + (-1)^k Phi_k(2) interbeam, Phi_k(2) - Phi_k(1)
+    intrabeam, for k = 1..5; an absent coefficient is 0."""
+
+    def coefficient(element, k):
+        coeffs = element.phase_coeffs
+        return coeffs[k - 1] if k <= len(coeffs) else 0.0
+
+    orders = range(1, 6)
+    if inter:
+        return [coefficient(h1, k) + ((-1) ** k) * coefficient(h2, k) for k in orders]
+    return [coefficient(h2, k) - coefficient(h1, k) for k in orders]
+
+
 def check_alias(grid, weight, combined_coeffs):
     """Reject setups whose dispersed trace would wrap around the FFT window."""
     if float(np.sum(weight)) == 0.0:
         return
-    bw = _rms_bandwidth(weight, grid.omegas)
+    bw = rms_bandwidth(weight, grid.omegas)
     if not bw > 0:
         raise AliasRisk("pointlike integrand spectrum; trace cannot fit the delay window")
     tau0 = 1.0 / (2.0 * bw)
@@ -168,11 +197,33 @@ def g2_time(source, h1, h2, inter):
     """Temporal trace of either pairing: integrand R H1(W) H2(-W) interbeam,
     S H1*(W) H2(W) intrabeam."""
     grid = source.grid
-    check_alias(grid, _structure_weight(source, inter), _combined_phase_coeffs(h1, h2, inter))
+    check_alias(grid, structure_weight(source, inter), combined_phase_coeffs(h1, h2, inter))
     t1 = dispersive_transfer(h1, grid)
     t2 = dispersive_transfer(h2, grid)
     integrand = source.R * t1 * grid.reflect(t2) if inter else source.S * np.conj(t1) * t2
     return build_correlation(trace_amplitude(integrand, grid), grid, source.flux_n)
+
+
+def fwhm(taus, sub):
+    """Full width at half maximum by linear interpolation around the peak."""
+    peak_idx = int(np.argmax(sub))
+    half = sub[peak_idx] / 2.0
+
+    left = float(taus[0])
+    for i in range(peak_idx, 0, -1):
+        if sub[i - 1] < half <= sub[i]:
+            frac = (half - sub[i - 1]) / (sub[i] - sub[i - 1])
+            left = taus[i - 1] + frac * (taus[i] - taus[i - 1])
+            break
+
+    right = float(taus[-1])
+    for i in range(peak_idx, len(sub) - 1):
+        if sub[i + 1] < half <= sub[i]:
+            frac = (sub[i] - half) / (sub[i] - sub[i + 1])
+            right = taus[i] + frac * (taus[i + 1] - taus[i])
+            break
+
+    return max(right - left, 0.0)
 
 
 def rms_width(corr):
@@ -190,4 +241,4 @@ def rms_width(corr):
     rms = float(np.sqrt(np.sum((corr.tau_grid - centroid) ** 2 * w)))
     if rms == 0.0:
         raise DegenerateTrace("trace structure lies within one delay sample")
-    return WidthReport(rms_width=rms, fwhm=_fwhm(corr.tau_grid, sub), centroid=centroid)
+    return WidthReport(rms_width=rms, fwhm=fwhm(corr.tau_grid, sub), centroid=centroid)

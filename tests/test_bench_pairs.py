@@ -197,6 +197,11 @@ def _tree(root: Path, files=FILES) -> Path:
     return root
 
 
+def _files(root: Path) -> dict:
+    """Every file under ``root``, by its relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def test_identical_trees_pass(tmp_path):
     assert bench_pairs.compare_trees(_tree(tmp_path / "a"), _tree(tmp_path / "b")) == []
 
@@ -237,28 +242,33 @@ def _git_checkout(path: Path) -> None:
 
 
 def _fake_runs(monkeypatch, tmp_path, differing=(), fail=None):
-    """A git checkout with stand-ins for ``extract`` and ``run``: a run writes a set-up file
-    naming its tree and one output file, plus ``x.csv`` in this checkout at a seed of
-    ``differing``, and fails as its tree's run does when it is run number ``fail``.  Returns
-    the extracted revisions and the runs as ``(in this checkout, workload, seed)``, with the
-    trace level after the seed for traced runs."""
+    """A git checkout with stand-ins for ``extract``, ``copy_checkout`` and ``run``: a run
+    writes a set-up file naming its tree, one output file and a result file, plus ``x.csv``
+    in this checkout's copy at a seed of ``differing``, and fails as its tree's run does when
+    it is run number ``fail``.  No run may use the checkout itself as its tree.  Returns the
+    extracted revisions and the runs as ``(in this checkout's copy, workload, seed)``, with
+    the trace level after the seed for traced runs."""
     here = tmp_path / "checkout"
     _git_checkout(here)
-    extracted, ran = [], []
+    extracted, copies, ran = [], [], []
     monkeypatch.setattr(bench_pairs, "ROOT", here)
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: extracted.append(rev))
+    monkeypatch.setattr(bench_pairs, "copy_checkout", copies.append)
     metrics = {metric["name"]: {"value": 1.0} for metric in bench_pairs.BENCHMARK["end_to_end"]}
 
     def run(tree, workload, seed, seconds, trace=0):
-        ran.append((tree == here, workload, seed) + ((trace,) if trace else ()))
+        assert tree.resolve() != here.resolve()
+        this = tree == copies[0]
+        ran.append((this, workload, seed) + ((trace,) if trace else ()))
         if len(ran) == fail:
             raise RuntimeError(f"{workload} failed in {tree}")
         out = tree / bench_pairs.OUT
         shutil.rmtree(out / workload, ignore_errors=True)
         files = {f"{workload}/op0/trace.csv": b"1\n", f"{workload}-setup.json": str(tree).encode()}
-        if tree == here and seed in differing:
+        if this and seed in differing:
             files[f"{workload}/op0/x.csv"] = b"1"
         _tree(out, files)
+        _tree(tree / "perfbench" / "results", {f"{workload}-trace{trace}.json": b"{}"})
         return {"correct": True, "attempted": 5, "failed": 0, "metrics": metrics}
 
     monkeypatch.setattr(bench_pairs, "run", run)
@@ -412,3 +422,40 @@ def test_run_without_a_result_line_fails(tmp_path, stdout):
     with pytest.raises(RuntimeError) as exc:
         bench_pairs.run(tmp_path, "joint_spectra", 1, 1.0)
     assert str(exc.value) == f"joint_spectra in {tmp_path} printed no result line:\nthe log"
+
+
+@pytest.mark.parametrize("label", [[], ["--label", "t"]], ids=["unlabelled", "labelled"])
+def test_checkout_perfbench_out_and_results_are_left_alone(tmp_path, monkeypatch, label):
+    """Both sides run in temporary trees, so an earlier result in the checkout survives."""
+    _, ran = _fake_runs(monkeypatch, tmp_path)
+    kept = {"out/trace_sweeps/op0/trace.csv": b"kept\n", "results/trace_sweeps-trace0.json": b"[]"}
+    perfbench = _tree(tmp_path / "checkout" / "perfbench", kept)
+    argv = ["--rev", "HEAD", "--workload", "trace_sweeps", "--pairs", "2", "--seed", "7"]
+    assert bench_pairs.main([*argv, *label]) == 0
+    assert len(ran) == (6 if label else 4)
+    assert _files(perfbench) == kept
+
+
+def test_copy_checkout_holds_the_working_tree_without_ignored_or_deleted_files(
+    tmp_path, monkeypatch
+):
+    """This side's tree: tracked files as they stand, an untracked file that is not
+    ignored, and neither an ignored file nor a committed file since deleted."""
+    here = tmp_path / "checkout"
+    _git_checkout(here)
+    committed = {".gitignore": b"perfbench/out/\n", "a.txt": b"old", "sub/b.txt": b"b", "gone": b""}
+    _tree(here, committed)
+    git = ["git", "-C", str(here), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "files"], check=True)
+    (here / "gone").unlink()
+    _tree(here, {"a.txt": b"uncommitted", "new.txt": b"untracked", "perfbench/out/x.csv": b"1"})
+    monkeypatch.setattr(bench_pairs, "ROOT", here)
+    dest = tmp_path / "copy"
+    bench_pairs.copy_checkout(dest)
+    assert _files(dest) == {
+        ".gitignore": b"perfbench/out/\n",
+        "a.txt": b"uncommitted",
+        "new.txt": b"untracked",
+        "sub/b.txt": b"b",
+    }

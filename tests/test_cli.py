@@ -77,16 +77,6 @@ class TestRunCommand:
         assert report["results"]["comb_leakage"] == 0.0
         assert report["results"]["canceled"] is True
 
-    def test_grid_overrides(self, tmp_path):
-        path = write_doc(tmp_path, scenario_doc())
-        out = tmp_path / "out"
-        proc = run_cli(
-            "run", "--scenario", str(path), "--out", str(out), "--grid-points", "256"
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads((out / "report.json").read_text())
-        assert report["scenario"]["grid"]["n_points"] == 256
-
     def test_report_can_be_rerun(self, tmp_path):
         path = write_doc(tmp_path, scenario_doc())
         out_a = tmp_path / "a"
@@ -108,7 +98,7 @@ class TestSweepCommand:
         }
         path = write_doc(tmp_path, doc)
         out = tmp_path / "out"
-        proc = run_cli("sweep", "--scenario", str(path), "--out", str(out), "--workers", "2")
+        proc = run_cli("run", "--scenario", str(path), "--out", str(out), "--workers", "2")
         assert proc.returncode == 0, proc.stderr
         with open(out / "sweep.csv", newline="") as handle:
             rows = list(csv.reader(handle))
@@ -119,12 +109,6 @@ class TestSweepCommand:
         assert widths[0] < widths[1] < widths[2]
         for i in range(3):
             assert (out / f"point_{i:04d}_trace.csv").exists()
-
-    def test_sweep_command_requires_sweep(self, tmp_path):
-        path = write_doc(tmp_path, scenario_doc())
-        proc = run_cli("sweep", "--scenario", str(path), "--out", str(tmp_path / "out"))
-        assert proc.returncode == 2
-        assert "sweep" in proc.stderr
 
 
 class TestExitCodes:
@@ -205,7 +189,7 @@ class TestExitCodes:
         doc["outputs"] = {"analyses": ["rms_width"]}
         path = write_doc(tmp_path, doc)
         out = tmp_path / "out"
-        proc = run_cli("sweep", "--scenario", str(path), "--out", str(out))
+        proc = run_cli("run", "--scenario", str(path), "--out", str(out))
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "scenario.outputs.analyses" in proc.stderr
@@ -216,7 +200,7 @@ class TestExitCodes:
         doc["sweep"] = {"parameter": "grid.n_points", "values": [512, 1024.5]}
         path = write_doc(tmp_path, doc)
         out = tmp_path / "out"
-        proc = run_cli("sweep", "--scenario", str(path), "--out", str(out))
+        proc = run_cli("run", "--scenario", str(path), "--out", str(out))
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "scenario.sweep.values[1]" in proc.stderr

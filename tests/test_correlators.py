@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from dense_joint import scatter
-from spdcsim.correlators import _structure_bandwidth, check_drive, exact_orders, mod_steps
+from spdcsim.correlators import (
+    _rms_bandwidth,
+    _structure_bandwidth,
+    check_drive,
+    exact_orders,
+    mod_steps,
+)
 from spdcsim.oracle import bessel_quadrature
 from spdcsim import (
     AliasRisk,
@@ -256,6 +262,17 @@ def test_structure_bandwidth_of_the_analytic_source(bandwidth, n, domega):
     assert not inter_empty and not intra_empty
     assert inter == pytest.approx(bandwidth, rel=1e-12)
     assert intra == pytest.approx(bandwidth / np.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("bandwidth, n, domega", [(1.0, 4096, 0.01), (0.05, 2048, 0.0025)])
+@pytest.mark.parametrize("centre", [0.0, -3.0, 2.371, 5.5])
+def test_rms_bandwidth_of_a_shifted_gaussian(bandwidth, n, domega, centre):
+    """A Gaussian weight exp(-(W - c)^2/(2B^2)) has RMS width B wherever its
+    centre c sits (c in units of B, off the grid's samples at 2.371): the
+    width is taken about the weight's centroid, not about W = 0."""
+    omegas = FrequencyGrid(n, domega).omegas
+    weight = np.exp(-0.5 * ((omegas - centre * bandwidth) / bandwidth) ** 2)
+    assert _rms_bandwidth(weight, omegas) == pytest.approx(bandwidth, rel=1e-12)
 
 
 class TestExactJointGrid:

@@ -1,6 +1,7 @@
 """No module of the package, of ``tools/`` or of ``tests/`` imports a name it
-never uses, and no module of the package reaches into another one's private
-names.
+never uses, no module of the package reaches into another one's private
+names, and the independent references take nothing from the package but
+constants, types and errors.
 
 A name listed in the module's ``__all__`` counts as used: the package
 re-exports what it imports there.
@@ -89,3 +90,58 @@ def test_every_import_is_used(path):
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_module_reaches_into_another_modules_private_names(path):
     assert private_reaches(path.read_text(encoding="utf-8")) == []
+
+
+# The modules that the library is checked against, and what they may import
+# from it: constants, types and errors, never a function they would then
+# compare with itself.
+REFERENCES = [
+    ROOT / "tests" / "reference_kernels.py",
+    ROOT / "tests" / "dense_joint.py",
+    ROOT / "src" / "spdcsim" / "oracle.py",
+]
+REFERENCE_ALLOWED = {
+    # constants
+    "ALIAS_WINDOW_FRACTION", "DEGENERATE_MASS_FRACTION", "INTER_FREQ", "INTER_TIME",
+    "INTRA_TIME", "PHYSICAL", "TEMPORAL", "_SERIES_CUTOFF", "_UNITARITY_TOL",
+    # types
+    "Correlation1D", "DispersiveElement", "FrequencyGrid", "PhaseMismatch", "SourceFields",
+    "WidthReport",
+    # errors
+    "AliasRisk", "DegenerateTrace", "PreconditionError",
+}
+
+
+def package_imports_beyond(source: str, allowed: set) -> list:
+    """What ``source`` imports from ``spdcsim`` (relative imports included)
+    outside ``allowed``, sorted; a module imported whole counts by its name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "spdcsim"
+        ):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(
+                alias.name for alias in node.names if alias.name.split(".")[0] == "spdcsim"
+            )
+    return sorted(names - allowed)
+
+
+def test_scanner_flags_a_library_function_imported_by_a_reference():
+    planted = "from spdcsim.correlators import _rms_bandwidth\n"
+    assert package_imports_beyond(planted, REFERENCE_ALLOWED) == ["_rms_bandwidth"]
+    source = (
+        "import numpy as np\nimport spdcsim.source\nfrom os import path\n"
+        "from spdcsim.correlators import INTER_FREQ\n"
+        "from .elements import DispersiveElement, dispersive_transfer\n"
+        "from . import analysis\n"
+    )
+    assert package_imports_beyond(source, REFERENCE_ALLOWED) == [
+        "analysis", "dispersive_transfer", "spdcsim.source"
+    ]
+
+
+@pytest.mark.parametrize("path", REFERENCES, ids=lambda path: str(path.relative_to(ROOT)))
+def test_references_import_only_constants_types_and_errors(path):
+    assert package_imports_beyond(path.read_text(encoding="utf-8"), REFERENCE_ALLOWED) == []

@@ -492,23 +492,22 @@ def test_exact_comb_lines_count_against_the_budget():
 
 
 @pytest.mark.parametrize(
-    "argv_extra, sweep",
+    "doc",
     [
-        (["--grid-points", str(2**40)], None),
-        ([], {"parameter": "grid.n_points", "values": [256, 2**30]}),
+        set_parameter(minimal_time_doc(), "grid.n_points", 2**40),
+        minimal_time_doc(sweep={"parameter": "grid.n_points", "values": [256, 2**30]}),
     ],
     ids=["override", "sweep_value"],
 )
-def test_oversized_grid_exits_2_naming_its_path(argv_extra, sweep, tmp_path, capsys):
-    doc = minimal_time_doc()
-    if sweep is not None:
-        doc["sweep"] = sweep
+def test_oversized_grid_exits_2_naming_its_path(doc, tmp_path, capsys):
+    """An oversized grid, written in the document or reached at a sweep value,
+    is refused before the output directory exists."""
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
-    assert cli.main(["run", "--scenario", str(path), "--out", str(out), *argv_extra]) == 2
-    prefix = "scenario error: " if sweep is None else "scenario error: scenario.sweep.values[1]: "
-    assert capsys.readouterr().err.startswith(prefix + "scenario.grid.n_points: ")
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    at_value = "scenario.sweep.values[1]: " if "sweep" in doc else ""
+    assert capsys.readouterr().err.startswith(f"scenario error: {at_value}scenario.grid.n_points: ")
     assert not out.exists()
 
 

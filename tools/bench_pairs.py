@@ -3,10 +3,14 @@
 
     python3 tools/bench_pairs.py --rev 97edcbe --pairs 10 --seed 6101 [--label pr28]
 
-Extracts the committed files of REV into a temporary directory once, with
-``git archive`` rather than as a worktree, so that an interrupted run leaves
-nothing registered in the repository.  Pair i runs every named workload (by
-default all) once in that tree and once in this checkout, both with
+Both sides run from temporary trees of the same layout, made once: the
+committed files of REV, extracted with ``git archive`` rather than as a
+worktree, so that an interrupted run leaves nothing registered in the
+repository; and a copy of this checkout's files as they stand, those that
+``git ls-files --cached --others --exclude-standard`` lists (tracked, or
+untracked and not ignored) and that still exist, so that an uncommitted
+change is measured and no run writes into the checkout.  Pair i runs every
+named workload (by default all) once in each tree, both with
 ``perfbench/run.py --trace 0 --seed S+i --seconds SECONDS``, and prints each
 file that differs between the two trees' ``perfbench/out/<workload>`` and a
 verdict (``<workload>-setup.json``, beside it, holds tree paths).  REV runs
@@ -38,16 +42,10 @@ workload's ``record``, verdicts included, with those runs' metrics is
 written to ``BENCH_<L>.json`` at the repository root, under a ``_header``
 read before the first run; nothing is written if a run fails.
 
-For an A/A control, run ``--rev HEAD`` from a copy of the checkout with no
-uncommitted change: both sides then hold the same code, so what differs is
-noise and the bias between an extracted tree and the checkout (a few tenths
-of a MiB of ``peak_rss_mib``).  Compare a paired change with that spread.
-
-This checkout's runs overwrite its ``perfbench/out/`` and
-``perfbench/results/<workload>-trace0.json``, and with ``--label`` also
-``results/<workload>-trace1.json`` and ``results/<workload>-spans.json``;
-keep a longer benchmark result elsewhere before running it.  The temporary
-tree is removed afterwards.
+For an A/A control, run ``--rev HEAD`` on a checkout with no uncommitted
+change: both sides then hold the same code, so what differs is noise.
+Compare a paired change with that spread.  The temporary trees, with their
+``perfbench/out/`` and ``perfbench/results/``, are removed afterwards.
 """
 
 import argparse
@@ -55,6 +53,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -87,6 +86,19 @@ def extract(rev: str, dest: Path) -> None:
         ["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True
     )
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+
+
+def copy_checkout(dest: Path) -> None:
+    """This checkout's tracked files and its untracked files that are not
+    ignored, as they stand in the working tree, copied under ``dest``; a
+    listed path that no longer exists is skipped."""
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in dict.fromkeys(listed.split("\0")):
+        source = ROOT / name
+        if name and source.is_file():
+            target = dest / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -239,16 +251,19 @@ def main(argv=None) -> int:
     differing = dict.fromkeys(args.workload, 0)
     traced = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        other = Path(tmp)
+        other, this = Path(tmp) / "rev", Path(tmp) / "new"
+        other.mkdir()
+        this.mkdir()
         extract(rev_sha, other)
+        copy_checkout(this)
         try:
             for i in range(args.pairs):
                 seed = args.seed + i
                 for workload in args.workload:
-                    sides = (other, ROOT) if i % 2 == 0 else (ROOT, other)
+                    sides = (other, this) if i % 2 == 0 else (this, other)
                     results = {tree: run(tree, workload, seed, args.seconds) for tree in sides}
-                    pairs[workload].append((results[other], results[ROOT]))
-                    differences = compare_trees(other / OUT / workload, ROOT / OUT / workload)
+                    pairs[workload].append((results[other], results[this]))
+                    differences = compare_trees(other / OUT / workload, this / OUT / workload)
                     for line in differences:
                         print(line)
                     verdict = f"{len(differences)} difference(s)" if differences else "identical"
@@ -257,7 +272,7 @@ def main(argv=None) -> int:
                 print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
             for workload in args.workload if args.label else ():
                 traced[workload] = tuple(
-                    run(tree, workload, args.seed, args.seconds, trace=1) for tree in (other, ROOT)
+                    run(tree, workload, args.seed, args.seconds, trace=1) for tree in (other, this)
                 )
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
