@@ -3,7 +3,8 @@
 Subcommands:
     run      execute a scenario file, a single run or a sweep, and write
              CSV/JSON reports; the grid is the document's own
-    selftest run the built-in acceptance checks
+    selftest run the acceptance checks in ``selftest.CHECKS``, one PASS/FAIL
+             line each; a check that raises fails, and the rest still run
 
 Exit codes: 0 success, 1 selftest failure, 2 scenario/parse error,
 3 physics precondition (alias risk, including an alias budget that overflows,
@@ -58,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=_worker_count, default=None, help="sweep worker count (default: CPU count)"
     )
 
-    self_p = sub.add_parser("selftest", help="run the built-in acceptance checks")
-    self_p.add_argument("--filter", default=None, help="only run checks whose name contains this")
+    sub.add_parser("selftest", help="run the built-in acceptance checks")
 
     return parser
 
@@ -71,21 +71,20 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest() -> int:
     # Imported here, so that run does not load the checks.
-    from .selftest import run_checks
+    from .selftest import CHECKS, check_name
 
-    results = run_checks(args.filter)
-    if not results:
-        print(f"no checks match filter {args.filter!r}", file=sys.stderr)
-        return EXIT_SELFTEST_FAILED
-    width = max(len(r.name) for r in results)
+    width = max(len(check_name(check)) for check in CHECKS)
     failures = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name:<{width}}  {r.detail}")
-        failures += 0 if r.passed else 1
-    print(f"{len(results) - failures}/{len(results)} checks passed")
+    for check in CHECKS:
+        try:
+            passed, detail = check()
+        except Exception as exc:
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        print(f"{'PASS' if passed else 'FAIL'}  {check_name(check):<{width}}  {detail}")
+        failures += 0 if passed else 1
+    print(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
     return EXIT_OK if failures == 0 else EXIT_SELFTEST_FAILED
 
 
@@ -94,7 +93,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args)
-        return _cmd_selftest(args)
+        return _cmd_selftest()
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE

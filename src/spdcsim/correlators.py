@@ -503,7 +503,7 @@ def g2_freq_exact(
     m_ratio = mod_steps(m1.mod_freq, grid)
     n = grid.n_points
     inter = config == INTER_FREQ
-    field = source.R if inter else source.S.astype(float)
+    field = source.R if inter else source.S
     # Pair (n1, n2) adds w1*w2*field[i - shift] to row i of line n1 + n2
     # (interbeam, shift = n1*m) or n2 - n1 (intrabeam, shift = -n1*m).
     first = int(orders[0])

@@ -33,6 +33,7 @@ from .correlators import (
     g2_intra_time,
 )
 from .elements import build_comb
+from .errors import PreconditionError
 from .scenario import Scenario, points_at_once, sweep_points
 from .source import evaluate_source
 
@@ -163,6 +164,15 @@ def execute(scenario: Scenario, shared: _SharedWithBase | None = None) -> PointO
     return PointOutcome(result=comb if scenario.outputs.write_comb else None, analyses=results)
 
 
+def _execute_point(i: int, point: Scenario, shared: _SharedWithBase | None) -> PointOutcome:
+    """``execute`` at sweep point i; a refusal it raises keeps its type and
+    names the point's ``scenario.sweep.values[i]``."""
+    try:
+        return execute(point, shared)
+    except PreconditionError as exc:
+        raise type(exc)(f"scenario.sweep.values[{i}]: {exc}") from exc
+
+
 def check_workers(workers) -> None:
     """Refuse a worker count other than ``None`` (the CPU count) or an
     integer (numpy's included) of at least 1; a bool is not a count."""
@@ -177,9 +187,10 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
 
     Returns the report that ``outputs.write_run`` builds; files land in
     ``out_dir``.  Every sweep point is parsed before the directory is made;
-    a point's error names its ``scenario.sweep.values[i]``.  A sweep runs up
-    to ``workers`` points at once (default: the CPU count), but no more than
-    fit the memory budget together (``scenario.points_at_once``).  A
+    a point's parse error, and a refusal raised while it runs, names its
+    ``scenario.sweep.values[i]``.  A sweep runs up to ``workers`` points at
+    once (default: the CPU count), but no more than fit the memory budget
+    together (``scenario.points_at_once``).  A
     ``workers`` that ``check_workers`` refuses raises ``ValueError`` before
     ``out_dir`` is touched, for a single run too.
 
@@ -200,7 +211,7 @@ def run_scenario(scenario: Scenario, out_dir, workers: int | None = None) -> dic
             at_once = points_at_once(point for point, _ in points)
             max_workers = min(workers or os.cpu_count() or 1, at_once)
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                pending = pool.map(execute, *zip(*points))
+                pending = pool.map(_execute_point, range(len(points)), *zip(*points))
                 # The pool now holds the only reference to each point, so a
                 # point and the transfers memoised on its own elements are
                 # freed once run.

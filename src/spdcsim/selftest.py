@@ -3,13 +3,12 @@
 Each check pins its own grid and source parameters, computes the relevant
 observable, and compares against an analytic law or an independent oracle at
 a fixed tolerance, and returns ``(passed, detail)``.  A check is named by its
-function (``check_name``); ``run_checks`` returns one result per check, and
-the CLI prints them as a pass/fail table.
+function (``check_name``); ``spdcsim selftest`` runs every check in ``CHECKS``
+and prints them as a pass/fail table.
 """
 
 import filecmp
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +31,6 @@ from .grid import FrequencyGrid
 from .runner import run_scenario
 from .scenario import parse_scenario
 from .source import SourceSpec, evaluate_analytic, evaluate_uv
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
 
 
 def _analytic_source(bandwidth: float, n_points: int, delta_omega: float):
@@ -341,20 +333,3 @@ CHECKS = (
 def check_name(check) -> str:
     """Name of a check in ``CHECKS``: its function name without ``check_``."""
     return check.__name__.removeprefix("check_")
-
-
-def run_checks(name_filter: str | None = None) -> list:
-    """Run all checks (optionally filtered by substring of their
-    ``check_name``) and collect results; a check that raises fails with the
-    detail ``raised <Type>: <message>``, and the checks after it still run."""
-    results = []
-    for check in CHECKS:
-        name = check_name(check)
-        if name_filter and name_filter not in name:
-            continue
-        try:
-            passed, detail = check()
-        except Exception as exc:
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name=name, passed=bool(passed), detail=detail))
-    return results

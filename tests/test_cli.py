@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 
 from documents import NARROW, elements, modulators, spectral, temporal
-from spdcsim import NonFiniteResult, PreconditionError, cli, runner, selftest
+from spdcsim import NarrowbandInvalid, NonFiniteResult, PreconditionError, cli, runner, selftest
 from spdcsim.runner import run_scenario
 from spdcsim.scenario import parse_scenario, set_parameter
 
@@ -249,15 +249,6 @@ class TestSelftestCommand:
         assert all(line.startswith("PASS") for line in lines)
         assert "13/13 checks passed" in proc.stdout
 
-    def test_filtered_selftest_passes(self):
-        proc = run_cli("selftest", "--filter", "parseval")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "PASS" in proc.stdout
-
-    def test_unknown_filter_fails(self):
-        proc = run_cli("selftest", "--filter", "no_such_check")
-        assert proc.returncode == 1
-
     def test_a_check_that_raises_fails_on_its_own(self, monkeypatch, capsys):
         def check_first():
             return True, "ran"
@@ -361,9 +352,12 @@ def test_unexpected_exception_exits_5_without_traceback(tmp_path, monkeypatch, c
         raise RuntimeError("boom")
 
     monkeypatch.setattr(runner, "execute", broken_execute)
-    assert _run_main(tmp_path, scenario_doc()) == cli.EXIT_INTERNAL == 5
-    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
-    assert not (tmp_path / "out" / "report.json").exists()
+    sweep = {"parameter": "elements.1.phase_coeffs.1", "values": [-5.0, 0.0]}
+    # A sweep point passes the exception on as it is, unlike a refusal.
+    for doc in (scenario_doc(), scenario_doc(sweep=sweep)):
+        assert _run_main(tmp_path, doc) == cli.EXIT_INTERNAL == 5
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 temporal_doc = temporal
@@ -508,6 +502,21 @@ def test_precondition_at_a_sweep_value_keeps_its_type(tmp_path, capsys):
         "modulator drive frequencies differ: 0.01 vs 0.02 rad/ps\n"
     )
     assert not out.exists()
+
+
+def test_refusal_while_a_sweep_point_runs_names_the_point(tmp_path, capsys):
+    # The second bandwidth is too narrow for the comb, which only execute finds.
+    sweep = {"parameter": "source.envelope_bandwidth", "values": [60.0, 1.0]}
+    doc = spectral_doc(sweep=sweep)
+    code, out = _run_in_process(tmp_path, doc)
+    assert code == cli.EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        "precondition error: scenario.sweep.values[1]: comb span 0.24 rad/ps is 0.24 of the "
+        "source bandwidth 1 rad/ps (limit 0.05); use g2_freq_exact or a broader source\n"
+    )
+    assert not (out / "report.json").exists()
+    with pytest.raises(NarrowbandInvalid, match=r"^scenario\.sweep\.values\[1\]: comb span"):
+        run_scenario(parse_scenario(doc), tmp_path / "api", workers=1)
 
 
 def _run_text(tmp_path, text):

@@ -14,6 +14,8 @@ from spdcsim.correlators import (
 )
 from spdcsim.oracle import bessel_quadrature
 from spdcsim import (
+    INTER_FREQ,
+    INTRA_FREQ,
     AliasRisk,
     DispersiveElement,
     FrequencyGrid,
@@ -25,6 +27,7 @@ from spdcsim import (
     baseline,
     build_comb,
     evaluate_analytic,
+    evaluate_source,
     evaluate_uv,
     g2_freq_exact,
     g2_inter_freq_narrowband,
@@ -205,6 +208,36 @@ class TestNarrowbandCombs:
         narrow = analytic_source(1.0, 512, 0.05)
         with pytest.raises(NarrowbandInvalid):
             g2_inter_freq_narrowband(narrow, build_comb(0.5, 0.6), build_comb(0.5, 0.6))
+
+
+@pytest.mark.parametrize("correlator", [g2_inter_freq_narrowband, g2_intra_freq_narrowband])
+class TestNarrowbandGateOnAStructurelessSource:
+    """A zero-gain source has R = S = 0, so its structure bandwidth is 0; a
+    NaN bandwidth is refused as well."""
+
+    def setup_method(self):
+        self.src = evaluate_source(SourceSpec.physical(0.0), FrequencyGrid(256, 0.05))
+
+    def test_zero_indexes_pass_as_a_zero_span(self, correlator):
+        zero = build_comb(0.01, 0.0)
+        comb = correlator(self.src, zero, zero)
+        assert list(comb.orders) == [0]
+        assert comb.coefficient(0) == 1.0
+        baseline(self.src, INTER_FREQ)
+        baseline(self.src, INTRA_FREQ)
+
+    def test_any_span_is_refused_as_infinitely_wide(self, correlator):
+        m = build_comb(0.01, 0.8)
+        with pytest.raises(NarrowbandInvalid, match="is inf of the source bandwidth 0 rad/ps"):
+            correlator(self.src, m, m)
+
+    def test_a_nan_bandwidth_is_refused(self, correlator):
+        # Detunings of 1e200 rad/ps square to inf against a zero weight, so the
+        # RMS bandwidth is NaN.
+        src = analytic_source(1.0, 64, 1e200)
+        m = build_comb(1e200, 0.8)
+        with pytest.raises(NarrowbandInvalid, match="of the source bandwidth nan rad/ps"):
+            correlator(src, m, m)
 
 
 def test_check_drive():

@@ -89,6 +89,18 @@ class TestModulatorComb:
         comb = build_comb(1.0, index)
         assert abs(np.sum(comb.weights**2) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("index", [1e-10, 3e-11, -1e-10])
+    def test_tiny_index_rescales_the_stored_rows(self, index):
+        """At a tiny index the Miller recurrence passes 1e250 after it has
+        stored rows (at k = 11 for 1e-10, k = 13 for 3e-11), so those rows
+        must be rescaled with it; otherwise they swamp the normalization."""
+        comb = build_comb(0.01, index)
+        assert list(comb.orders) == [-1, 0, 1]
+        assert comb.line_weight(0) == 1.0
+        for n in (-1, 1):
+            assert comb.line_weight(n) == pytest.approx(n * index / 2.0, rel=1e-12)
+        assert np.sum(comb.weights**2) == pytest.approx(1.0, rel=1e-12)
+
     @pytest.mark.parametrize("index", [0.7, 2.2, 5.5])
     def test_parity_identity_exact(self, index):
         comb = build_comb(1.0, index)
